@@ -30,8 +30,10 @@ from .stats import (
 from .textpipe import (
     DEFAULT_MIN_COUNT,
     DEFAULT_THRESHOLD,
+    TokenDoc,
     build_token_docs,
     fit_phrase_pipeline,
+    remove_stopwords,
 )
 from .topics import (
     Clustering,
@@ -130,7 +132,10 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         raw_ego_docs, min_count=config.phrase_min_count,
         threshold=config.phrase_threshold,
     )
-    ego_docs = build_token_docs(ego_posts, pipeline=phrases, remove_stops=True)
+    # Each ego post is cleaned and tokenized once; merging and stopword removal
+    # then run on those tokens as build_token_docs would run them.
+    ego_docs = [TokenDoc(d.post_id, remove_stopwords(phrases.apply(d.tokens)))
+                for d in raw_ego_docs]
     alter_docs = build_token_docs(alter_posts, pipeline=phrases, remove_stops=True)
     tfidf = fit_tfidf(ego_docs, min_df=config.min_df)
 

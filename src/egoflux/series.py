@@ -115,24 +115,40 @@ def write_series_csv(series: Sequence[TopicSeries], path) -> None:
 
 
 def read_series_csv(path) -> list[TopicSeries]:
-    """Inverse of write_series_csv; reconstructs the shared WeekIndex."""
+    """Inverse of write_series_csv; reconstructs the shared WeekIndex.
+
+    Raises ValueError naming the CSV line of a repeated (account, topic,
+    week_start) row, a negative count, or a week_start that is not a whole
+    number of weeks after the earliest one.
+    """
     cells: dict[tuple[str, int], dict[date, int]] = {}
-    weeks: set[date] = set()
+    week_lines: dict[date, int] = {}  # first CSV line of each week_start
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"week_start", "account", "topic", "count"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"series CSV must have columns {sorted(required)}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             week = date.fromisoformat(row["week_start"])
-            weeks.add(week)
             key = (row["account"], int(row["topic"]))
-            cells.setdefault(key, {})[week] = int(row["count"])
-    if not weeks:
+            count = int(row["count"])
+            if count < 0:
+                raise ValueError(f"{path}:{lineno}: negative count {count}")
+            by_week = cells.setdefault(key, {})
+            if week in by_week:
+                raise ValueError(f"{path}:{lineno}: repeated row for {key} in week {week}")
+            by_week[week] = count
+            week_lines.setdefault(week, lineno)
+    if not week_lines:
         raise ValueError("series CSV is empty")
 
-    epoch = min(weeks)
-    n_weeks = (max(weeks) - epoch).days // 7 + 1
+    epoch = min(week_lines)
+    for week, lineno in week_lines.items():
+        if (week - epoch).days % 7:
+            raise ValueError(
+                f"{path}:{lineno}: week_start {week} is not a whole number of weeks after {epoch}"
+            )
+    n_weeks = (max(week_lines) - epoch).days // 7 + 1
     index = WeekIndex(epoch_week_start=epoch, n_weeks=n_weeks)
     out = []
     for (account, topic), by_week in sorted(cells.items()):

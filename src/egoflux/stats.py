@@ -1,10 +1,10 @@
 """Stationarity testing, paired differencing, and pairwise Granger F-tests.
 
 The numerical core of the package: OLS fitting via QR decomposition,
-F-distribution tail probabilities through the regularized incomplete beta
-function, the augmented Dickey-Fuller unit-root test with MacKinnon
-approximate p-values, and the per-(alter, topic) causality scan over
-lags 1..max_lag.
+F-distribution tail probabilities from scipy.special.fdtrc, the augmented
+Dickey-Fuller unit-root test with MacKinnon approximate p-values, and the
+per-(alter, topic) causality scan over lags 1..max_lag, which tests each
+series for stationarity at most once per differencing order.
 """
 
 from __future__ import annotations
@@ -49,23 +49,29 @@ class OlsFit:
     """OLS solution with the quantities the ADF and Granger tests consume."""
 
     coefficients: np.ndarray
-    std_errors: np.ndarray
     residuals: np.ndarray
     rss: float
     n_obs: int
     n_params: int
+    r_factor: np.ndarray
 
     @property
     def df_resid(self) -> int:
         return self.n_obs - self.n_params
 
+    @property
+    def std_errors(self) -> np.ndarray:
+        """sqrt(diag(s^2 (X'X)^-1)) with s^2 = rss / df_resid, from the R factor."""
+        r_inv = np.linalg.solve(self.r_factor, np.eye(self.n_params))
+        return np.sqrt(self.rss / self.df_resid * np.diag(r_inv @ r_inv.T))
+
 
 def ols(y, X) -> OlsFit:
     """Fit y = X beta + eps by QR decomposition.
 
-    Standard errors come from s^2 (X'X)^-1 with s^2 = rss / df_resid.
-    Rank deficiency is detected from the R diagonal at 1e-10 relative
-    tolerance and raises SingularDesignError.
+    The fit keeps the R factor; standard errors are computed from it only
+    when read.  Rank deficiency is detected from the R diagonal at 1e-10
+    relative tolerance and raises SingularDesignError.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -84,75 +90,19 @@ def ols(y, X) -> OlsFit:
 
     beta = np.linalg.solve(R, Q.T @ y)
     residuals = y - X @ beta
-    rss = float(residuals @ residuals)
-    s2 = rss / (n - p)
-    r_inv = np.linalg.solve(R, np.eye(p))
-    xtx_inv = r_inv @ r_inv.T
-    std_errors = np.sqrt(s2 * np.diag(xtx_inv))
-    return OlsFit(beta, std_errors, residuals, rss, n, p)
+    return OlsFit(beta, residuals, float(residuals @ residuals), n, p, R)
 
 
 # ---------------------------------------------------------------------------
-# F distribution via the regularized incomplete beta function
+# F distribution
 # ---------------------------------------------------------------------------
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    MAXIT, EPS, FPMIN = 300, 1e-15, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < FPMIN:
-        d = FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < FPMIN:
-            d = FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < FPMIN:
-            c = FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < FPMIN:
-            d = FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < FPMIN:
-            c = FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < EPS:
-            return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # Use the representation that converges fastest, switch at the mean.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
 
 def f_sf(x: float, d1: int, d2: int) -> float:
     """Upper-tail probability P[F(d1, d2) > x]."""
+    # Imported here, not at module top: loading scipy.special would add a
+    # measurable share to every `import egoflux`.
+    from scipy.special import fdtrc
+
     if d1 < 1 or d2 < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if x < 0.0 or not math.isfinite(x):
@@ -161,16 +111,7 @@ def f_sf(x: float, d1: int, d2: int) -> float:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 1.0
-    return betainc_reg(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
-
-
-def f_cdf(x: float, d1: int, d2: int) -> float:
-    """Lower-tail probability P[F(d1, d2) <= x]."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if x <= 0.0:
-        return 0.0
-    return betainc_reg(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
+    return float(fdtrc(d1, d2, x))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +244,53 @@ def difference(y) -> np.ndarray:
     return np.diff(y)
 
 
+class _Ladder:
+    """One series, its differences and its ADF verdict at each order, each computed once.
+
+    A verdict is True/False for stationary or not at `alpha`, or the
+    DegenerateSeriesError / InsufficientDataError the ADF stage raised, which
+    is raised again on every later request for that order.
+    """
+
+    def __init__(self, y, alpha: float):
+        self._alpha = alpha
+        self._levels = [np.asarray(y, dtype=float)]
+        self._verdicts: dict[int, bool | Exception] = {}
+
+    def at(self, order: int) -> np.ndarray:
+        while len(self._levels) <= order:
+            self._levels.append(difference(self._levels[-1]))
+        return self._levels[order]
+
+    def stationary(self, order: int) -> bool:
+        if order not in self._verdicts:
+            try:
+                self._verdicts[order] = adf_test(self.at(order), alpha=self._alpha).is_stationary
+            except (DegenerateSeriesError, InsufficientDataError) as exc:
+                self._verdicts[order] = exc
+        verdict = self._verdicts[order]
+        if isinstance(verdict, Exception):
+            raise verdict.with_traceback(None)
+        return verdict
+
+
+def _joint_diff_order(x: _Ladder, y: _Ladder, max_diff: int) -> int:
+    """Smallest differencing order at which both series pass the ADF test."""
+    if len(x.at(0)) != len(y.at(0)):
+        raise ValueError("series must have equal length")
+    order = 0
+    while True:
+        # x is tested first, so its ADF errors take precedence over y's.
+        x_ok = x.stationary(order)
+        if y.stationary(order) and x_ok:
+            return order
+        if order >= max_diff:
+            raise NonStationarizableError(
+                f"pair still non-stationary after {max_diff} differencing passes"
+            )
+        order += 1
+
+
 def make_stationary_pair(
     x,
     y,
@@ -316,24 +304,9 @@ def make_stationary_pair(
     propagates DegenerateSeriesError / InsufficientDataError from the ADF
     stage (constant or too-short series).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise ValueError("series must have equal length")
-
-    diff_order = 0
-    while True:
-        rx = adf_test(x, alpha=alpha)
-        ry = adf_test(y, alpha=alpha)
-        if rx.is_stationary and ry.is_stationary:
-            return x, y, diff_order
-        if diff_order >= max_diff:
-            raise NonStationarizableError(
-                f"pair still non-stationary after {max_diff} differencing passes"
-            )
-        x = difference(x)
-        y = difference(y)
-        diff_order += 1
+    xl, yl = _Ladder(x, alpha), _Ladder(y, alpha)
+    order = _joint_diff_order(xl, yl, max_diff)
+    return xl.at(order), yl.at(order), order
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +378,9 @@ def bh_adjust(p_values) -> np.ndarray:
     if m == 0:
         return p.copy()
     order = np.argsort(p, kind="stable")
+    scaled = p[order] * m / np.arange(1, m + 1)
     adjusted = np.empty(m)
-    running = 1.0
-    for rank in range(m, 0, -1):
-        idx = order[rank - 1]
-        running = min(running, p[idx] * m / rank)
-        adjusted[idx] = running
+    adjusted[order] = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
     return adjusted
 
 
@@ -551,10 +521,6 @@ class CausalityMatrix:
         return rows
 
 
-def _series_lookup(series: list[TopicSeries]) -> dict[tuple[str, int], np.ndarray]:
-    return {(s.account, s.topic): np.asarray(s.counts, dtype=float) for s in series}
-
-
 def causality_scan(
     series: list[TopicSeries],
     ego: str,
@@ -576,9 +542,10 @@ def causality_scan(
         raise ValueError(f"unknown correction {correction!r}")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    lookup = _series_lookup(series)
-    topics = sorted({t for (_, t) in lookup})
-    if not any(acc == ego for (acc, _) in lookup):
+    # One ladder per series: the ego's ADF verdicts are shared by every alter.
+    ladders = {(s.account, s.topic): _Ladder(s.counts, alpha) for s in series}
+    topics = sorted({t for (_, t) in ladders})
+    if not any(acc == ego for (acc, _) in ladders):
         raise ValueError(f"ego account {ego!r} has no series")
 
     pairs: list[PairOutcome] = []
@@ -586,13 +553,13 @@ def causality_scan(
         for topic in topics:
             outcome = PairOutcome(alter=alter, topic=topic)
             pairs.append(outcome)
-            x = lookup.get((alter, topic))
-            y = lookup.get((ego, topic))
+            x = ladders.get((alter, topic))
+            y = ladders.get((ego, topic))
             if x is None or y is None:
                 outcome.skip_reason = SKIP_TOO_SHORT
                 continue
             try:
-                xs, ys, diff_order = make_stationary_pair(x, y, max_diff=max_diff, alpha=alpha)
+                diff_order = _joint_diff_order(x, y, max_diff)
             except DegenerateSeriesError:
                 outcome.skip_reason = SKIP_DEGENERATE
                 continue
@@ -604,6 +571,7 @@ def causality_scan(
                 continue
 
             outcome.diff_order = diff_order
+            xs, ys = x.at(diff_order), y.at(diff_order)
             singular = False
             for lag in range(1, max_lag + 1):
                 try:

@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from egoflux import pipeline, textpipe
 from egoflux.corpus import Corpus, Post, load_corpus
 from egoflux.pipeline import (
     PipelineConfig,
@@ -14,7 +15,7 @@ from egoflux.pipeline import (
     run_pipeline,
 )
 from egoflux.stats import CORRECTION_BH
-from egoflux.textpipe import english_stopwords
+from egoflux.textpipe import build_token_docs, english_stopwords
 
 from conftest import FIXTURE_CORPUS_CSV, make_post
 
@@ -74,6 +75,30 @@ class TestFitTopics:
         config = PipelineConfig(ego="ego", min_df=1, embed_dim=2, k=2)
         with pytest.raises(ValueError, match="too few featurizable"):
             fit_topics(corpus, config)
+
+
+    def test_ego_posts_cleaned_once(self, two_topic_corpus, pipeline_config, monkeypatch):
+        real_clean, real_fit_tfidf = textpipe.clean, pipeline.fit_tfidf
+        cleaned, tfidf_docs = [], []
+
+        def counting_clean(text):
+            cleaned.append(text)
+            return real_clean(text)
+
+        def capturing_fit_tfidf(docs, **kwargs):
+            tfidf_docs.append(docs)
+            return real_fit_tfidf(docs, **kwargs)
+
+        monkeypatch.setattr(textpipe, "clean", counting_clean)
+        monkeypatch.setattr(pipeline, "fit_tfidf", capturing_fit_tfidf)
+        fit = fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, k=2))
+        monkeypatch.undo()
+
+        ego_posts = [p for p in two_topic_corpus.posts if p.author == "ego"]
+        n_alter_posts = sum(1 for p in two_topic_corpus.posts if p.author in ("alt_a", "alt_b"))
+        assert len(cleaned) == len(ego_posts) + n_alter_posts
+        assert tfidf_docs == [build_token_docs(ego_posts, pipeline=fit.bundle.phrases,
+                                               remove_stops=True)]
 
 
 class TestRunPipeline:

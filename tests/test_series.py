@@ -176,6 +176,30 @@ class TestSeriesCsv:
         with pytest.raises(ValueError):
             read_series_csv(path)
 
+    def _write_rows(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        path.write_text("week_start,account,topic,count\n" + "".join(r + "\n" for r in rows),
+                        encoding="utf-8")
+        return path
+
+    def test_repeated_row_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13,ego,0,1",
+                                           "2020-01-06,ego,0,5"])
+        with pytest.raises(ValueError, match=r"rows\.csv:4: repeated row"):
+            read_series_csv(path)
+
+    def test_off_grid_week_rejected(self, tmp_path):
+        # Wednesday 2020-01-08 is two days after the first week's Monday.
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-08,ego,0,7",
+                                           "2020-01-13,ego,0,1"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: week_start 2020-01-08"):
+            read_series_csv(path)
+
+    def test_negative_count_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13,ego,0,-2"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: negative count"):
+            read_series_csv(path)
+
     def test_counts_length_must_match_index(self):
         idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=3)
         with pytest.raises(ValueError):

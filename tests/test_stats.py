@@ -1,11 +1,14 @@
 """OLS, F distribution, ADF, differencing, Granger tests, BH, and the scan."""
 
 import math
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from egoflux.errors import (
@@ -14,19 +17,19 @@ from egoflux.errors import (
     NonStationarizableError,
     SingularDesignError,
 )
+from egoflux import stats as stats_module
 from egoflux.series import TopicSeries, WeekIndex
 from egoflux.stats import (
     CORRECTION_BH,
     CORRECTION_NONE,
     SKIP_DEGENERATE,
+    SKIP_NONSTATIONARY,
     SKIP_TOO_SHORT,
     CausalityMatrix,
     adf_test,
     bh_adjust,
-    betainc_reg,
     causality_scan,
     difference,
-    f_cdf,
     f_sf,
     granger_test,
     mackinnon_pvalue,
@@ -103,17 +106,6 @@ class TestFDistribution:
         xs = [0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
         vals = [f_sf(x, 4, 17) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_cdf_complements_sf(self):
-        for x in (0.2, 1.3, 4.0):
-            assert f_cdf(x, 5, 9) + f_sf(x, 5, 9) == pytest.approx(1.0, abs=1e-12)
-
-    def test_betainc_against_scipy(self):
-        for a, b in ((0.5, 4.0), (2.0, 2.0), (10.0, 3.5)):
-            for x in (0.01, 0.3, 0.77, 0.99):
-                assert betainc_reg(a, b, x) == pytest.approx(
-                    scipy.special.betainc(a, b, x), abs=1e-13
-                )
 
 
 class TestMacKinnon:
@@ -310,6 +302,21 @@ class TestBhAdjust:
         assert len(bh_adjust([])) == 0
         np.testing.assert_allclose(bh_adjust([0.42]), [0.42])
 
+    def test_matches_step_up_loop(self):
+        def loop_reference(p):
+            m = len(p)
+            order = np.argsort(p, kind="stable")
+            adjusted, running = np.empty(m), 1.0
+            for rank in range(m, 0, -1):
+                running = min(running, p[order[rank - 1]] * m / rank)
+                adjusted[order[rank - 1]] = running
+            return adjusted
+
+        rng = np.random.default_rng(28)
+        for size in (1, 2, 7, 50, 300):
+            for p in (rng.random(size), np.round(rng.random(size), 1), rng.random(size) ** 6):
+                assert bh_adjust(p).tobytes() == loop_reference(p).tobytes()
+
     def test_never_below_raw_never_above_one(self):
         rng = np.random.default_rng(27)
         p = rng.random(30)
@@ -414,3 +421,103 @@ class TestCausalityScan:
         assert len(rows) == 1 + 2 * 2
         flat0 = next(r for r in rows[1:] if r[0] == "alt_flat" and r[1] == "0")
         assert flat0[6] == SKIP_DEGENERATE
+
+
+def _ladder_series():
+    """Ego topics: 0 white noise, 1 random walk (I(1)), 2 constant.
+
+    Alters: alt_i0 white noise, alt_i2 doubly integrated (not stationary at
+    order 1), alt_walk a random walk; alt_missing has only topic 0.
+    """
+    rng = np.random.default_rng(31)
+    n = 150
+    idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=n)
+
+    def noise():
+        return rng.poisson(20.0, size=n)
+
+    def walk():
+        return 500 + np.cumsum(rng.integers(-3, 4, size=n))
+
+    def double_walk():
+        return 50_000 + np.cumsum(np.cumsum(rng.integers(-3, 4, size=n)))
+
+    out = [TopicSeries("ego", 0, noise(), idx), TopicSeries("ego", 1, walk(), idx),
+           TopicSeries("ego", 2, np.full(n, 7), idx)]
+    for alter, make in (("alt_i0", noise), ("alt_i2", double_walk), ("alt_walk", walk)):
+        out += [TopicSeries(alter, t, make(), idx) for t in range(3)]
+    out.append(TopicSeries("alt_missing", 0, noise(), idx))
+    return out
+
+
+LADDER_ALTERS = ["alt_i0", "alt_i2", "alt_walk", "alt_missing"]
+
+
+class TestScanDifferencing:
+    def test_adf_runs_once_per_series_and_order(self, monkeypatch):
+        calls = []
+        real_adf = stats_module.adf_test
+
+        def counting_adf(y, *args, **kwargs):
+            calls.append(np.asarray(y, dtype=float).tobytes())
+            return real_adf(y, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module, "adf_test", counting_adf)
+        series = _ladder_series()
+        causality_scan(series, "ego", LADDER_ALTERS, max_lag=3, max_diff=1)
+
+        for s in series:
+            if s.account != "ego":
+                continue
+            for order in (0, 1):
+                level = np.diff(s.counts.astype(float), n=order).tobytes()
+                assert calls.count(level) <= 1, (s.topic, order)
+        # Ego topic 0 is stationary at order 0: one test serves all alters.
+        assert calls.count(series[0].counts.astype(float).tobytes()) == 1
+
+    def test_constant_ego_topic_degenerate_for_every_alter(self):
+        matrix = causality_scan(_ladder_series(), "ego", LADDER_ALTERS, max_lag=3)
+        for alter in ("alt_i0", "alt_i2", "alt_walk"):
+            assert matrix.pair(alter, 2).skip_reason == SKIP_DEGENERATE
+
+    def test_scan_matches_pairwise_path(self):
+        series = _ladder_series()
+        max_lag, max_diff = 3, 1
+        matrix = causality_scan(series, "ego", LADDER_ALTERS, max_lag=max_lag,
+                                max_diff=max_diff)
+        lookup = {(s.account, s.topic): s.counts for s in series}
+        codes = {DegenerateSeriesError: SKIP_DEGENERATE,
+                 NonStationarizableError: SKIP_NONSTATIONARY,
+                 InsufficientDataError: SKIP_TOO_SHORT}
+        seen = set()
+        for outcome in matrix.pairs:
+            x = lookup.get((outcome.alter, outcome.topic))
+            y = lookup[("ego", outcome.topic)]
+            if x is None:
+                assert outcome.skip_reason == SKIP_TOO_SHORT
+                continue
+            try:
+                xs, ys, order = make_stationary_pair(x, y, max_diff=max_diff)
+            except tuple(codes) as exc:
+                assert outcome.skip_reason == codes[type(exc)]
+                assert outcome.diff_order is None and not outcome.results
+                seen.add(outcome.skip_reason)
+                continue
+            assert outcome.skip_reason is None
+            assert outcome.diff_order == order
+            expected = [granger_test(xs, ys, lag) for lag in range(1, max_lag + 1)]
+            assert [(r.lag, r.p_value) for r in outcome.results] == [
+                (r.lag, r.p_value) for r in expected
+            ]
+            seen.add(order)
+        # The fixture reaches both diff orders and both ADF-stage skip codes.
+        assert seen == {0, 1, SKIP_DEGENERATE, SKIP_NONSTATIONARY}
+
+
+def test_import_leaves_scipy_special_and_stats_unloaded():
+    code = ("import sys, egoflux; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.stats') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(stats_module.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
