@@ -13,7 +13,6 @@ import numpy as np
 from egoflux.features import fallback_embeddings, fit_tfidf, transform_tfidf
 from egoflux.textpipe import (
     TokenDoc,
-    apply_phrases,
     clean,
     fit_phrase_pipeline,
     remove_stopwords,
@@ -50,16 +49,14 @@ def main() -> None:
             for i, t in enumerate(CORPUS_TEXTS)]
     pipeline = fit_phrase_pipeline(docs, min_count=3, threshold=5.0)
     sample = tokenize(clean(CORPUS_TEXTS[0]))
-    merged = sample
-    for stage in pipeline.stages:
-        merged = apply_phrases(stage, merged)
+    print(f"merge pairs per stage: {[sorted(stage) for stage in pipeline.stages]}")
     print(f"before: {sample}")
-    print(f"after:  {merged}")
+    print(f"after:  {pipeline.apply(sample)}")
 
     print("\n== TF-IDF ==")
     merged_docs = [
         TokenDoc(post_id=d.post_id,
-                 tokens=remove_stopwords(_apply_all(pipeline, d.tokens)))
+                 tokens=remove_stopwords(pipeline.apply(d.tokens)))
         for d in docs
     ]
     model = fit_tfidf(merged_docs, min_df=2)
@@ -79,13 +76,6 @@ def main() -> None:
     print(f"cos(market, market)  = {float(a @ b):.3f}")
     print(f"cos(market, weather) = {float(a @ c):.3f}")
     print("same-theme posts sit close; cross-theme posts do not.")
-
-
-def _apply_all(pipeline, tokens):
-    out = list(tokens)
-    for stage in pipeline.stages:
-        out = apply_phrases(stage, out)
-    return out
 
 
 if __name__ == "__main__":

@@ -1,9 +1,17 @@
 """Versioned on-disk topic-model bundle shared by the topics/classify stages.
 
 The bundle is a directory of JSON files so that Alter posts are guaranteed to
-pass through the exact models fitted on the Ego corpus: phrase merges, TF-IDF
-weights, the embedding projection (when the fallback is in use), medoids, and
-the trained classifier.
+pass through the exact models fitted on the Ego corpus.  Its files:
+
+- ``phrases.json``: the sorted merge pairs of each phrase stage;
+- ``tfidf.json``: the vocabulary and IDF weights;
+- ``projector.json``: the fallback SVD projection (absent with external
+  embeddings);
+- ``topics.json``: k, medoid post ids, topic labels and summaries, and the
+  silhouette of each k tried;
+- ``classifier.json``: per-class weights and biases;
+- ``manifest.json``: the schema version, the parts written, the embedding
+  source and dimension, and the seed.
 """
 
 from __future__ import annotations
@@ -12,14 +20,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .classifier import LinearClassifier
 from .features import FallbackProjector, TfidfModel
 from .textpipe import PhrasePipeline
 from .topics import TopicSummary
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MANIFEST_JSON = "manifest.json"
 PHRASES_JSON = "phrases.json"
@@ -48,7 +54,6 @@ class ModelBundle:
     tfidf: TfidfModel
     k: int
     medoid_ids: list[str]
-    medoid_vectors: np.ndarray
     topic_labels: dict[int, str]
     summaries: list[TopicSummary]
     projector: FallbackProjector | None = None
@@ -70,7 +75,6 @@ class ModelBundle:
                 "schema_version": SCHEMA_VERSION,
                 "k": self.k,
                 "medoid_ids": list(self.medoid_ids),
-                "medoid_vectors": [[float(v) for v in row] for row in self.medoid_vectors],
                 "labels": {str(t): lbl for t, lbl in self.topic_labels.items()},
                 "summaries": [s.to_dict() for s in self.summaries],
                 "silhouette_by_k": {str(k): float(v) for k, v in self.silhouette_by_k.items()},
@@ -115,7 +119,6 @@ class ModelBundle:
             tfidf=TfidfModel.from_dict(_read_json(src / TFIDF_JSON)),
             k=int(topics["k"]),
             medoid_ids=list(topics["medoid_ids"]),
-            medoid_vectors=np.asarray(topics["medoid_vectors"], dtype=float),
             topic_labels={int(t): lbl for t, lbl in topics["labels"].items()},
             summaries=[TopicSummary.from_dict(s) for s in topics["summaries"]],
             projector=projector,

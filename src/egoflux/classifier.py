@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -12,18 +12,10 @@ from .features import EmbeddingSet
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_C = 1.0
-DEFAULT_EPOCHS = 200
-DEFAULT_VAL_FRACTION = 0.2
+C = 1.0
+EPOCHS = 200
+VAL_FRACTION = 0.2
 DEFAULT_SEED = 42
-
-
-@dataclass
-class TrainConfig:
-    seed: int = DEFAULT_SEED
-    c: float = DEFAULT_C
-    epochs: int = DEFAULT_EPOCHS
-    val_fraction: float = DEFAULT_VAL_FRACTION
 
 
 @dataclass
@@ -34,7 +26,6 @@ class LinearClassifier:
     biases: np.ndarray
     classes: list[int]
     dim: int
-    config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
         if len(self.classes) < 2:
@@ -47,25 +38,20 @@ class LinearClassifier:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "classes": list(self.classes),
             "dim": self.dim,
             "weights": [[float(x) for x in row] for row in self.weights],
             "biases": [float(x) for x in self.biases],
-            "config": {"seed": self.config.seed, "c": self.config.c,
-                       "epochs": self.config.epochs,
-                       "val_fraction": self.config.val_fraction},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearClassifier":
-        cfg = d.get("config", {})
         return cls(
             weights=np.asarray(d["weights"], dtype=float),
             biases=np.asarray(d["biases"], dtype=float),
             classes=[int(c) for c in d["classes"]],
             dim=int(d["dim"]),
-            config=TrainConfig(**cfg) if cfg else TrainConfig(),
         )
 
 
@@ -144,13 +130,13 @@ def _stratified_split(ids_by_class: dict[int, list[str]], val_fraction: float,
 
 
 def train(emb: EmbeddingSet, labels: Mapping[str, int],
-          config: TrainConfig | None = None) -> tuple[LinearClassifier, EvalReport]:
+          seed: int = DEFAULT_SEED) -> tuple[LinearClassifier, EvalReport]:
     """Seeded Pegasos-style subgradient descent, one binary problem per class.
 
-    A stratified seeded split holds out a validation fraction; the returned
+    Regularization C, EPOCHS passes over the training set.  A stratified
+    seeded split holds out VAL_FRACTION of each class; the returned
     EvalReport is computed on that split.
     """
-    config = config or TrainConfig()
     ids_by_class: dict[int, list[str]] = {}
     for pid in sorted(labels):
         if pid not in emb.vectors:
@@ -164,8 +150,8 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
         if len(ids) < 5:
             logger.warning("class %d has only %d members", c, len(ids))
 
-    rng = np.random.default_rng(config.seed)
-    train_ids, val_ids = _stratified_split(ids_by_class, config.val_fraction, rng)
+    rng = np.random.default_rng(seed)
+    train_ids, val_ids = _stratified_split(ids_by_class, VAL_FRACTION, rng)
     classes = sorted(ids_by_class)
     X = emb.matrix(train_ids)
     n_train, dim = X.shape
@@ -173,12 +159,12 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
     # {-1,+1} target per class column
     Y = np.where(y[:, None] == np.array(classes)[None, :], 1.0, -1.0)
 
-    lam = 1.0 / (config.c * n_train)
+    lam = 1.0 / (C * n_train)
     W = np.zeros((len(classes), dim))
     b = np.zeros(len(classes))
     order = rng.permutation(n_train)
     t = 0
-    for _ in range(config.epochs):
+    for _ in range(EPOCHS):
         for i in order:
             t += 1
             eta = 1.0 / (lam * t)
@@ -191,7 +177,7 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
                 W[hit] += (eta * yi[hit])[:, None] * x[None, :]
                 b[hit] += eta * yi[hit]
 
-    clf = LinearClassifier(weights=W, biases=b, classes=classes, dim=dim, config=config)
+    clf = LinearClassifier(weights=W, biases=b, classes=classes, dim=dim)
     report = evaluate(predict(clf, emb, ids=val_ids),
                       {pid: labels[pid] for pid in val_ids})
     logger.info("validation weighted F1 = %.4f on %d held-out posts",

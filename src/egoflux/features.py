@@ -145,7 +145,8 @@ def load_embeddings(
 ) -> EmbeddingSet:
     """Read id -> vector rows from JSONL ({"id":..., "v":[...]}) or CSV (id,v0..).
 
-    All rows must share one dimension (error names the offending id).  When
+    All rows must share one dimension (error names the offending id); a
+    component that is not a number is an error naming the line.  When
     `docs` is given, ids missing from the file are reported; strict mode
     turns any missing id into an error.
     """
@@ -179,7 +180,11 @@ def load_embeddings(
             for row in reader:
                 if not row:
                     continue
-                add(row[0], [float(v) for v in row[1:]])
+                try:
+                    values = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise EmbeddingFormatError(f"{path}:{reader.line_num}: {exc}") from None
+                add(row[0], values)
     else:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -188,7 +193,7 @@ def load_embeddings(
                 try:
                     record = json.loads(line)
                     add(str(record["id"]), record["v"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
                     raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
 
     if dim is None:

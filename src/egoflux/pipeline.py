@@ -175,9 +175,7 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     )
 
     ego_labels = dict(clustering.assignment)
-    classifier, eval_report = clf_mod.train(
-        ego_emb, ego_labels, clf_mod.TrainConfig(seed=config.seed),
-    )
+    classifier, eval_report = clf_mod.train(ego_emb, ego_labels, seed=config.seed)
 
     alter_pred_ids = _nonzero_ids(alter_emb, [d.post_id for d in alter_docs])
     alter_labels = clf_mod.predict(classifier, alter_emb, ids=alter_pred_ids)
@@ -187,7 +185,6 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         tfidf=tfidf,
         k=clustering.k,
         medoid_ids=list(clustering.medoid_ids),
-        medoid_vectors=np.stack([ego_emb.vectors[i] for i in clustering.medoid_ids]),
         topic_labels={s.topic: s.label for s in summaries},
         summaries=summaries,
         projector=projector,

@@ -114,12 +114,19 @@ def write_series_csv(series: Sequence[TopicSeries], path) -> None:
                 )
 
 
+def _row_error(path, lineno: int, row: dict, exc: Exception | None) -> ValueError:
+    """A short row (DictReader pads it with None) or a cell that does not parse."""
+    problem = "row has too few cells" if None in row.values() else exc
+    return ValueError(f"{path}:{lineno}: {problem}")
+
+
 def read_series_csv(path) -> list[TopicSeries]:
     """Inverse of write_series_csv; reconstructs the shared WeekIndex.
 
-    Raises ValueError naming the CSV line of a repeated (account, topic,
-    week_start) row, a negative count, or a week_start that is not a whole
-    number of weeks after the earliest one.
+    Raises ValueError naming the CSV line of a short row, a cell that does not
+    parse (week_start as an ISO date, topic and count as integers), a repeated
+    (account, topic, week_start) row, a negative count, or a week_start that
+    is not a whole number of weeks after the earliest one.
     """
     cells: dict[tuple[str, int], dict[date, int]] = {}
     week_lines: dict[date, int] = {}  # first CSV line of each week_start
@@ -129,9 +136,14 @@ def read_series_csv(path) -> list[TopicSeries]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"series CSV must have columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
-            week = date.fromisoformat(row["week_start"])
-            key = (row["account"], int(row["topic"]))
-            count = int(row["count"])
+            try:
+                week = date.fromisoformat(row["week_start"])
+                key = (row["account"], int(row["topic"]))
+                count = int(row["count"])
+            except (TypeError, ValueError) as exc:
+                raise _row_error(path, lineno, row, exc) from None
+            if key[0] is None:  # short row, account in the last column
+                raise _row_error(path, lineno, row, None)
             if count < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
             by_week = cells.setdefault(key, {})

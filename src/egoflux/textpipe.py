@@ -1,14 +1,17 @@
-"""Text cleaning, tokenization, and bigram/trigram phrase merging."""
+"""Text cleaning, tokenization, and bigram/trigram phrase merging.
+
+A phrase stage is the set of adjacent token pairs it merges; the unigram and
+pair counts behind it are used while fitting and then dropped.
+"""
 
 from __future__ import annotations
 
-import json
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
@@ -16,6 +19,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_MIN_COUNT = 5
 DEFAULT_THRESHOLD = 10.0
 PHRASE_JOIN = "_"
+PHRASE_PASSES = 2
+
+# Runs of str.isalnum() characters: \w is isalnum() plus "_".
+_ALNUM_RUN = re.compile(r"[^\W_]+")
 
 
 @dataclass
@@ -35,8 +42,9 @@ def clean(text: str) -> str:
     """Strip URLs, @mentions, RT markers, and punctuation; lowercase.
 
     Hashtag words are kept without the '#'; apostrophes are dropped with the
-    word rejoined ("don't" -> "dont"); any other non-alphanumeric character
-    splits the token.  Idempotent: cleaning cleaned text is a no-op.
+    word rejoined ("don't" -> "dont"); any other character that is not
+    `str.isalnum()` (underscore included) splits the token.  Idempotent:
+    cleaning cleaned text is a no-op.
     """
     pieces: list[str] = []
     for token in unicodedata.normalize("NFC", text).split():
@@ -45,11 +53,12 @@ def clean(text: str) -> str:
         if token.startswith("#"):
             token = token[1:]
         token = token.replace("'", "").replace("’", "")
-        chars = [ch if ch.isalnum() else " " for ch in token]
-        for piece in "".join(chars).lower().split():
-            if piece == "rt":
-                continue
-            pieces.append(piece)
+        # Runs are found before lowering: "İ".lower() appends U+0307, which
+        # is not alphanumeric and would split the run.
+        for run in _ALNUM_RUN.findall(token):
+            piece = run.lower()
+            if piece != "rt":
+                pieces.append(piece)
     return " ".join(pieces)
 
 
@@ -70,53 +79,17 @@ def remove_stopwords(tokens: Sequence[str]) -> list[str]:
     return [t for t in tokens if t not in stop]
 
 
-@dataclass
-class PhraseModel:
-    """Counts and thresholds for one bigram-merging pass."""
-
-    token_counts: dict[str, int]
-    pair_counts: dict[tuple[str, str], int]
-    min_count: int
-    threshold: float
-    total_tokens: int
-
-    def score(self, a: str, b: str) -> float:
-        """(pair - min_count) * total_tokens / (count(a) * count(b)); -inf if unseen."""
-        pair = self.pair_counts.get((a, b), 0)
-        ca, cb = self.token_counts.get(a, 0), self.token_counts.get(b, 0)
-        if pair == 0 or ca == 0 or cb == 0:
-            return float("-inf")
-        return (pair - self.min_count) * self.total_tokens / (ca * cb)
-
-    def qualifies(self, a: str, b: str) -> bool:
-        return self.score(a, b) > self.threshold
-
-    def to_dict(self) -> dict:
-        return {
-            "token_counts": dict(sorted(self.token_counts.items())),
-            "pair_counts": [[a, b, c] for (a, b), c in sorted(self.pair_counts.items())],
-            "min_count": self.min_count,
-            "threshold": self.threshold,
-            "total_tokens": self.total_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhraseModel":
-        return cls(
-            token_counts=dict(d["token_counts"]),
-            pair_counts={(a, b): c for a, b, c in d["pair_counts"]},
-            min_count=int(d["min_count"]),
-            threshold=float(d["threshold"]),
-            total_tokens=int(d["total_tokens"]),
-        )
-
-
 def fit_phrases(
     docs: Iterable[Sequence[str]],
     min_count: int = DEFAULT_MIN_COUNT,
     threshold: float = DEFAULT_THRESHOLD,
-) -> PhraseModel:
-    """Count unigrams and adjacent pairs for one merging pass."""
+) -> frozenset[tuple[str, str]]:
+    """The adjacent pairs one merging pass joins into a single token.
+
+    A pair (a, b) qualifies when its collocation score (Mikolov et al. 2013),
+    (count(a b) - min_count) * total_tokens / (count(a) * count(b)), exceeds
+    `threshold`; the counts are taken over `docs` and then dropped.
+    """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     if threshold <= 0:
@@ -132,21 +105,18 @@ def fit_phrases(
             pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
     if total == 0:
         raise ValueError("cannot fit phrases on all-empty docs")
-    return PhraseModel(
-        token_counts=token_counts,
-        pair_counts=pair_counts,
-        min_count=min_count,
-        threshold=threshold,
-        total_tokens=total,
+    return frozenset(
+        (a, b) for (a, b), n_ab in pair_counts.items()
+        if (n_ab - min_count) * total / (token_counts[a] * token_counts[b]) > threshold
     )
 
 
-def apply_phrases(model: PhraseModel, tokens: Sequence[str]) -> list[str]:
+def apply_phrases(merges: frozenset[tuple[str, str]], tokens: Sequence[str]) -> list[str]:
     """Greedy left-to-right single merging pass over one token list."""
     out: list[str] = []
     i = 0
     while i < len(tokens):
-        if i + 1 < len(tokens) and model.qualifies(tokens[i], tokens[i + 1]):
+        if i + 1 < len(tokens) and (tokens[i], tokens[i + 1]) in merges:
             out.append(tokens[i] + PHRASE_JOIN + tokens[i + 1])
             i += 2
         else:
@@ -157,9 +127,9 @@ def apply_phrases(model: PhraseModel, tokens: Sequence[str]) -> list[str]:
 
 @dataclass
 class PhrasePipeline:
-    """Stacked merging passes; two passes turn qualifying trigrams into one token."""
+    """Stacked merge sets; two passes turn qualifying trigrams into one token."""
 
-    stages: list[PhraseModel] = field(default_factory=list)
+    stages: list[frozenset[tuple[str, str]]] = field(default_factory=list)
 
     def apply(self, tokens: Sequence[str]) -> list[str]:
         merged = list(tokens)
@@ -167,43 +137,31 @@ class PhrasePipeline:
             merged = apply_phrases(stage, merged)
         return merged
 
-    def apply_docs(self, docs: Iterable[TokenDoc]) -> list[TokenDoc]:
-        return [TokenDoc(post_id=d.post_id, tokens=self.apply(d.tokens)) for d in docs]
-
     def to_dict(self) -> dict:
-        return {"schema_version": 1, "stages": [s.to_dict() for s in self.stages]}
+        return {"schema_version": 2,
+                "stages": [[list(pair) for pair in sorted(stage)] for stage in self.stages]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhrasePipeline":
-        return cls(stages=[PhraseModel.from_dict(s) for s in d["stages"]])
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2), "utf-8")
-
-    @classmethod
-    def load(cls, path) -> "PhrasePipeline":
-        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
+        return cls(stages=[frozenset((a, b) for a, b in stage) for stage in d["stages"]])
 
 
 def fit_phrase_pipeline(
     docs: Sequence[TokenDoc] | Sequence[Sequence[str]],
     min_count: int = DEFAULT_MIN_COUNT,
     threshold: float = DEFAULT_THRESHOLD,
-    passes: int = 2,
 ) -> PhrasePipeline:
-    """Fit `passes` merging passes, refitting counts on the merged output.
+    """Fit PHRASE_PASSES merging passes, refitting counts on the merged output.
 
     The second pass sees first-pass merges as single tokens, so a merged
     bigram can pair with a following token to form a trigram.
     """
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
     current = [list(d.tokens) if isinstance(d, TokenDoc) else list(d) for d in docs]
     stages = []
-    for _ in range(passes):
-        model = fit_phrases(current, min_count=min_count, threshold=threshold)
-        stages.append(model)
-        current = [apply_phrases(model, doc) for doc in current]
+    for _ in range(PHRASE_PASSES):
+        merges = fit_phrases(current, min_count=min_count, threshold=threshold)
+        stages.append(merges)
+        current = [apply_phrases(merges, doc) for doc in current]
     return PhrasePipeline(stages=stages)
 
 

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from egoflux.classifier import TrainConfig, train
+from egoflux.classifier import train
 from egoflux.corpus import load_corpus
 from egoflux.features import EmbeddingSet, fit_tfidf, transform_tfidf
 from egoflux.pipeline import PipelineConfig, run_pipeline
@@ -299,13 +299,13 @@ def _blobs(data_seed: int, centers, per_class: int = 50, spread: float = 0.15):
 def test_07_classifier_sanity(announce):
     """Separable blobs near-perfect; shuffled labels collapse to chance."""
     emb, labels = _blobs(10, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-    _, report = train(emb, labels, TrainConfig(seed=42))
+    _, report = train(emb, labels, seed=42)
 
     rng = np.random.default_rng(2)
     values = list(labels.values())
     rng.shuffle(values)
     shuffled = dict(zip(labels.keys(), values))
-    _, shuffled_report = train(emb, shuffled, TrainConfig(seed=42))
+    _, shuffled_report = train(emb, shuffled, seed=42)
 
     ok = (report.weighted_f1 >= 0.99
           and 0.4 <= shuffled_report.weighted_f1 <= 0.6)

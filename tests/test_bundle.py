@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from egoflux.bundle import (
@@ -31,7 +30,6 @@ def minimal_bundle():
         tfidf=tfidf,
         k=2,
         medoid_ids=["d0", "d2"],
-        medoid_vectors=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         topic_labels={0: "alpha", 1: "beta"},
         summaries=[TopicSummary(topic=0, label="alpha", size=2, top_words=[("alpha", 0.9)]),
                    TopicSummary(topic=1, label="beta", size=2, top_words=[("beta", 0.8)])],
@@ -49,7 +47,6 @@ class TestRoundtrip:
         loaded = ModelBundle.load(out)
         assert loaded.k == bundle.k
         assert loaded.medoid_ids == bundle.medoid_ids
-        assert np.array_equal(loaded.medoid_vectors, bundle.medoid_vectors)
         assert loaded.topic_labels == bundle.topic_labels
         assert loaded.seed == bundle.seed
         assert loaded.embedding_source == bundle.embedding_source
@@ -109,6 +106,21 @@ class TestManifest:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="schema"):
             ModelBundle.load(out)
+
+    def test_schema_1_bundle_rejected(self, tmp_path):
+        out = minimal_bundle().save(tmp_path / "bundle")
+        manifest_path = out / MANIFEST_JSON
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["schema_version"] = 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="schema 1 != 2"):
+            ModelBundle.load(out)
+
+    def test_topics_part_holds_no_vectors(self, pipeline_result, tmp_path):
+        out = pipeline_result.bundle.save(tmp_path / "bundle")
+        topics = json.loads((out / TOPICS_JSON).read_text(encoding="utf-8"))
+        assert sorted(topics) == ["k", "labels", "medoid_ids", "schema_version", "seed",
+                                  "silhouette_by_k", "summaries"]
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -7,7 +7,6 @@ import pytest
 
 from egoflux.classifier import (
     LinearClassifier,
-    TrainConfig,
     evaluate,
     predict,
     train,
@@ -95,8 +94,8 @@ class TestTrain:
     def test_seed_changes_split(self):
         rng = np.random.default_rng(14)
         emb, labels = blob_data(rng, [[0, 2], [2, 0]], per_class=12, spread=1.5)
-        clf1, _ = train(emb, labels, TrainConfig(seed=1))
-        clf2, _ = train(emb, labels, TrainConfig(seed=2))
+        clf1, _ = train(emb, labels, seed=1)
+        clf2, _ = train(emb, labels, seed=2)
         assert not np.array_equal(clf1.weights, clf2.weights)
 
     def test_single_member_class_rejected(self):
@@ -136,7 +135,6 @@ class TestPredict:
             biases=np.asarray(biases, dtype=float),
             classes=list(range(W.shape[0])),
             dim=W.shape[1],
-            config=TrainConfig(),
         )
 
     def test_argmax(self):
@@ -185,5 +183,4 @@ class TestSerialization:
                 biases=np.zeros(1),
                 classes=[0],
                 dim=2,
-                config=TrainConfig(),
-            )
+                )

@@ -201,6 +201,16 @@ class TestCausality:
         code = main(["causality", str(series_csv), "--ego", "nobody"])
         assert code == 1
 
+    def test_short_series_row_exits_one_naming_line(self, tmp_path, caplog):
+        bad = tmp_path / "series.csv"
+        bad.write_text("week_start,account,topic,count\n2020-01-06,ego,0,3\n2020-01-13,ego\n",
+                       encoding="utf-8")
+        code = main(["causality", str(bad), "--ego", "ego"])
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert [r.getMessage() for r in errors] == [f"{bad}:3: row has too few cells"]
+        assert errors[0].exc_info is None
+
 
 @pytest.fixture(scope="module")
 def sim_dir(ws):

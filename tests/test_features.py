@@ -148,6 +148,19 @@ class TestEmbeddingIO:
         with pytest.raises(EmbeddingFormatError, match="p1"):
             load_embeddings(path)
 
+    def test_jsonl_non_numeric_component_names_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "p1", "v": [1.0, 0.0]}\n{"id": "p2", "v": "xy"}\n',
+                        encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.jsonl:2: .*'xy'"):
+            load_embeddings(path)
+
+    def test_csv_non_numeric_component_names_line(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("id,v0,v1\np1,1.0,0.0\np2,0.5,zz\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.csv:3: .*'zz'"):
+            load_embeddings(path)
+
     def test_strict_missing_doc_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "p1", "v": [1.0, 0.0]}\n', encoding="utf-8")

@@ -200,6 +200,33 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=r"rows\.csv:3: negative count"):
             read_series_csv(path)
 
+    def test_short_row_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13,ego"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: row has too few cells"):
+            read_series_csv(path)
+
+    def test_short_row_without_account_rejected(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("week_start,topic,count,account\n2020-01-06,0,3,ego\n2020-01-13,0,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"rows\.csv:3: row has too few cells"):
+            read_series_csv(path)
+
+    def test_non_integer_topic_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13,ego,zero,1"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: .*'zero'"):
+            read_series_csv(path)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13,ego,0,1.5"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: .*'1\.5'"):
+            read_series_csv(path)
+
+    def test_bad_week_start_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "13/01/2020,ego,0,1"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: .*'13/01/2020'"):
+            read_series_csv(path)
+
     def test_counts_length_must_match_index(self):
         idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=3)
         with pytest.raises(ValueError):

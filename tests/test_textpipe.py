@@ -1,9 +1,15 @@
 """Cleaning, tokenization, stopwords, and collocation merging."""
 
+import csv
+import json
+import math
+import unicodedata
+
 import pytest
 
 from egoflux.textpipe import (
-    PhraseModel,
+    _ALNUM_RUN,
+    PhrasePipeline,
     apply_phrases,
     build_token_docs,
     clean,
@@ -13,7 +19,33 @@ from egoflux.textpipe import (
     remove_stopwords,
     tokenize,
 )
-from tests.conftest import make_post
+from tests.conftest import FIXTURE_CORPUS_CSV, make_post
+
+
+def _reference_clean(text):
+    """The per-character `clean` the regex replaces, kept as a reference."""
+    pieces = []
+    for token in unicodedata.normalize("NFC", text).split():
+        if token.lower().startswith(("http://", "https://", "www.")) or token.startswith("@"):
+            continue
+        if token.startswith("#"):
+            token = token[1:]
+        token = token.replace("'", "").replace("\u2019", "")
+        chars = [ch if ch.isalnum() else " " for ch in token]
+        for piece in "".join(chars).lower().split():
+            if piece != "rt":
+                pieces.append(piece)
+    return " ".join(pieces)
+
+
+def _fixture_rows():
+    with open(FIXTURE_CORPUS_CSV, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def fixture_ego_docs():
+    return [tokenize(clean(r["text"])) for r in _fixture_rows() if r["author"] == "ego"]
 
 
 class TestClean:
@@ -49,6 +81,21 @@ class TestClean:
         assert clean("") == ""
         assert clean("   ") == ""
 
+    def test_matches_reference_on_fixture_texts(self):
+        texts = [r["text"] for r in _fixture_rows()]
+        assert [clean(t) for t in texts] == [_reference_clean(t) for t in texts]
+
+    @pytest.mark.parametrize("text", [
+        "İstanbul", "snake_case", "x²", "½", "١٢٣", "ﬁne", "ΣΑΣ-Χ", "x\u0301y",
+        "ǅemal", "RT rt #RT",
+    ])
+    def test_matches_reference_on_unicode_edges(self, text):
+        assert clean(text) == _reference_clean(text)
+
+    def test_alnum_runs_are_exactly_isalnum(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert "".join(_ALNUM_RUN.findall(every)) == "".join(c for c in every if c.isalnum())
+
 
 class TestTokenize:
     def test_splits_on_whitespace(self):
@@ -74,37 +121,65 @@ class TestStopwords:
         assert remove_stopwords(["of_course"]) == ["of_course"]
 
 
+def _reference_merge_stages(docs, min_count, threshold):
+    """The count-and-score rule the merge sets replace, kept as a reference.
+
+    Each stage keeps every unigram and pair count and scores a pair when it
+    is applied; an unseen pair never qualifies.
+    """
+    current = [list(d) for d in docs]
+    stages = []
+    for _ in range(2):
+        token_counts, pair_counts, total = {}, {}, 0
+        for doc in current:
+            for t in doc:
+                token_counts[t] = token_counts.get(t, 0) + 1
+                total += 1
+            for a, b in zip(doc, doc[1:]):
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
+
+        def qualifies(a, b):
+            pair = pair_counts.get((a, b), 0)
+            ca, cb = token_counts.get(a, 0), token_counts.get(b, 0)
+            if pair == 0 or ca == 0 or cb == 0:
+                return False
+            return (pair - min_count) * total / (ca * cb) > threshold
+
+        def merge(tokens):
+            out, i = [], 0
+            while i < len(tokens):
+                if i + 1 < len(tokens) and qualifies(tokens[i], tokens[i + 1]):
+                    out.append(tokens[i] + "_" + tokens[i + 1])
+                    i += 2
+                else:
+                    out.append(tokens[i])
+                    i += 1
+            return out
+
+        stages.append({pair for pair in pair_counts if qualifies(*pair)})
+        current = [merge(doc) for doc in current]
+    return stages, current
+
+
+# (stock, market) scores (10 - 2) * 50 / (10 * 10) = 4.0 exactly.
+STOCK_MARKET_DOCS = [["stock", "market"]] * 10 + [[f"filler{i}"] for i in range(30)]
+
+
 class TestPhraseScoring:
     def test_score_formula(self):
-        # ((pair - min_count) * total) / (count_a * count_b)
-        model = PhraseModel(
-            token_counts={"new": 55, "york": 60},
-            pair_counts={("new", "york"): 50},
-            min_count=5,
-            threshold=10.0,
-            total_tokens=10000,
-        )
-        expected = ((50 - 5) * 10000) / (55 * 60)
-        assert model.score("new", "york") == pytest.approx(expected)
-        assert model.score("new", "york") == pytest.approx(136.3636363636, abs=1e-9)
-        assert model.qualifies("new", "york")
-
-    def test_unseen_pair_never_qualifies(self):
-        model = PhraseModel({"a": 3}, {}, 1, 0.1, 3)
-        assert model.score("a", "b") == float("-inf")
-        assert not model.qualifies("a", "b")
+        below = fit_phrases(STOCK_MARKET_DOCS, min_count=2, threshold=math.nextafter(4.0, 0))
+        at = fit_phrases(STOCK_MARKET_DOCS, min_count=2, threshold=4.0)
+        assert below == {("stock", "market")}
+        assert at == frozenset()
 
     def test_pair_at_min_count_scores_zero(self):
-        model = PhraseModel({"a": 5, "b": 5}, {("a", "b"): 2}, 2, 10.0, 100)
-        assert model.score("a", "b") == 0.0
-        assert not model.qualifies("a", "b")
+        # score (2 - 2) * 4 / (2 * 2) = 0, below any positive threshold
+        assert fit_phrases([["a", "b"]] * 2, min_count=2, threshold=1e-300) == frozenset()
 
-    def test_roundtrip_dict(self):
-        model = fit_phrases([["a", "b", "a", "b"]], min_count=1, threshold=0.5)
-        again = PhraseModel.from_dict(model.to_dict())
-        assert again.token_counts == model.token_counts
-        assert again.pair_counts == model.pair_counts
-        assert again.score("a", "b") == model.score("a", "b")
+    def test_unseen_pair_never_qualifies(self):
+        merges = fit_phrases(STOCK_MARKET_DOCS, min_count=2, threshold=1.0)
+        assert ("market", "stock") not in merges
+        assert apply_phrases(merges, ["market", "stock"]) == ["market", "stock"]
 
     def test_fit_validates_params(self):
         with pytest.raises(ValueError):
@@ -114,45 +189,42 @@ class TestPhraseScoring:
         with pytest.raises(ValueError):
             fit_phrases([[], []])
 
+    @pytest.mark.parametrize("min_count,threshold", [(5, 10.0), (2, 1.0)])
+    def test_matches_reference_rule_on_fixture_ego(self, fixture_ego_docs, min_count,
+                                                   threshold):
+        expected_stages, expected_docs = _reference_merge_stages(
+            fixture_ego_docs, min_count, threshold)
+        pipeline = fit_phrase_pipeline(fixture_ego_docs, min_count=min_count,
+                                       threshold=threshold)
+        assert pipeline.stages == expected_stages
+        assert expected_stages[0]
+        assert [pipeline.apply(d) for d in fixture_ego_docs] == expected_docs
+
 
 class TestApplyPhrases:
-    def _model(self, pairs, counts, total):
-        return PhraseModel(
-            token_counts=counts,
-            pair_counts=pairs,
-            min_count=1,
-            threshold=1.0,
-            total_tokens=total,
-        )
-
     def test_greedy_left_to_right(self):
-        # Both (a,b) and (b,c) qualify; the left pair wins and consumes b.
-        model = self._model(
-            {("a", "b"): 10, ("b", "c"): 10},
-            {"a": 10, "b": 10, "c": 10},
-            100,
-        )
-        assert apply_phrases(model, ["a", "b", "c"]) == ["a_b", "c"]
+        # Both (a,b) and (b,c) merge; the left pair wins and consumes b.
+        merges = frozenset({("a", "b"), ("b", "c")})
+        assert apply_phrases(merges, ["a", "b", "c"]) == ["a_b", "c"]
 
     def test_merged_output_tokens(self):
-        # score = (10-2)*50/(10*10) = 4 > 1
-        docs = [["stock", "market"]] * 10 + [[f"filler{i}"] for i in range(30)]
-        model = fit_phrases(docs, min_count=2, threshold=1.0)
-        assert apply_phrases(model, ["stock", "market", "news"]) == ["stock_market", "news"]
+        merges = fit_phrases(STOCK_MARKET_DOCS, min_count=2, threshold=1.0)
+        assert apply_phrases(merges, ["stock", "market", "news"]) == ["stock_market", "news"]
 
     def test_non_qualifying_untouched(self):
-        # same corpus, threshold above the score of 4
-        docs = [["stock", "market"]] * 10 + [[f"filler{i}"] for i in range(30)]
-        model = fit_phrases(docs, min_count=2, threshold=10.0)
-        assert apply_phrases(model, ["stock", "market"]) == ["stock", "market"]
+        merges = fit_phrases(STOCK_MARKET_DOCS, min_count=2, threshold=10.0)
+        assert apply_phrases(merges, ["stock", "market"]) == ["stock", "market"]
 
 
 class TestPhrasePipeline:
     def test_two_passes_merge_trigram(self):
-        # pass 1: (new,york) scores (20-2)*120/400 = 5.4; pass 2:
-        # (new_york,city) scores (20-2)*100/400 = 4.5; both > 1
+        # pass 1: (new,york) and (york,city) score (20-2)*120/400 = 5.4 and
+        # greedy merging keeps new_york; pass 2: (new_york,city) scores
+        # (20-2)*100/400 = 4.5; all > 1
         docs = [["new", "york", "city"]] * 20 + [[f"filler{i}"] for i in range(60)]
         pipeline = fit_phrase_pipeline(docs, min_count=2, threshold=1.0)
+        assert pipeline.stages == [{("new", "york"), ("york", "city")},
+                                   {("new_york", "city")}]
         out = pipeline.apply(["new", "york", "city", "fun"])
         assert out == ["new_york_city", "fun"]
 
@@ -173,11 +245,13 @@ class TestPhrasePipeline:
         assert merged[0].tokens == ["stock_market"]
 
     def test_roundtrip_dict(self):
-        docs = [["a", "b"]] * 20 + [[f"filler{i}"] for i in range(60)]
+        docs = [["new", "york", "city"]] * 20 + [[f"filler{i}"] for i in range(60)]
         pipeline = fit_phrase_pipeline(docs, min_count=2, threshold=1.0)
-        again = type(pipeline).from_dict(pipeline.to_dict())
-        assert again.apply(["a", "b", "c"]) == pipeline.apply(["a", "b", "c"])
-        assert again.apply(["a", "b", "c"]) == ["a_b", "c"]
+        payload = json.dumps(pipeline.to_dict(), sort_keys=True)
+        again = PhrasePipeline.from_dict(json.loads(payload))
+        assert again.stages == pipeline.stages
+        assert json.dumps(again.to_dict(), sort_keys=True) == payload
+        assert again.apply(["new", "york", "city"]) == ["new_york_city"]
 
 
 class TestBuildTokenDocs:
