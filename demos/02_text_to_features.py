@@ -10,7 +10,7 @@ the embedding, so the whole pipeline remains deterministic.
 
 import numpy as np
 
-from egoflux.features import fallback_embeddings, fit_tfidf, transform_tfidf
+from egoflux.features import fallback_embeddings, fit_tfidf, tfidf_matrix
 from egoflux.textpipe import (
     TokenDoc,
     clean,
@@ -61,9 +61,9 @@ def main() -> None:
     ]
     model = fit_tfidf(merged_docs, min_df=2)
     print(f"vocabulary size: {model.dim}")
-    vec = transform_tfidf(model, merged_docs[0])
+    row = tfidf_matrix(model, merged_docs)[0]
     inverse = {i: t for t, i in model.vocabulary.items()}
-    weights = sorted(zip(vec.indices, vec.values), key=lambda p: -p[1])[:5]
+    weights = sorted(zip(row.indices, row.data), key=lambda p: -p[1])[:5]
     print("top weights in doc 0:")
     for idx, val in weights:
         print(f"  {inverse[idx]:<16}{val:.4f}")

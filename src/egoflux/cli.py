@@ -138,6 +138,7 @@ def _cmd_classify(args) -> int:
 def _cmd_series(args) -> int:
     posts: list[Post] = []
     labels: dict[str, int] = {}
+    seen_at: dict[str, str] = {}  # post_id -> "<path>:<line>" of its first row
     for path in args.labeled:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -145,10 +146,20 @@ def _cmd_series(args) -> int:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise EgofluxError(f"{path}: need columns {sorted(required)}")
             for row in reader:
-                posts.append(Post(id=row["post_id"], author=row["author"],
-                                  created_at=parse_timestamp(row["created_at"]),
-                                  text=""))
-                labels[row["post_id"]] = int(row["topic"])
+                where = f"{path}:{reader.line_num}"
+                if None in row.values():
+                    raise ValueError(f"{where}: row has too few cells")
+                post_id = row["post_id"]
+                if post_id in seen_at:
+                    raise ValueError(f"{where}: post_id {post_id!r} repeats {seen_at[post_id]}")
+                try:
+                    created_at = parse_timestamp(row["created_at"])
+                    labels[post_id] = int(row["topic"])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                seen_at[post_id] = where
+                posts.append(Post(id=post_id, author=row["author"],
+                                  created_at=created_at, text=""))
     if not posts:
         raise EgofluxError("no labeled posts given")
     start = parse_timestamp(args.start) if args.start \

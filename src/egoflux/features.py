@@ -1,4 +1,8 @@
-"""TF-IDF featurization and dense embeddings (external file or TF-IDF fallback)."""
+"""TF-IDF featurization and dense embeddings (external file or TF-IDF fallback).
+
+TF-IDF rows have one builder, tfidf_matrix, which turns a list of docs into
+one CSR matrix; the fallback projector and the topic summaries both read it.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +27,9 @@ SOURCE_FALLBACK = "tfidf_fallback"
 
 DEFAULT_MIN_DF = 2
 DEFAULT_SVD_SEED = 42
+# Randomized SVD: extra sketch columns and subspace (power) iterations.
+SVD_OVERSAMPLE = 10
+SVD_POWER_ITERS = 4
 
 
 @dataclass
@@ -58,20 +65,6 @@ class TfidfModel:
         )
 
 
-@dataclass
-class SparseVec:
-    """L2-normalized tf-idf row; indices strictly increasing, values positive."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-
 def fit_tfidf(docs: Sequence[TokenDoc], min_df: int = DEFAULT_MIN_DF) -> TfidfModel:
     """Build the vocabulary (document frequency >= min_df) and idf weights."""
     if min_df < 1:
@@ -93,37 +86,31 @@ def fit_tfidf(docs: Sequence[TokenDoc], min_df: int = DEFAULT_MIN_DF) -> TfidfMo
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs, min_df=min_df)
 
 
-def transform_tfidf(model: TfidfModel, doc: TokenDoc) -> SparseVec:
-    """Raw term counts times idf, L2-normalized; OOV tokens are ignored.
-
-    A doc with no in-vocabulary tokens yields an all-zero vector (exempt from
-    the unit-norm invariant).
-    """
-    counts: dict[int, int] = {}
-    for token in doc.tokens:
-        j = model.vocabulary.get(token)
-        if j is not None:
-            counts[j] = counts.get(j, 0) + 1
-    if not counts:
-        return SparseVec(indices=np.empty(0, dtype=int), values=np.empty(0), dim=model.dim)
-    indices = np.array(sorted(counts), dtype=int)
-    values = np.array([counts[j] for j in indices], dtype=float) * model.idf[indices]
-    values /= np.linalg.norm(values)
-    return SparseVec(indices=indices, values=values, dim=model.dim)
-
-
 def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matrix:
-    """Stack transform_tfidf rows into a CSR matrix (rows follow doc order)."""
-    data, indices, indptr = [], [], [0]
+    """TF-IDF rows of `docs` as a CSR matrix, one row per doc in doc order.
+
+    Each row is raw term counts times idf, L2-normalized, with column indices
+    sorted; OOV tokens are ignored.  A doc with no in-vocabulary tokens yields
+    an all-zero row (exempt from the unit-norm invariant).
+    """
+    vocabulary = model.vocabulary
+    term_ids: list[int] = []
+    indptr = [0]
     for doc in docs:
-        vec = transform_tfidf(model, doc)
-        data.extend(vec.values)
-        indices.extend(vec.indices)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=int), np.asarray(indptr, dtype=int)),
+        term_ids.extend(j for j in map(vocabulary.get, doc.tokens) if j is not None)
+        indptr.append(len(term_ids))
+    A = sparse.csr_matrix(
+        (np.ones(len(term_ids)), np.asarray(term_ids, dtype=int), np.asarray(indptr, dtype=int)),
         shape=(len(docs), model.dim),
     )
+    A.sum_duplicates()
+    A.data *= model.idf[A.indices]
+    # Row by row with np.linalg.norm: its BLAS dot rounds differently from a
+    # vectorized sum of squares, and the last bit moves alter labels.
+    for start, stop in zip(A.indptr[:-1], A.indptr[1:]):
+        if stop > start:
+            A.data[start:stop] /= np.linalg.norm(A.data[start:stop])
+    return A
 
 
 @dataclass
@@ -216,15 +203,14 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
             fh.write("\n")
 
 
-def _randomized_svd(A: sparse.csr_matrix, n_components: int, seed: int,
-                    n_oversample: int = 10, n_iter: int = 4) -> np.ndarray:
+def _randomized_svd(A: sparse.csr_matrix, n_components: int, seed: int) -> np.ndarray:
     """Right singular vectors (V x n_components) by randomized subspace iteration."""
     n, V = A.shape
-    width = min(n_components + n_oversample, min(n, V))
+    width = min(n_components + SVD_OVERSAMPLE, min(n, V))
     rng = np.random.default_rng(seed)
     Y = A @ rng.standard_normal((V, width))
     Q, _ = np.linalg.qr(Y)
-    for _ in range(n_iter):
+    for _ in range(SVD_POWER_ITERS):
         Z, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Z)
     B = (A.T @ Q).T

@@ -109,8 +109,10 @@ class TopicFit:
     n_unfeaturized: int
 
 
-def _nonzero_ids(emb: EmbeddingSet, ids: list[str]) -> list[str]:
-    return [i for i in ids if np.linalg.norm(emb.vectors[i]) > 0]
+def _featurizable_ids(emb: EmbeddingSet, docs: list[TokenDoc]) -> list[str]:
+    """Ids of the docs with a nonzero vector in `emb`, in doc order."""
+    return [d.post_id for d in docs
+            if d.post_id in emb.vectors and np.linalg.norm(emb.vectors[d.post_id]) > 0]
 
 
 def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
@@ -150,7 +152,7 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         ego_emb = projector.transform(tfidf, ego_docs)
         alter_emb = projector.transform(tfidf, alter_docs)
 
-    cluster_ids = _nonzero_ids(ego_emb, [d.post_id for d in ego_docs])
+    cluster_ids = _featurizable_ids(ego_emb, ego_docs)
     n_unfeaturized = len(ego_docs) - len(cluster_ids)
     if n_unfeaturized:
         logger.info("%d ego posts have empty feature vectors; excluded from topics",
@@ -177,7 +179,7 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     ego_labels = dict(clustering.assignment)
     classifier, eval_report = clf_mod.train(ego_emb, ego_labels, seed=config.seed)
 
-    alter_pred_ids = _nonzero_ids(alter_emb, [d.post_id for d in alter_docs])
+    alter_pred_ids = _featurizable_ids(alter_emb, alter_docs)
     alter_labels = clf_mod.predict(classifier, alter_emb, ids=alter_pred_ids)
 
     bundle = ModelBundle(
@@ -285,6 +287,4 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
                 "bundle has no fallback projector; supply an embedding file"
             )
         emb = bundle.projector.transform(bundle.tfidf, docs)
-    ids = [d.post_id for d in docs
-           if d.post_id in emb.vectors and np.linalg.norm(emb.vectors[d.post_id]) > 0]
-    return clf_mod.predict(bundle.classifier, emb, ids=ids)
+    return clf_mod.predict(bundle.classifier, emb, ids=_featurizable_ids(emb, docs))

@@ -4,7 +4,9 @@ The numerical core of the package: OLS fitting via QR decomposition,
 F-distribution tail probabilities from scipy.special.fdtrc, the augmented
 Dickey-Fuller unit-root test with MacKinnon approximate p-values, and the
 per-(alter, topic) causality scan over lags 1..max_lag, which tests each
-series for stationarity at most once per differencing order.
+series for stationarity at most once per differencing order.  Each Granger
+F-test is one OLS fit: the restricted model's RSS is read off the leading
+block of the unrestricted fit's R factor.
 """
 
 from __future__ import annotations
@@ -128,9 +130,6 @@ _TAU_MIN_C = -18.83
 _TAU_STAR_C = -1.61
 _TAU_SMALLP_C = (2.1659, 1.4412, 3.8269e-2)
 _TAU_LARGEP_C = (1.7339, 9.3202e-1, -1.2745e-1, -1.0368e-2)
-
-# MacKinnon (2010) asymptotic critical values, constant case, at 1/5/10%.
-ADF_CRITICAL_VALUES_C = {"1%": -3.43035, "5%": -2.86154, "10%": -2.56677}
 
 
 def _norm_cdf(z: float) -> float:
@@ -338,6 +337,11 @@ def granger_test(x, y, lag: int) -> GrangerResult:
     Restricted model: y_t ~ const + y_{t-1..t-lag}.  Unrestricted adds
     x_{t-1..t-lag}.  F = ((RSS_r - RSS_u)/lag) / (RSS_u/(n - 2*lag - 1))
     with n the effective observation count after lag trimming.
+
+    Only the unrestricted design X = [1, y lags, x lags] = QR is fitted.  The
+    restricted columns are its leading block, so RSS_r - RSS_u = |R22 b2|^2
+    with R22 the trailing lag x lag block of R and b2 the x-lag coefficients,
+    and F = (|R22 b2|^2 / lag) / (RSS_u / (n - 2*lag - 1)), never negative.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -351,21 +355,18 @@ def granger_test(x, y, lag: int) -> GrangerResult:
         )
 
     n = len(y) - lag
-    target = y[lag:]
-    restricted = np.column_stack([np.ones(n)] + _lag_columns(y, lag))
-    unrestricted = np.column_stack(
-        [np.ones(n)] + _lag_columns(y, lag) + _lag_columns(x, lag)
-    )
-
-    fit_r = ols(target, restricted)
-    fit_u = ols(target, unrestricted)
+    design = np.column_stack([np.ones(n)] + _lag_columns(y, lag) + _lag_columns(x, lag))
+    # A singular restricted block makes the whole R singular too: its diagonal
+    # is part of R's, checked against a maximum that can only be larger.
+    fit = ols(y[lag:], design)
     df2 = n - 2 * lag - 1
 
-    if fit_u.rss == 0.0:
+    if fit.rss == 0.0:
         return GrangerResult(
             lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n, perfect_fit=True
         )
-    f_stat = max(((fit_r.rss - fit_u.rss) / lag) / (fit_u.rss / df2), 0.0)
+    gain = fit.r_factor[lag + 1 :, lag + 1 :] @ fit.coefficients[lag + 1 :]
+    f_stat = (float(gain @ gain) / lag) / (fit.rss / df2)
     return GrangerResult(
         lag=lag, f_stat=f_stat, p_value=f_sf(f_stat, lag, df2), n_obs_effective=n
     )
@@ -499,26 +500,6 @@ class CausalityMatrix:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def to_csv_rows(self) -> list[list[str]]:
-        """Summary rows: alter, topic, best_lag, f_stat, p_value, diff_order, skip_reason."""
-        rows = [["alter", "topic", "best_lag", "f_stat", "p_value", "diff_order", "skip_reason"]]
-        for p in self.pairs:
-            if p.best is None:
-                rows.append([p.alter, str(p.topic), "", "", "", "", p.skip_reason or ""])
-            else:
-                rows.append(
-                    [
-                        p.alter,
-                        str(p.topic),
-                        str(p.best.lag),
-                        repr(p.best.f_stat) if math.isfinite(p.best.f_stat) else "inf",
-                        repr(p.best.p_value),
-                        str(p.diff_order),
-                        "",
-                    ]
-                )
-        return rows
 
 
 def causality_scan(

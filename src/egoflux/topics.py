@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import TfidfModel, transform_tfidf
+from .features import TfidfModel, tfidf_matrix
 from .textpipe import TokenDoc
 
 logger = logging.getLogger(__name__)
@@ -118,11 +118,11 @@ def _swap_descent(D: np.ndarray, medoids: list[int], priority: np.ndarray
         n_swaps += 1
 
 
-DEFAULT_RESTARTS = 8
+# Starts per kmedoids call: BUILD plus RESTARTS - 1 seeded random sets.
+RESTARTS = 8
 
 
-def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
-             restarts: int = DEFAULT_RESTARTS) -> Clustering:
+def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42) -> Clustering:
     """PAM with deterministic restarts: BUILD plus seeded random starts,
     each refined by best-improvement SWAP; the cheapest result wins.
 
@@ -134,14 +134,12 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
     n = dm.n
     if not 2 <= k < n:
         raise ValueError(f"k={k} out of range [2, {n - 1}]")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     D = dm.d
     rng = np.random.default_rng(seed)
     priority = rng.permutation(n)
 
     medoids, total, n_swaps = _swap_descent(D, _build_init(D, k, priority), priority)
-    for _ in range(restarts - 1):
+    for _ in range(RESTARTS - 1):
         init = [int(i) for i in rng.choice(n, size=k, replace=False)]
         cand, cost, swaps = _swap_descent(D, init, priority)
         if cost < total - SWAP_TOL:
@@ -244,13 +242,12 @@ def summarize_topics(
 ) -> list[TopicSummary]:
     """Per cluster, mean of member TF-IDF vectors; top_n tokens descending."""
     by_index = sorted(model.vocabulary, key=model.vocabulary.get)
+    A = tfidf_matrix(model, docs)
+    clusters = np.array([clustering.assignment[doc.post_id] for doc in docs], dtype=int)
+    sizes = np.bincount(clusters, minlength=clustering.k)
     means = np.zeros((clustering.k, model.dim))
-    sizes = np.zeros(clustering.k, dtype=int)
-    for doc in docs:
-        c = clustering.assignment[doc.post_id]
-        vec = transform_tfidf(model, doc)
-        means[c, vec.indices] += vec.values
-        sizes[c] += 1
+    # Unbuffered adds in doc order: each sum accumulates as a per-doc loop would.
+    np.add.at(means, (np.repeat(clusters, np.diff(A.indptr)), A.indices), A.data)
     summaries = []
     for c in range(clustering.k):
         if sizes[c] > 0:

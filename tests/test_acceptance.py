@@ -19,7 +19,7 @@ import pytest
 
 from egoflux.classifier import train
 from egoflux.corpus import load_corpus
-from egoflux.features import EmbeddingSet, fit_tfidf, transform_tfidf
+from egoflux.features import EmbeddingSet, fit_tfidf, tfidf_matrix
 from egoflux.pipeline import PipelineConfig, run_pipeline
 from egoflux.report import emit_report_bundle
 from egoflux.stats import (
@@ -255,16 +255,12 @@ def test_06_tfidf_fixture(announce):
     docs = [TokenDoc(post_id="d1", tokens=["a", "b"]),
             TokenDoc(post_id="d2", tokens=["a", "c"])]
     model = fit_tfidf(docs, min_df=1)
-    vec = transform_tfidf(model, TokenDoc(post_id="q", tokens=["a", "a", "b"]))
-    dense = np.zeros(model.dim)
-    for idx, val in zip(vec.indices, vec.values):
-        dense[idx] = val
+    dense = tfidf_matrix(model, [TokenDoc(post_id="q", tokens=["a", "a", "b"])]).toarray()[0]
     # idf(a)=ln(3/3)+1=1, idf(b)=ln(3/2)+1; weights (2, 1.405465) L2-normalized.
     expected_a, expected_b = 0.818, 0.575
     err_a = abs(dense[model.vocabulary["a"]] - expected_a)
     err_b = abs(dense[model.vocabulary["b"]] - expected_b)
-    norms = [float(np.linalg.norm(
-        _dense(transform_tfidf(model, d), model.dim))) for d in docs]
+    norms = [float(np.linalg.norm(row)) for row in tfidf_matrix(model, docs).toarray()]
     norm_err = max(abs(n - 1.0) for n in norms + [float(np.linalg.norm(dense))])
     ok = err_a <= 1e-3 and err_b <= 1e-3 and norm_err <= 1e-9
     announce("criterion 6 (TF-IDF fixture)", ok,
@@ -273,13 +269,6 @@ def test_06_tfidf_fixture(announce):
     assert err_a <= 1e-3
     assert err_b <= 1e-3
     assert norm_err <= 1e-9
-
-
-def _dense(vec, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    for idx, val in zip(vec.indices, vec.values):
-        out[idx] = val
-    return out
 
 
 def _blobs(data_seed: int, centers, per_class: int = 50, spread: float = 0.15):

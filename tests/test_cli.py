@@ -188,6 +188,41 @@ class TestSeries:
         code = main(["series", str(bad)])
         assert code == 1
 
+    LABELS_HEADER = "post_id,author,created_at,topic\n"
+    GOOD_ROW = "p1,ego,2020-01-06T10:00:00+00:00,0\n"
+
+    def _series_error(self, caplog, paths):
+        """Run `series` on the files; return its one logged error (no traceback)."""
+        assert main(["series", *map(str, paths)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        return errors[0].getMessage()
+
+    def _labels(self, tmp_path, *rows, name="labels.csv"):
+        path = tmp_path / name
+        path.write_text(self.LABELS_HEADER + "".join(rows), encoding="utf-8")
+        return path
+
+    def test_short_row_exits_one_naming_line(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego\n")
+        assert self._series_error(caplog, [bad]) == f"{bad}:3: row has too few cells"
+
+    def test_non_integer_topic_names_line(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego,2020-01-07T10:00:00+00:00,x\n")
+        assert self._series_error(caplog, [bad]).startswith(f"{bad}:3: ")
+
+    def test_bad_created_at_names_line(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, "p2,ego,yesterday,0\n", self.GOOD_ROW)
+        assert self._series_error(caplog, [bad]).startswith(f"{bad}:2: ")
+
+    def test_repeated_post_id_in_one_file_names_both_lines(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, self.GOOD_ROW, "p1,ego,2020-01-08T10:00:00+00:00,1\n")
+        assert self._series_error(caplog, [bad]) == f"{bad}:3: post_id 'p1' repeats {bad}:2"
+
+    def test_same_file_twice_is_not_counted_twice(self, tmp_path, caplog):
+        ok = self._labels(tmp_path, self.GOOD_ROW)
+        assert self._series_error(caplog, [ok, ok]) == f"{ok}:2: post_id 'p1' repeats {ok}:2"
+
 
 class TestCausality:
     def test_matrix_json_parses(self, matrix_json):

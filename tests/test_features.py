@@ -1,7 +1,9 @@
 """TF-IDF vectors, embedding file IO, and the SVD fallback projector."""
 
+import csv
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +21,33 @@ from egoflux.features import (
     load_embeddings,
     save_embeddings,
     tfidf_matrix,
-    transform_tfidf,
 )
-from egoflux.textpipe import TokenDoc
+from egoflux.textpipe import TokenDoc, build_token_docs, fit_phrase_pipeline
+
+from conftest import FIXTURE_CORPUS_CSV
 
 
 def docs_of(*token_lists):
     return [TokenDoc(post_id=f"d{i}", tokens=list(t)) for i, t in enumerate(token_lists)]
+
+
+def _reference_transform(model, doc):
+    """The former per-document TF-IDF transform, kept as the reference for rows."""
+    counts = {}
+    for token in doc.tokens:
+        j = model.vocabulary.get(token)
+        if j is not None:
+            counts[j] = counts.get(j, 0) + 1
+    if not counts:
+        return np.empty(0, dtype=int), np.empty(0)
+    indices = np.array(sorted(counts), dtype=int)
+    values = np.array([counts[j] for j in indices], dtype=float) * model.idf[indices]
+    values /= np.linalg.norm(values)
+    return indices, values
+
+
+def _row(model, doc):
+    return tfidf_matrix(model, [doc]).toarray()[0]
 
 
 class TestFitTfidf:
@@ -71,37 +93,61 @@ class TestFitTfidf:
 
 
 class TestTransformTfidf:
+    """TF-IDF rows as tfidf_matrix builds them."""
+
     def setup_method(self):
         self.model = fit_tfidf(docs_of(["a", "b"], ["a", "c"]), min_df=1)
 
     def test_fixture_values(self):
-        vec = transform_tfidf(self.model, TokenDoc("q", ["a", "a", "b"])).to_dense()
+        vec = _row(self.model, TokenDoc("q", ["a", "a", "b"]))
         assert vec[self.model.vocabulary["a"]] == pytest.approx(0.818180, abs=1e-6)
         assert vec[self.model.vocabulary["b"]] == pytest.approx(0.574961, abs=1e-6)
         assert vec[self.model.vocabulary["c"]] == 0.0
 
     def test_unit_norm(self):
-        vec = transform_tfidf(self.model, TokenDoc("q", ["a", "b", "c", "c"]))
-        assert np.linalg.norm(vec.to_dense()) == pytest.approx(1.0, abs=1e-9)
+        vec = _row(self.model, TokenDoc("q", ["a", "b", "c", "c"]))
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_ignored(self):
-        with_oov = transform_tfidf(self.model, TokenDoc("q", ["a", "zzz"])).to_dense()
-        without = transform_tfidf(self.model, TokenDoc("q", ["a"])).to_dense()
+        with_oov = _row(self.model, TokenDoc("q", ["a", "zzz"]))
+        without = _row(self.model, TokenDoc("q", ["a"]))
         np.testing.assert_allclose(with_oov, without)
 
     def test_empty_doc_zero_vector(self):
-        vec = transform_tfidf(self.model, TokenDoc("q", []))
-        assert vec.to_dense().sum() == 0.0
+        vec = _row(self.model, TokenDoc("q", []))
+        assert vec.sum() == 0.0
 
     def test_matrix_rows_match_transforms(self):
         docs = docs_of(["a", "b"], ["c"], [])
         mat = tfidf_matrix(self.model, docs)
         assert mat.shape == (3, self.model.dim)
         for i, doc in enumerate(docs):
-            np.testing.assert_allclose(
-                np.asarray(mat[i].todense()).ravel(),
-                transform_tfidf(self.model, doc).to_dense(),
-            )
+            indices, values = _reference_transform(self.model, doc)
+            row = mat[i]
+            np.testing.assert_array_equal(row.indices, indices)
+            np.testing.assert_array_equal(row.data, values)
+
+    def test_rows_bit_equal_reference_on_fixture_corpus(self):
+        with open(FIXTURE_CORPUS_CSV, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        posts = [SimpleNamespace(id=r["id"], author=r["author"], text=r["text"])
+                 for r in rows]
+        raw_ego = build_token_docs([p for p in posts if p.author == "ego"])
+        phrases = fit_phrase_pipeline(raw_ego)
+        ego_docs = build_token_docs([p for p in posts if p.author == "ego"],
+                                    pipeline=phrases, remove_stops=True)
+        alter_docs = build_token_docs([p for p in posts if p.author != "ego"],
+                                      pipeline=phrases, remove_stops=True)
+        model = fit_tfidf(ego_docs)
+        edge_docs = [TokenDoc("empty", []), TokenDoc("oov", ["zzz_oov", "qqq_oov"])]
+        for docs in (ego_docs, alter_docs + edge_docs):
+            mat = tfidf_matrix(model, docs)
+            assert mat.shape == (len(docs), model.dim)
+            for i, doc in enumerate(docs):
+                indices, values = _reference_transform(model, doc)
+                start, stop = mat.indptr[i], mat.indptr[i + 1]
+                assert mat.indices[start:stop].tolist() == indices.tolist()
+                assert mat.data[start:stop].tobytes() == values.tobytes()
 
 
 class TestEmbeddingIO:

@@ -26,6 +26,7 @@ from egoflux.stats import (
     SKIP_NONSTATIONARY,
     SKIP_TOO_SHORT,
     CausalityMatrix,
+    GrangerResult,
     adf_test,
     bh_adjust,
     causality_scan,
@@ -207,6 +208,25 @@ class TestDifferencing:
             make_stationary_pair(np.ones(50), np.ones(60))
 
 
+def _reference_granger(x, y, lag):
+    """The former two-fit Granger test: restricted and unrestricted OLS fitted apart."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y) - lag
+    target = y[lag:]
+    own = [y[lag - j: len(y) - j] for j in range(1, lag + 1)]
+    cross = [x[lag - j: len(x) - j] for j in range(1, lag + 1)]
+    fit_r = ols(target, np.column_stack([np.ones(n)] + own))
+    fit_u = ols(target, np.column_stack([np.ones(n)] + own + cross))
+    df2 = n - 2 * lag - 1
+    if fit_u.rss == 0.0:
+        return GrangerResult(lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n,
+                             perfect_fit=True)
+    f_stat = max(((fit_r.rss - fit_u.rss) / lag) / (fit_u.rss / df2), 0.0)
+    return GrangerResult(lag=lag, f_stat=f_stat, p_value=f_sf(f_stat, lag, df2),
+                         n_obs_effective=n)
+
+
 class TestGranger:
     def _coupled(self):
         rng = np.random.default_rng(7)
@@ -274,6 +294,53 @@ class TestGranger:
         assert result.perfect_fit
         assert result.f_stat == math.inf
         assert result.p_value == 0.0
+
+    def _independent(self):
+        rng = np.random.default_rng(8)
+        return rng.standard_normal(120), np.cumsum(rng.standard_normal(120)) * 0.1
+
+    @pytest.mark.parametrize("kind", ["coupled", "independent"])
+    def test_matches_two_fit_reference(self, kind):
+        x, y = self._coupled() if kind == "coupled" else self._independent()
+        for lag in range(1, 9):
+            result = granger_test(x, y, lag)
+            expected = _reference_granger(x, y, lag)
+            assert result.f_stat == pytest.approx(expected.f_stat, rel=1e-9)
+            assert abs(result.p_value - expected.p_value) <= 1e-10
+            assert result.n_obs_effective == expected.n_obs_effective
+            assert not result.perfect_fit
+
+    @pytest.mark.parametrize("y, lag", [
+        (np.full(60, 3.0), 1),                     # y lags collinear with the constant
+        (np.tile([1.0, 4.0], 30), 2),              # y_{t-1} + y_{t-2} is constant
+    ])
+    def test_singular_restricted_block_same_error(self, y, lag):
+        x = np.random.default_rng(9).standard_normal(len(y))
+        with pytest.raises(SingularDesignError) as expected:
+            _reference_granger(x, y, lag)
+        with pytest.raises(SingularDesignError) as got:
+            granger_test(x, y, lag)
+        assert str(got.value) == str(expected.value)
+
+    def test_perfect_fit_matches_reference(self):
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal(40)
+        y = np.zeros(40)
+        y[0] = 5.0
+        assert granger_test(x, y, lag=1) == _reference_granger(x, y, lag=1)
+
+    def test_one_ols_fit_per_call(self, monkeypatch):
+        calls = []
+        real_ols = stats_module.ols
+
+        def counting_ols(y, X):
+            calls.append(np.shape(X))
+            return real_ols(y, X)
+
+        monkeypatch.setattr(stats_module, "ols", counting_ols)
+        x, y = self._coupled()
+        granger_test(x, y, lag=3)
+        assert calls == [(117, 7)]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -413,14 +480,6 @@ class TestCausalityScan:
         assert again.pair("alt_x", 0).best.lag == matrix.pair("alt_x", 0).best.lag
         assert again.pair("alt_flat", 0).skip_reason == SKIP_DEGENERATE
 
-    def test_csv_rows_shape(self):
-        matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat"], max_lag=3)
-        rows = matrix.to_csv_rows()
-        assert rows[0] == ["alter", "topic", "best_lag", "f_stat", "p_value",
-                           "diff_order", "skip_reason"]
-        assert len(rows) == 1 + 2 * 2
-        flat0 = next(r for r in rows[1:] if r[0] == "alt_flat" and r[1] == "0")
-        assert flat0[6] == SKIP_DEGENERATE
 
 
 def _ladder_series():
