@@ -4,8 +4,11 @@ run_pipeline chains every stage: ingest -> alter ranking -> phrases ->
 TF-IDF -> embeddings -> k-medoids -> classifier -> weekly series ->
 paired-stationary Granger scan -> report bundle.  Identical seeds give
 byte-identical artifacts.
+
+Usage: python demos/06_full_pipeline.py [OUT_DIR]   (default demos/out)
 """
 
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,10 +21,10 @@ REPO = Path(__file__).resolve().parents[1]
 CORPUS_CSV = REPO / "tests" / "data" / "synthetic_corpus.csv"
 WINDOW = (datetime(2021, 1, 4, tzinfo=timezone.utc),
           datetime(2021, 10, 11, tzinfo=timezone.utc))
-OUT = Path(__file__).resolve().parent / "out"
+DEFAULT_OUT = Path(__file__).resolve().parent / "out"
 
 
-def main() -> None:
+def main(out: Path) -> None:
     corpus = load_corpus(CORPUS_CSV, format="csv", window=WINDOW).corpus
     config = PipelineConfig(
         ego="ego", k_min=2, k_max=4, embed_dim=16, seed=42,
@@ -49,16 +52,16 @@ def main() -> None:
         print(f"  {alter} leads ego on topic_{topic} ({top_words[topic]}) "
               f"by {lag} week(s), p={p:.2e}")
 
-    paths = emit_report_bundle(result.report, OUT)
-    result.bundle.save(OUT / "bundle")
-    print("\n== Artifacts ==")
+    paths = emit_report_bundle(result.report, out)
+    result.bundle.save(out / "bundle")
+    print(f"\n== Artifacts (in {out}) ==")
     for name, path in sorted(paths.items()):
-        print(f"  {name}: {path.relative_to(REPO)}")
-    print(f"  bundle: {(OUT / 'bundle').relative_to(REPO)}/")
+        print(f"  {name}: {path.relative_to(out)}")
+    print("  bundle: bundle/")
 
     print("\nmatrix.csv:")
     print(paths["matrix"].read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_OUT)

@@ -13,9 +13,10 @@ from .features import EmbeddingSet
 logger = logging.getLogger(__name__)
 
 C = 1.0
-EPOCHS = 200
+ITERATIONS = 1000
 VAL_FRACTION = 0.2
 DEFAULT_SEED = 42
+PREDICT_BLOCK = 2048
 
 
 @dataclass
@@ -32,9 +33,6 @@ class LinearClassifier:
             raise ValueError("classifier needs k >= 2 classes")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
             raise ValueError("classifier weights contain NaN/Inf")
-
-    def scores(self, v: np.ndarray) -> np.ndarray:
-        return self.weights @ v + self.biases
 
     def to_dict(self) -> dict:
         return {
@@ -131,11 +129,12 @@ def _stratified_split(ids_by_class: dict[int, list[str]], val_fraction: float,
 
 def train(emb: EmbeddingSet, labels: Mapping[str, int],
           seed: int = DEFAULT_SEED) -> tuple[LinearClassifier, EvalReport]:
-    """Seeded Pegasos-style subgradient descent, one binary problem per class.
+    """Full-batch Pegasos subgradient descent, one binary problem per class.
 
-    Regularization C, EPOCHS passes over the training set.  A stratified
-    seeded split holds out VAL_FRACTION of each class; the returned
-    EvalReport is computed on that split.
+    Each of ITERATIONS steps (step size 1/(lam*t), lam = 1/(C*n_train),
+    unregularised bias) takes the mean hinge subgradient over the whole
+    training set.  A stratified seeded split holds out VAL_FRACTION of each
+    class; the returned EvalReport is computed on that split.
     """
     ids_by_class: dict[int, list[str]] = {}
     for pid in sorted(labels):
@@ -162,20 +161,12 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
     lam = 1.0 / (C * n_train)
     W = np.zeros((len(classes), dim))
     b = np.zeros(len(classes))
-    order = rng.permutation(n_train)
-    t = 0
-    for _ in range(EPOCHS):
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            x = X[i]
-            yi = Y[i]
-            margins = yi * (W @ x + b)
-            W *= 1.0 - eta * lam
-            hit = margins < 1.0
-            if hit.any():
-                W[hit] += (eta * yi[hit])[:, None] * x[None, :]
-                b[hit] += eta * yi[hit]
+    for t in range(1, ITERATIONS + 1):
+        eta = 1.0 / (lam * t)
+        hit_y = Y * (Y * (X @ W.T + b) < 1.0)
+        W *= 1.0 - eta * lam
+        W += (eta / n_train) * (hit_y.T @ X)
+        b += (eta / n_train) * hit_y.sum(axis=0)
 
     clf = LinearClassifier(weights=W, biases=b, classes=classes, dim=dim)
     report = evaluate(predict(clf, emb, ids=val_ids),
@@ -187,10 +178,19 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
 
 def predict(clf: LinearClassifier, emb: EmbeddingSet,
             ids: list[str] | None = None) -> dict[str, int]:
-    """Argmax class score per post; exact ties go to the lowest class index."""
+    """Argmax class score per post; exact ties go to the lowest class index.
+
+    Scores are one matrix product per block of at most PREDICT_BLOCK posts,
+    so no more than one block of embedding rows is copied at a time.
+    """
     if emb.dim != clf.dim:
         raise ValueError(f"embedding dim {emb.dim} != classifier dim {clf.dim}")
+    if ids is None:
+        ids = sorted(emb.vectors)
+    classes = np.asarray(clf.classes)
     out: dict[str, int] = {}
-    for pid in ids if ids is not None else sorted(emb.vectors):
-        out[pid] = clf.classes[int(np.argmax(clf.scores(emb.vectors[pid])))]
+    for start in range(0, len(ids), PREDICT_BLOCK):
+        block = ids[start:start + PREDICT_BLOCK]
+        best = np.argmax(emb.matrix(block) @ clf.weights.T + clf.biases, axis=1)
+        out.update(zip(block, classes[best].tolist()))
     return out

@@ -168,6 +168,14 @@ def _cmd_series(args) -> int:
         else max(p.created_at for p in posts)
     week_index = build_week_index((start, end))
     n_topics = args.n_topics or max(labels.values()) + 1
+    for post in posts:
+        where = seen_at[post.id]
+        if not 0 <= labels[post.id] < n_topics:
+            raise ValueError(f"{where}: topic {labels[post.id]} outside 0..{n_topics - 1}")
+        try:
+            week_index.bin_of(post.created_at)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     accounts = args.accounts.split(",") if args.accounts else None
     series = bin_posts(posts, labels, week_index, n_topics, accounts=accounts)
     if args.out and args.out != "-":

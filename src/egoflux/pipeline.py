@@ -6,8 +6,6 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import classifier as clf_mod
 from .bundle import ModelBundle
 from .corpus import AlterRanking, Corpus, rank_alters
@@ -112,7 +110,7 @@ class TopicFit:
 def _featurizable_ids(emb: EmbeddingSet, docs: list[TokenDoc]) -> list[str]:
     """Ids of the docs with a nonzero vector in `emb`, in doc order."""
     return [d.post_id for d in docs
-            if d.post_id in emb.vectors and np.linalg.norm(emb.vectors[d.post_id]) > 0]
+            if d.post_id in emb.vectors and emb.vectors[d.post_id].any()]
 
 
 def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:

@@ -10,11 +10,17 @@ import pytest
 
 from egoflux.corpus import Corpus, Post
 from egoflux.pipeline import PipelineConfig, run_pipeline
+from egoflux.stats import CORRECTION_BH
 
 POOL_A = ["garden", "soil", "tomato", "harvest", "compost", "seeds", "watering"]
 POOL_B = ["cinema", "film", "director", "screenplay", "festival", "premiere", "actors"]
 
 FIXTURE_CORPUS_CSV = Path(__file__).parent / "data" / "synthetic_corpus.csv"
+FIXTURE_WINDOW = (datetime(2021, 1, 4, tzinfo=timezone.utc),
+                  datetime(2021, 10, 11, tzinfo=timezone.utc))
+FIXTURE_CONFIG = PipelineConfig(ego="ego", k_min=2, k_max=4, embed_dim=16,
+                                seed=42, max_lag=4, alpha=0.01,
+                                correction=CORRECTION_BH)
 
 
 def make_post(pid: str, author: str, ts: str, text: str, retweeted: str | None = None) -> Post:

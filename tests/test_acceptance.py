@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import math
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ import pytest
 from egoflux.classifier import train
 from egoflux.corpus import load_corpus
 from egoflux.features import EmbeddingSet, fit_tfidf, tfidf_matrix
-from egoflux.pipeline import PipelineConfig, run_pipeline
+from egoflux.pipeline import run_pipeline
 from egoflux.report import emit_report_bundle
 from egoflux.stats import (
     CORRECTION_BH,
@@ -35,14 +34,7 @@ from egoflux.synth import AlterSpec, Coupling, SynthSpec, generate_series, score
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import cosine_distance_matrix, kmedoids
 
-from conftest import FIXTURE_CORPUS_CSV
-
-FIXTURE_WINDOW = (datetime(2021, 1, 4, tzinfo=timezone.utc),
-                  datetime(2021, 10, 11, tzinfo=timezone.utc))
-
-FIXTURE_CONFIG = PipelineConfig(ego="ego", k_min=2, k_max=4, embed_dim=16,
-                                seed=42, max_lag=4, alpha=0.01,
-                                correction=CORRECTION_BH)
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
 
 
 @pytest.fixture()

@@ -1,17 +1,28 @@
 """Linear one-vs-rest hinge classifier: training, prediction, evaluation."""
 
 import logging
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from egoflux import classifier as clf_mod
 from egoflux.classifier import (
+    C,
+    PREDICT_BLOCK,
+    VAL_FRACTION,
     LinearClassifier,
+    _stratified_split,
     evaluate,
     predict,
     train,
 )
+from egoflux.corpus import load_corpus
 from egoflux.features import SOURCE_EXTERNAL, EmbeddingSet
+from egoflux.pipeline import fit_topics
+
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
 
 
 def blob_data(rng, centers, per_class=30, spread=0.15):
@@ -184,3 +195,141 @@ class TestSerialization:
                 classes=[0],
                 dim=2,
                 )
+
+
+def reference_train(emb, labels, seed):
+    """The per-sample Pegasos loop (200 epochs, shuffled order) that full-batch
+    training replaced, kept as the reference.  Returns (clf, train_ids, val_ids)."""
+    ids_by_class = {}
+    for pid in sorted(labels):
+        ids_by_class.setdefault(labels[pid], []).append(pid)
+    rng = np.random.default_rng(seed)
+    train_ids, val_ids = _stratified_split(ids_by_class, VAL_FRACTION, rng)
+    classes = sorted(ids_by_class)
+    X = emb.matrix(train_ids)
+    n_train, dim = X.shape
+    y = np.array([labels[pid] for pid in train_ids])
+    Y = np.where(y[:, None] == np.array(classes)[None, :], 1.0, -1.0)
+    lam = 1.0 / (C * n_train)
+    W = np.zeros((len(classes), dim))
+    b = np.zeros(len(classes))
+    order = rng.permutation(n_train)
+    t = 0
+    for _ in range(200):
+        for i in order:
+            t += 1
+            eta = 1.0 / (lam * t)
+            margins = Y[i] * (W @ X[i] + b)
+            W *= 1.0 - eta * lam
+            hit = margins < 1.0
+            if hit.any():
+                W[hit] += (eta * Y[i][hit])[:, None] * X[i][None, :]
+                b[hit] += eta * Y[i][hit]
+    clf = LinearClassifier(weights=W, biases=b, classes=classes, dim=dim)
+    return clf, train_ids, val_ids
+
+
+def reference_predict(clf, emb, ids):
+    """Per-post argmax of w_c . v + b_c, the form block-wise predict replaced."""
+    return {pid: clf.classes[int(np.argmax(clf.weights @ emb.vectors[pid] + clf.biases))]
+            for pid in ids}
+
+
+def pegasos_objective(clf, emb, labels, train_ids):
+    """Per-class lam/2 |w_c|^2 + mean hinge loss on the training set."""
+    X = emb.matrix(train_ids)
+    y = np.array([labels[pid] for pid in train_ids])
+    Y = np.where(y[:, None] == np.array(clf.classes)[None, :], 1.0, -1.0)
+    lam = 1.0 / (C * len(train_ids))
+    hinge = np.maximum(0.0, 1.0 - Y * (X @ clf.weights.T + clf.biases))
+    return lam / 2 * (clf.weights ** 2).sum(axis=1) + hinge.mean(axis=0)
+
+
+@pytest.fixture(scope="module")
+def fixture_case():
+    """fit_topics on the fixture corpus, with the ego embeddings/labels and the
+    alter embeddings/ids it hands to the classifier (recorded at the call
+    sites), and the reference classifier trained on the same inputs."""
+    corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
+    train_calls, predict_calls = [], []
+    real_train, real_predict = clf_mod.train, clf_mod.predict
+
+    def recording_train(emb, labels, seed=clf_mod.DEFAULT_SEED):
+        train_calls.append((emb, dict(labels), seed))
+        return real_train(emb, labels, seed=seed)
+
+    def recording_predict(clf, emb, ids=None):
+        predict_calls.append((emb, list(ids)))
+        return real_predict(clf, emb, ids=ids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clf_mod, "train", recording_train)
+        mp.setattr(clf_mod, "predict", recording_predict)
+        fit = fit_topics(corpus, FIXTURE_CONFIG)
+    (emb, labels, seed), = train_calls
+    alter_emb, alter_ids = predict_calls[-1]
+    ref, train_ids, val_ids = reference_train(emb, labels, seed)
+    return SimpleNamespace(fit=fit, emb=emb, labels=labels, alter_emb=alter_emb,
+                           alter_ids=alter_ids, ref=ref, train_ids=train_ids,
+                           val_ids=val_ids)
+
+
+class TestFullBatchAgainstPerSample:
+    def test_objective_within_five_percent_per_class(self, fixture_case):
+        case = fixture_case
+        new_obj = pegasos_objective(case.fit.bundle.classifier, case.emb, case.labels,
+                                    case.train_ids)
+        ref_obj = pegasos_objective(case.ref, case.emb, case.labels, case.train_ids)
+        assert len(new_obj) >= 2
+        assert np.all(new_obj <= 1.05 * ref_obj), (new_obj, ref_obj)
+
+    def test_equal_validation_f1(self, fixture_case):
+        case = fixture_case
+        ref_report = evaluate(reference_predict(case.ref, case.emb, case.val_ids),
+                              {pid: case.labels[pid] for pid in case.val_ids})
+        assert case.fit.eval_report.weighted_f1 == ref_report.weighted_f1
+
+    def test_equal_alter_labels(self, fixture_case):
+        case = fixture_case
+        assert len(case.alter_ids) > 0
+        assert case.fit.alter_labels == reference_predict(case.ref, case.alter_emb,
+                                                          case.alter_ids)
+
+
+class TestBlockPredict:
+    N = 2 * PREDICT_BLOCK + 5
+
+    def _random_case(self):
+        rng = np.random.default_rng(21)
+        clf = LinearClassifier(weights=rng.normal(size=(3, 8)), biases=rng.normal(size=3),
+                               classes=[2, 5, 7], dim=8)
+        emb = EmbeddingSet(dim=8, source=SOURCE_EXTERNAL,
+                           vectors={f"p{i:05d}": rng.normal(size=8) for i in range(self.N)})
+        return clf, emb
+
+    def test_matrix_called_per_block(self, monkeypatch):
+        clf, emb = self._random_case()
+        sizes = []
+        real_matrix = EmbeddingSet.matrix
+
+        def recording_matrix(self, ids):
+            sizes.append(len(ids))
+            return real_matrix(self, ids)
+
+        monkeypatch.setattr(EmbeddingSet, "matrix", recording_matrix)
+        predict(clf, emb)
+        assert len(sizes) == math.ceil(self.N / PREDICT_BLOCK)
+        assert max(sizes) <= PREDICT_BLOCK
+        assert sum(sizes) == self.N
+
+    def test_matches_per_post_argmax_across_blocks(self):
+        clf, emb = self._random_case()
+        ids = sorted(emb.vectors, reverse=True)
+        pred = predict(clf, emb, ids=ids)
+        assert list(pred) == ids
+        assert pred == reference_predict(clf, emb, ids)
+        assert set(pred.values()) == {2, 5, 7}
+
+    def test_empty_ids(self):
+        clf, emb = self._random_case()
+        assert predict(clf, emb, ids=[]) == {}

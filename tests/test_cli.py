@@ -191,9 +191,9 @@ class TestSeries:
     LABELS_HEADER = "post_id,author,created_at,topic\n"
     GOOD_ROW = "p1,ego,2020-01-06T10:00:00+00:00,0\n"
 
-    def _series_error(self, caplog, paths):
+    def _series_error(self, caplog, paths, *options):
         """Run `series` on the files; return its one logged error (no traceback)."""
-        assert main(["series", *map(str, paths)]) == 1
+        assert main(["series", *map(str, paths), *options]) == 1
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and errors[0].exc_info is None
         return errors[0].getMessage()
@@ -222,6 +222,18 @@ class TestSeries:
     def test_same_file_twice_is_not_counted_twice(self, tmp_path, caplog):
         ok = self._labels(tmp_path, self.GOOD_ROW)
         assert self._series_error(caplog, [ok, ok]) == f"{ok}:2: post_id 'p1' repeats {ok}:2"
+
+    @pytest.mark.parametrize("topic, options, span", [
+        ("-1", [], "0..0"), ("2", ["--n-topics", "2"], "0..1")])
+    def test_topic_out_of_range_names_line(self, tmp_path, caplog, topic, options, span):
+        bad = self._labels(tmp_path, self.GOOD_ROW, f"p2,ego,2020-01-07T10:00:00+00:00,{topic}\n")
+        assert self._series_error(caplog, [bad], *options) == f"{bad}:3: topic {topic} outside {span}"
+
+    def test_created_at_outside_window_names_line(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego,2020-01-13T10:00:00+00:00,0\n")
+        message = self._series_error(caplog, [bad], "--start", "2020-01-13T00:00:00+00:00",
+                                     "--end", "2020-02-01T00:00:00+00:00")
+        assert message.startswith(f"{bad}:2: ")
 
 
 class TestCausality:

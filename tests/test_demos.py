@@ -1,7 +1,5 @@
-"""Smoke test: each self-contained demo script runs to completion.
-
-06_full_pipeline.py is left out because it rewrites the tracked demos/out/.
-"""
+"""Each demo script runs to completion, and 06_full_pipeline.py reproduces
+the committed demos/out/ byte for byte."""
 
 import os
 import subprocess
@@ -24,7 +22,21 @@ SRC = Path(egoflux.__file__).resolve().parents[1]
     "05_simulate_and_scan.py",
 ])
 def test_demo_exits_zero(script):
-    out = subprocess.run([sys.executable, str(DEMOS / script)],
+    _run_demo(script)
+
+
+def test_full_pipeline_reproduces_committed_out(tmp_path):
+    _run_demo("06_full_pipeline.py", str(tmp_path))
+    committed = DEMOS / "out"
+    names = sorted(str(p.relative_to(committed)) for p in committed.rglob("*") if p.is_file())
+    produced = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert produced == names
+    stale = [n for n in names if (tmp_path / n).read_bytes() != (committed / n).read_bytes()]
+    assert stale == [], "demos/out/ is stale; regenerate it with demos/06_full_pipeline.py"
+
+
+def _run_demo(script, *args):
+    out = subprocess.run([sys.executable, str(DEMOS / script), *args],
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
