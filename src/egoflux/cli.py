@@ -8,15 +8,16 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .bundle import ModelBundle
-from .corpus import Corpus, Post, load_corpus, parse_timestamp
+from .corpus import Corpus, Post, canonical_handle, load_corpus, parse_timestamp
 from .errors import EgofluxError
-from .pipeline import DEFAULT_EMBED_DIM, PipelineConfig, classify_corpus, fit_topics
+from .pipeline import PipelineConfig, classify_corpus, fit_topics
 from .report import ReportBundle, emit_report_bundle
-from .series import bin_posts, build_week_index, read_series_csv, write_series_csv
+from .series import bin_posts, build_week_index, read_series_csv, write_series_rows
 from .stats import (
     CORRECTION_BH,
     CORRECTION_NONE,
@@ -27,7 +28,6 @@ from .stats import (
     causality_scan,
 )
 from .synth import SynthSpec, generate_series
-from .textpipe import DEFAULT_MIN_COUNT, DEFAULT_THRESHOLD
 from .features import load_embeddings
 
 logger = logging.getLogger(__name__)
@@ -45,25 +45,24 @@ def _open_out(path: str | None):
             yield fh
 
 
+def _window(args, earliest: datetime, latest: datetime) -> tuple[datetime, datetime]:
+    """--start/--end, with a bound that is absent taken as `earliest`/`latest`."""
+    return (parse_timestamp(args.start) if args.start else earliest,
+            parse_timestamp(args.end) if args.end else latest)
+
+
 def _load_windowed(args) -> Corpus:
     """Load a corpus; absent window bounds shrink to the observed timestamps."""
-    start = parse_timestamp(args.start) if args.start else WIDE_START
-    end = parse_timestamp(args.end) if args.end else WIDE_END
-    result = load_corpus(args.corpus, args.format, (start, end),
+    result = load_corpus(args.corpus, args.format, _window(args, WIDE_START, WIDE_END),
                          strict=getattr(args, "strict", False))
     if result.dropped:
         logger.info("dropped %d rows (%d window, %d malformed, %d duplicate)",
                     result.dropped, result.dropped_out_of_window,
                     result.dropped_malformed, result.dropped_duplicate)
     corpus = result.corpus
-    if corpus.posts and (not args.start or not args.end):
-        corpus = Corpus(
-            posts=corpus.posts,
-            window_start=parse_timestamp(args.start) if args.start
-            else corpus.posts[0].created_at,
-            window_end=parse_timestamp(args.end) if args.end
-            else corpus.posts[-1].created_at,
-        )
+    if corpus.posts:  # sorted by created_at
+        corpus = Corpus(corpus.posts, *_window(args, corpus.posts[0].created_at,
+                                               corpus.posts[-1].created_at))
     return corpus
 
 
@@ -83,21 +82,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_topics(args) -> int:
     corpus = _load_windowed(args)
-    config = PipelineConfig(
-        ego=args.ego,
-        n_alters=args.n_alters,
-        exclude=tuple(args.exclude.split(",")) if args.exclude else (),
-        phrase_min_count=args.min_count,
-        phrase_threshold=args.threshold,
-        min_df=args.min_df,
-        k=args.k,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        top_words=args.top_words,
-        embed_dim=args.dim,
-        embeddings_path=args.embeddings,
-        seed=args.seed,
-    )
+    given = vars(args)
+    config = PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig)
+                               if f.name in given})
     fit = fit_topics(corpus, config)
     fit.bundle.save(args.out)
 
@@ -162,11 +149,8 @@ def _cmd_series(args) -> int:
                                   created_at=created_at, text=""))
     if not posts:
         raise EgofluxError("no labeled posts given")
-    start = parse_timestamp(args.start) if args.start \
-        else min(p.created_at for p in posts)
-    end = parse_timestamp(args.end) if args.end \
-        else max(p.created_at for p in posts)
-    week_index = build_week_index((start, end))
+    week_index = build_week_index(_window(args, min(p.created_at for p in posts),
+                                          max(p.created_at for p in posts)))
     n_topics = args.n_topics or max(labels.values()) + 1
     for post in posts:
         where = seen_at[post.id]
@@ -178,26 +162,25 @@ def _cmd_series(args) -> int:
             raise ValueError(f"{where}: {exc}") from None
     accounts = args.accounts.split(",") if args.accounts else None
     series = bin_posts(posts, labels, week_index, n_topics, accounts=accounts)
-    if args.out and args.out != "-":
-        write_series_csv(series, args.out)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["week_start", "account", "topic", "count"])
-        for s in series:
-            for week in range(week_index.n_weeks):
-                writer.writerow([week_index.week_start(week).isoformat(),
-                                 s.account, s.topic, int(s.counts[week])])
+    with _open_out(args.out) as fh:
+        write_series_rows(series, fh)
     return 0
 
 
 def _cmd_causality(args) -> int:
     series = read_series_csv(args.series)
-    accounts = sorted({s.account for s in series})
-    ego = args.ego.lower().lstrip("@")
+    accounts = {s.account for s in series}
+    ego = canonical_handle(args.ego)
     if ego not in accounts:
         raise EgofluxError(f"series file has no account {ego!r}")
-    alters = args.alters.split(",") if args.alters \
-        else [a for a in accounts if a != ego]
+    if args.alters:
+        names = args.alters.split(",")
+        unknown = [n for n in names if canonical_handle(n) not in accounts]
+        if unknown:
+            raise EgofluxError(f"series file has no account for --alters {unknown}")
+        alters = [canonical_handle(n) for n in names]
+    else:
+        alters = sorted(accounts - {ego})
     correction = CORRECTION_BH if args.bh else CORRECTION_NONE
     matrix = causality_scan(series, ego, alters, max_lag=args.max_lag,
                             alpha=args.alpha, correction=correction,
@@ -213,7 +196,8 @@ def _cmd_simulate(args) -> int:
     result = generate_series(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_series_csv(result.series, out / "series.csv")
+    with _open_out(out / "series.csv") as fh:
+        write_series_rows(result.series, fh)
     truth = {
         "ego": spec.ego,
         "seed": spec.seed,
@@ -240,7 +224,10 @@ def _read_groups(path: str | None) -> dict[str, str] | None:
         if handle_col not in fields or "group" not in fields:
             raise EgofluxError(f"{path}: need columns handle (or alter) and group")
         for row in reader:
-            grouping[row[handle_col]] = row["group"]
+            handle = canonical_handle(row[handle_col])
+            if handle is None:
+                raise EgofluxError(f"{path}:{reader.line_num}: empty handle")
+            grouping[handle] = row["group"]
     return grouping
 
 
@@ -287,24 +274,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("topics", help="fit the topic model bundle on the ego corpus")
     _add_corpus_args(p, window_required=False)
+    # Each dest is a PipelineConfig field; the defaults are the config's own.
     p.add_argument("--ego", required=True, help="ego account handle")
-    p.add_argument("--k", type=int, default=None, help="fix k instead of searching")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--top-words", type=int, default=50)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--embeddings", help="external embedding file (JSONL or CSV)")
-    p.add_argument("--dim", type=int, default=DEFAULT_EMBED_DIM,
+    p.add_argument("--k", type=int, help="fix k instead of searching")
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--top-words", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--embeddings", dest="embeddings_path", metavar="EMBEDDINGS",
+                   help="external embedding file (JSONL or CSV)")
+    p.add_argument("--dim", dest="embed_dim", type=int, metavar="DIM",
                    help="fallback embedding dimension")
-    p.add_argument("--min-df", type=int, default=2)
-    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT,
+    p.add_argument("--min-df", type=int)
+    p.add_argument("--min-count", dest="phrase_min_count", type=int, metavar="MIN_COUNT",
                    help="phrase detector minimum pair count")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", dest="phrase_threshold", type=float, metavar="THRESHOLD",
                    help="phrase detector score threshold")
-    p.add_argument("--n-alters", type=int, default=12)
-    p.add_argument("--exclude", help="comma-separated handles to exclude from ranking")
+    p.add_argument("--n-alters", type=int)
+    p.add_argument("--exclude", type=lambda s: tuple(s.split(",")),
+                   help="comma-separated handles to exclude from ranking")
     p.add_argument("--out", required=True, help="bundle output directory")
-    p.set_defaults(func=_cmd_topics)
+    p.set_defaults(func=_cmd_topics, **{f.name: f.default for f in fields(PipelineConfig)
+                                        if f.default is not MISSING})
 
     p = commands.add_parser("classify", help="label a corpus with a saved bundle")
     _add_corpus_args(p, window_required=False)

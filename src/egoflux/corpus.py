@@ -84,9 +84,6 @@ class Corpus:
             )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def save_jsonl(self, path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
-
 
 @dataclass
 class IngestResult:

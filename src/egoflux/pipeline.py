@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import classifier as clf_mod
 from .bundle import ModelBundle
-from .corpus import AlterRanking, Corpus, rank_alters
+from .corpus import AlterRanking, Corpus, canonical_handle, rank_alters
 from .features import (
     EmbeddingSet,
     FallbackProjector,
@@ -97,6 +97,7 @@ class PipelineConfig:
 class TopicFit:
     """Output of the model-fitting half of a run (everything except causality)."""
 
+    ego: str  # config.ego as canonical_handle spells it, as in Post.author
     bundle: ModelBundle
     clustering: Clustering
     eval_report: clf_mod.EvalReport
@@ -115,10 +116,10 @@ def _featurizable_ids(emb: EmbeddingSet, docs: list[TokenDoc]) -> list[str]:
 
 def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     """Fit phrase/TF-IDF/embedding models on the ego, cluster, train, label alters."""
-    ego = config.ego.lower().lstrip("@")
+    ego = canonical_handle(config.ego)
     ego_posts = [p for p in corpus.posts if p.author == ego]
     if not ego_posts:
-        raise ValueError(f"corpus has no posts by ego {ego!r}")
+        raise ValueError(f"corpus has no posts by ego {config.ego!r}")
 
     ranking = rank_alters(corpus, ego, exclude=config.exclude, n=config.n_alters)
     alters = [handle for handle, _ in ranking.entries]
@@ -195,6 +196,7 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         silhouette_by_k=silhouette_by_k,
     )
     return TopicFit(
+        ego=ego,
         bundle=bundle,
         clustering=clustering,
         eval_report=eval_report,
@@ -221,8 +223,8 @@ class PipelineResult:
 
 def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
     """Fit everything on the ego's posts, score the alters, scan for causality."""
-    ego = config.ego.lower().lstrip("@")
     fit = fit_topics(corpus, config)
+    ego = fit.ego
     alters = [handle for handle, _ in fit.ranking.entries]
     labels = {**fit.ego_labels, **fit.alter_labels}
 

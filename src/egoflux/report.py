@@ -52,10 +52,11 @@ class ReportBundle:
 
 def _cell(matrix: CausalityMatrix, alter: str, topic: int) -> str:
     outcome = matrix.pair(alter, topic)
-    if outcome.best is None:
+    best = outcome.best
+    if best is None:
         return f"—({outcome.skip_reason})"
     marker = "*" if matrix.significant(outcome) else ""
-    return f"{outcome.best.p_value:.3f} ({outcome.best.lag}){marker}"
+    return f"{best.p_value:.3f} ({best.lag}){marker}"
 
 
 def emit_matrix_csv(matrix: CausalityMatrix, grouping: dict[str, str] | None,
@@ -88,11 +89,12 @@ def emit_heatmap_data(matrix: CausalityMatrix, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alter", "topic", "minus_log10_p", "best_lag"])
         for outcome in matrix.pairs:
-            if outcome.best is None:
+            best = outcome.best
+            if best is None:
                 continue
-            p = max(outcome.best.p_value, P_CLAMP)
+            p = max(best.p_value, P_CLAMP)
             writer.writerow([outcome.alter, str(outcome.topic),
-                             repr(-math.log10(p)), str(outcome.best.lag)])
+                             repr(-math.log10(p)), str(best.lag)])
 
 
 def emit_run_report(bundle: ReportBundle, path) -> None:
@@ -101,10 +103,6 @@ def emit_run_report(bundle: ReportBundle, path) -> None:
         json.dumps(bundle.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-
-
-def load_run_report(path) -> ReportBundle:
-    return ReportBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def emit_report_bundle(bundle: ReportBundle, out_dir) -> dict[str, Path]:

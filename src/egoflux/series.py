@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -102,16 +102,21 @@ def bin_posts(
     ]
 
 
-def write_series_csv(series: Sequence[TopicSeries], path) -> None:
+def write_series_rows(series: Sequence[TopicSeries], fh: TextIO) -> None:
     """Interchange CSV: week_start, account, topic, count (all cells, zeros included)."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["week_start", "account", "topic", "count"])
+    for s in sorted(series, key=lambda s: (s.account, s.topic)):
+        for week in range(s.week_index.n_weeks):
+            writer.writerow(
+                [s.week_index.week_start(week).isoformat(), s.account, s.topic, int(s.counts[week])]
+            )
+
+
+def write_series_csv(series: Sequence[TopicSeries], path) -> None:
+    """The interchange CSV of `series` (see write_series_rows) at `path`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["week_start", "account", "topic", "count"])
-        for s in sorted(series, key=lambda s: (s.account, s.topic)):
-            for week in range(s.week_index.n_weeks):
-                writer.writerow(
-                    [s.week_index.week_start(week).isoformat(), s.account, s.topic, int(s.counts[week])]
-                )
+        write_series_rows(series, fh)
 
 
 def _row_error(path, lineno: int, row: dict, exc: Exception | None) -> ValueError:

@@ -7,6 +7,12 @@ per-(alter, topic) causality scan over lags 1..max_lag, which tests each
 series for stationarity at most once per differencing order.  Each Granger
 F-test is one OLS fit: the restricted model's RSS is read off the leading
 block of the unrestricted fit's R factor.
+
+Each rule of the decision has one owner: a pair's best lag is
+`PairOutcome.best` (argmin p over its per-lag results, ties to the smaller
+lag), and whether a pair is significant is `CausalityMatrix.significant`
+(best p < alpha, or BH-adjusted p <= alpha under the BH correction).  A pair
+that cannot be tested carries a skip code instead of results.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +44,14 @@ SKIP_NONSTATIONARY = "NONSTAT"
 SKIP_TOO_SHORT = "SHORT"
 SKIP_SINGULAR = "SINGULAR"
 
+# The skip code of each error the stationarity stage can raise for a pair.
+_ADF_SKIPS = {
+    DegenerateSeriesError: SKIP_DEGENERATE,
+    NonStationarizableError: SKIP_NONSTATIONARY,
+    InsufficientDataError: SKIP_TOO_SHORT,
+    SingularDesignError: SKIP_SINGULAR,
+}
+
 CORRECTION_NONE = "none"
 CORRECTION_BH = "benjamini_hochberg"
 
@@ -51,7 +65,6 @@ class OlsFit:
     """OLS solution with the quantities the ADF and Granger tests consume."""
 
     coefficients: np.ndarray
-    residuals: np.ndarray
     rss: float
     n_obs: int
     n_params: int
@@ -92,7 +105,7 @@ def ols(y, X) -> OlsFit:
 
     beta = np.linalg.solve(R, Q.T @ y)
     residuals = y - X @ beta
-    return OlsFit(beta, residuals, float(residuals @ residuals), n, p, R)
+    return OlsFit(beta, float(residuals @ residuals), n, p, R)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +260,9 @@ class _Ladder:
     """One series, its differences and its ADF verdict at each order, each computed once.
 
     A verdict is True/False for stationary or not at `alpha`, or the
-    DegenerateSeriesError / InsufficientDataError the ADF stage raised, which
-    is raised again on every later request for that order.
+    DegenerateSeriesError / InsufficientDataError / SingularDesignError the
+    ADF stage raised, which is raised again on every later request for that
+    order.
     """
 
     def __init__(self, y, alpha: float):
@@ -265,7 +279,7 @@ class _Ladder:
         if order not in self._verdicts:
             try:
                 self._verdicts[order] = adf_test(self.at(order), alpha=self._alpha).is_stationary
-            except (DegenerateSeriesError, InsufficientDataError) as exc:
+            except (DegenerateSeriesError, InsufficientDataError, SingularDesignError) as exc:
                 self._verdicts[order] = exc
         verdict = self._verdicts[order]
         if isinstance(verdict, Exception):
@@ -300,8 +314,9 @@ def make_stationary_pair(
 
     Both series always receive the same differencing order.  Raises
     NonStationarizableError when either series still fails at max_diff, and
-    propagates DegenerateSeriesError / InsufficientDataError from the ADF
-    stage (constant or too-short series).
+    propagates DegenerateSeriesError / InsufficientDataError /
+    SingularDesignError from the ADF stage (constant, too-short or
+    rank-deficient series, such as one lone spike).
     """
     xl, yl = _Ladder(x, alpha), _Ladder(y, alpha)
     order = _joint_diff_order(xl, yl, max_diff)
@@ -320,9 +335,6 @@ class GrangerResult:
     f_stat: float
     p_value: float
     n_obs_effective: int
-    alter: str = ""
-    topic: int = -1
-    diff_order: int = 0
     perfect_fit: bool = False
 
 
@@ -392,10 +404,15 @@ class PairOutcome:
     alter: str
     topic: int
     results: list[GrangerResult] = field(default_factory=list)
-    best: GrangerResult | None = None
     diff_order: int | None = None
     skip_reason: str | None = None
     adjusted_p: float | None = None
+
+    @property
+    def best(self) -> GrangerResult | None:
+        """The result with the smallest p; `results` run in lag order and
+        `min` keeps the first of equals, so ties go to the smaller lag."""
+        return min(self.results, key=lambda r: r.p_value, default=None)
 
 
 @dataclass
@@ -417,7 +434,11 @@ class CausalityMatrix:
         raise KeyError((alter, topic))
 
     def significant(self, outcome: PairOutcome) -> bool:
-        """Significance of a pair's best lag at alpha, honoring the correction."""
+        """Whether a pair is significant: the one place a p is compared with alpha.
+
+        Without correction, the best lag's p < alpha; under BH, the pair's
+        adjusted p <= alpha.  Untested pairs are never significant.
+        """
         if outcome.best is None:
             return False
         if self.correction == CORRECTION_BH:
@@ -459,35 +480,27 @@ class CausalityMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalityMatrix":
-        pairs = []
-        for pd in d["pairs"]:
-            results = [
-                GrangerResult(
-                    lag=rd["lag"],
-                    f_stat=math.inf if rd["f_stat"] is None else rd["f_stat"],
-                    p_value=rd["p_value"],
-                    n_obs_effective=rd["n_obs_effective"],
-                    alter=pd["alter"],
-                    topic=pd["topic"],
-                    diff_order=pd["diff_order"] or 0,
-                    perfect_fit=rd["perfect_fit"],
-                )
-                for rd in pd["results"]
-            ]
-            best = None
-            if pd["best_lag"] is not None:
-                best = next(r for r in results if r.lag == pd["best_lag"])
-            pairs.append(
-                PairOutcome(
-                    alter=pd["alter"],
-                    topic=pd["topic"],
-                    results=results,
-                    best=best,
-                    diff_order=pd["diff_order"],
-                    skip_reason=pd["skip_reason"],
-                    adjusted_p=pd["adjusted_p"],
-                )
+        """Inverse of to_dict.  `best_lag` is not read: `PairOutcome.best` derives it."""
+        pairs = [
+            PairOutcome(
+                alter=pd["alter"],
+                topic=pd["topic"],
+                results=[
+                    GrangerResult(
+                        lag=rd["lag"],
+                        f_stat=math.inf if rd["f_stat"] is None else rd["f_stat"],
+                        p_value=rd["p_value"],
+                        n_obs_effective=rd["n_obs_effective"],
+                        perfect_fit=rd["perfect_fit"],
+                    )
+                    for rd in pd["results"]
+                ],
+                diff_order=pd["diff_order"],
+                skip_reason=pd["skip_reason"],
+                adjusted_p=pd["adjusted_p"],
             )
+            for pd in d["pairs"]
+        ]
         return cls(
             ego=d["ego"],
             alters=list(d["alters"]),
@@ -514,10 +527,12 @@ def causality_scan(
     """Granger-scan every (alter, topic) pair against the ego's series.
 
     Per pair: difference both series to joint stationarity, then run the
-    per-lag F-test for lags 1..max_lag.  Best lag is argmin p with ties to
-    the smaller lag.  Pairs that cannot be tested are recorded with a skip
-    reason instead of results.  Optional Benjamini-Hochberg correction is
-    applied across the best-lag p-values of all tested pairs.
+    per-lag F-test for lags 1..max_lag.  Pairs that cannot be tested are
+    recorded with a skip reason instead of results: a constant series
+    (DEGEN), no stationary order within max_diff (NONSTAT), too few weeks
+    (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Optional
+    Benjamini-Hochberg correction is applied across the best-lag p-values of
+    all tested pairs.
     """
     if correction not in (CORRECTION_NONE, CORRECTION_BH):
         raise ValueError(f"unknown correction {correction!r}")
@@ -541,14 +556,8 @@ def causality_scan(
                 continue
             try:
                 diff_order = _joint_diff_order(x, y, max_diff)
-            except DegenerateSeriesError:
-                outcome.skip_reason = SKIP_DEGENERATE
-                continue
-            except NonStationarizableError:
-                outcome.skip_reason = SKIP_NONSTATIONARY
-                continue
-            except InsufficientDataError:
-                outcome.skip_reason = SKIP_TOO_SHORT
+            except tuple(_ADF_SKIPS) as exc:
+                outcome.skip_reason = _ADF_SKIPS[type(exc)]
                 continue
 
             outcome.diff_order = diff_order
@@ -556,27 +565,18 @@ def causality_scan(
             singular = False
             for lag in range(1, max_lag + 1):
                 try:
-                    r = granger_test(xs, ys, lag)
+                    outcome.results.append(granger_test(xs, ys, lag))
                 except InsufficientDataError:
                     break  # higher lags only get shorter
                 except (SingularDesignError, DegenerateSeriesError):
                     singular = True
-                    continue
-                r = replace(r, alter=alter, topic=topic, diff_order=diff_order)
-                outcome.results.append(r)
 
             if not outcome.results:
                 outcome.skip_reason = SKIP_SINGULAR if singular else SKIP_TOO_SHORT
                 outcome.diff_order = None
-                continue
-            best = outcome.results[0]
-            for r in outcome.results[1:]:
-                if r.p_value < best.p_value:
-                    best = r
-            outcome.best = best
 
     if correction == CORRECTION_BH:
-        tested = [p for p in pairs if p.best is not None]
+        tested = [p for p in pairs if p.results]
         adjusted = bh_adjust([p.best.p_value for p in tested])
         for p, adj in zip(tested, adjusted):
             p.adjusted_p = float(adj)

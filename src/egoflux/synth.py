@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -217,17 +217,16 @@ def score_detection(matrix: CausalityMatrix,
                     alpha: float) -> DetectionScore:
     """Precision/recall over (alter, topic) detections plus best-lag accuracy.
 
-    With zero detections, precision is undefined and reported as 1.0 with the
-    convention flag set; same for lag accuracy with zero true positives.
+    A detection is a pair that `CausalityMatrix.significant` accepts at
+    `alpha` under the matrix's own correction, so scoring and the report
+    mark the same pairs when `alpha` is the matrix's.  With zero detections,
+    precision is undefined and reported as 1.0 with the convention flag set;
+    same for lag accuracy with zero true positives.
     """
     planted = {(a, t): lag for a, t, lag, _ in truth}
-    detections: dict[tuple[str, int], int] = {}
-    for pair in matrix.pairs:
-        if pair.best is None:
-            continue
-        p = pair.adjusted_p if pair.adjusted_p is not None else pair.best.p_value
-        if p < alpha:
-            detections[(pair.alter, pair.topic)] = pair.best.lag
+    significant = replace(matrix, alpha=alpha).significant
+    detections = {(pair.alter, pair.topic): pair.best.lag
+                  for pair in matrix.pairs if significant(pair)}
 
     tp = [key for key in detections if key in planted]
     precision_by_convention = len(detections) == 0

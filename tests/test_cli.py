@@ -5,9 +5,12 @@ import json
 
 import pytest
 
+from egoflux import cli
 from egoflux.bundle import ModelBundle
 from egoflux.cli import main
-from egoflux.report import load_run_report
+from egoflux.errors import EgofluxError
+from egoflux.pipeline import PipelineConfig
+from egoflux.report import ReportBundle
 from egoflux.series import read_series_csv
 from egoflux.stats import CausalityMatrix
 from egoflux.synth import AlterSpec, Coupling, SynthSpec
@@ -36,7 +39,7 @@ def corpus_csv(ws, two_topic_corpus):
 @pytest.fixture(scope="module")
 def corpus_jsonl(ws, two_topic_corpus):
     path = ws / "corpus.jsonl"
-    two_topic_corpus.save_jsonl(path)
+    path.write_text(two_topic_corpus.to_jsonl(), encoding="utf-8")
     return path
 
 
@@ -153,6 +156,33 @@ class TestTopics:
                      "--out", str(tmp_path / "b")])
         assert code == 1
 
+    def _config(self, monkeypatch, corpus_jsonl, *flags):
+        """The PipelineConfig `topics` hands to fit_topics for these flags."""
+        seen = []
+
+        def capture(corpus, config):
+            seen.append(config)
+            raise EgofluxError("captured")
+
+        monkeypatch.setattr(cli, "fit_topics", capture)
+        assert main(["topics", str(corpus_jsonl), "--ego", "ego", "--out", "unused",
+                     *flags]) == 1
+        return seen[0]
+
+    def test_defaults_are_pipeline_config_defaults(self, monkeypatch, corpus_jsonl):
+        assert self._config(monkeypatch, corpus_jsonl) == PipelineConfig(ego="ego")
+
+    def test_each_flag_sets_its_config_field(self, monkeypatch, corpus_jsonl):
+        config = self._config(
+            monkeypatch, corpus_jsonl, "--k", "3", "--k-min", "3", "--k-max", "5",
+            "--top-words", "7", "--seed", "1", "--embeddings", "emb.jsonl", "--dim", "8",
+            "--min-df", "1", "--min-count", "4", "--threshold", "2.5", "--n-alters", "2",
+            "--exclude", "a,b")
+        assert config == PipelineConfig(
+            ego="ego", k=3, k_min=3, k_max=5, top_words=7, seed=1,
+            embeddings_path="emb.jsonl", embed_dim=8, min_df=1, phrase_min_count=4,
+            phrase_threshold=2.5, n_alters=2, exclude=("a", "b"))
+
 
 class TestClassify:
     def test_labels_every_post(self, labels_csv, two_topic_corpus):
@@ -181,6 +211,24 @@ class TestSeries:
         series = read_series_csv(series_csv)
         total = sum(int(c) for s in series for c in s.counts)
         assert total == len(rows)
+
+    def test_stdout_is_the_out_file_from_the_same_writer(self, labels_csv, series_csv,
+                                                          tmp_path, monkeypatch, capsys):
+        writes = []
+        real_write = cli.write_series_rows
+
+        def counting_write(series, fh):
+            writes.append(fh)
+            real_write(series, fh)
+
+        monkeypatch.setattr(cli, "write_series_rows", counting_write)
+        out = tmp_path / "series.csv"
+        assert main(["series", str(labels_csv), *WINDOW_ARGS, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["series", str(labels_csv), *WINDOW_ARGS]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+        assert out.read_bytes() == series_csv.read_bytes()
+        assert len(writes) == 2
 
     def test_bad_columns_exit_one(self, tmp_path):
         bad = tmp_path / "labels.csv"
@@ -247,6 +295,22 @@ class TestCausality:
     def test_unknown_ego_exits_one(self, series_csv):
         code = main(["causality", str(series_csv), "--ego", "nobody"])
         assert code == 1
+
+    def test_unknown_alters_exit_one_naming_them(self, series_csv, tmp_path, caplog):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(series_csv), "--ego", "ego",
+                     "--alters", "alt_a,ghost,zed", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["series file has no account for --alters ['ghost', 'zed']"]
+
+    def test_alters_and_ego_handles_canonicalized(self, matrix_json, series_csv, tmp_path):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(series_csv), "--ego", " @Ego",
+                     "--alters", "@ALT_A, alt_b", "--max-lag", "4", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == matrix_json.read_bytes()
 
     def test_short_series_row_exits_one_naming_line(self, tmp_path, caplog):
         bad = tmp_path / "series.csv"
@@ -327,6 +391,25 @@ class TestReport:
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("all", "alt_a"), ("close", "alt_b")]
 
+    def test_groups_file_handles_canonicalized(self, ws, matrix_json, tmp_path):
+        groups = tmp_path / "groups.csv"
+        groups.write_text("handle,group\n @Alt_B,close\n", encoding="utf-8")
+        out = tmp_path / "report"
+        code = main(["report", "--matrix", str(matrix_json),
+                     "--groups", str(groups), "--out", str(out)])
+        assert code == 0
+        assert (out / "matrix.csv").read_bytes() == \
+            (ws / "report_grouped" / "matrix.csv").read_bytes()
+
+    def test_empty_groups_handle_exits_one(self, matrix_json, tmp_path, caplog):
+        groups = tmp_path / "groups.csv"
+        groups.write_text("handle,group\nalt_b,close\n@,far\n", encoding="utf-8")
+        code = main(["report", "--matrix", str(matrix_json),
+                     "--groups", str(groups), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{groups}:3: empty handle"]
+
     def test_accepts_full_run_report_as_input(self, ws, matrix_json):
         first = ws / "report"
         second = ws / "report_again"
@@ -335,7 +418,8 @@ class TestReport:
         assert code == 0
         assert (second / "matrix.csv").read_bytes() == \
             (first / "matrix.csv").read_bytes()
-        loaded = load_run_report(second / "run_report.json")
+        loaded = ReportBundle.from_dict(
+            json.loads((second / "run_report.json").read_text(encoding="utf-8")))
         assert loaded.matrix.alters == ["alt_a", "alt_b"]
 
     def test_bad_groups_columns_exit_one(self, ws, matrix_json, tmp_path):

@@ -158,11 +158,11 @@ class TestLoadJsonl:
         ])
         first = load_corpus(src, format="jsonl", window=WINDOW).corpus
         out = tmp_path / "canonical.jsonl"
-        first.save_jsonl(out)
+        out.write_text(first.to_jsonl(), encoding="utf-8")
         second = load_corpus(out, format="jsonl", window=WINDOW).corpus
         assert first.posts == second.posts
         third = tmp_path / "again.jsonl"
-        second.save_jsonl(third)
+        third.write_text(second.to_jsonl(), encoding="utf-8")
         assert out.read_bytes() == third.read_bytes()
 
 

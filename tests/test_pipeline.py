@@ -57,6 +57,15 @@ class TestFitTopics:
         fit = fit_topics(two_topic_corpus, config)
         assert len(fit.ego_labels) > 0
 
+    @pytest.mark.parametrize("ego", ["Ego ", " @ego"])
+    def test_ego_spelled_loosely_fits_like_ego(self, two_topic_corpus, pipeline_config,
+                                               topic_fit, ego):
+        fit = fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, ego=ego))
+        assert fit.ego == "ego"
+        assert fit.ranking == topic_fit.ranking
+        assert fit.ego_labels == topic_fit.ego_labels
+        assert fit.alter_labels == topic_fit.alter_labels
+
     def test_unknown_ego_raises(self, two_topic_corpus, pipeline_config):
         config = dataclasses.replace(pipeline_config, ego="ghost")
         with pytest.raises(ValueError, match="no posts by ego"):
@@ -102,6 +111,13 @@ class TestFitTopics:
 
 
 class TestRunPipeline:
+    def test_ego_spelled_loosely_runs_like_ego(self, two_topic_corpus, pipeline_config,
+                                               pipeline_result):
+        result = run_pipeline(two_topic_corpus,
+                              dataclasses.replace(pipeline_config, ego=" @Ego"))
+        assert result.matrix.to_json() == pipeline_result.matrix.to_json()
+        assert result.metrics == pipeline_result.metrics
+
     def test_matrix_covers_all_pairs(self, pipeline_result):
         matrix = pipeline_result.matrix
         assert matrix.alters == ["alt_a", "alt_b"]

@@ -18,7 +18,6 @@ from egoflux.report import (
     emit_matrix_csv,
     emit_report_bundle,
     emit_run_report,
-    load_run_report,
 )
 from egoflux.stats import (
     CORRECTION_BH,
@@ -32,9 +31,8 @@ from egoflux.stats import (
 
 
 def pair_at(alter, topic, p, lag, adjusted=None):
-    best = GrangerResult(lag=lag, f_stat=12.0, p_value=p, n_obs_effective=100,
-                         alter=alter, topic=topic)
-    return PairOutcome(alter=alter, topic=topic, results=[best], best=best,
+    result = GrangerResult(lag=lag, f_stat=12.0, p_value=p, n_obs_effective=100)
+    return PairOutcome(alter=alter, topic=topic, results=[result],
                        diff_order=0, adjusted_p=adjusted)
 
 
@@ -123,6 +121,20 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             emit_matrix_csv(m, None, tmp_path / "m.csv")
 
+    def test_stored_best_lag_other_than_argmin_renders_argmin(self, tmp_path):
+        results = [GrangerResult(lag=1, f_stat=1.5, p_value=0.2, n_obs_effective=100),
+                   GrangerResult(lag=2, f_stat=9.0, p_value=0.001, n_obs_effective=99),
+                   GrangerResult(lag=3, f_stat=9.0, p_value=0.001, n_obs_effective=98)]
+        pair = PairOutcome(alter="amy", topic=0, results=results, diff_order=0)
+        d = make_matrix([pair], alters=["amy"], n_topics=1).to_dict()
+        assert d["pairs"][0]["best_lag"] == 2  # argmin p, ties to the smaller lag
+        d["pairs"][0]["best_lag"] = 1
+        loaded = CausalityMatrix.from_dict(json.loads(json.dumps(d)))
+        emit_matrix_csv(loaded, None, tmp_path / "m.csv")
+        emit_heatmap_data(loaded, tmp_path / "h.csv")
+        assert read_csv(tmp_path / "m.csv")[1][2] == "0.001 (2)*"
+        assert read_csv(tmp_path / "h.csv")[1][3] == "2"
+
     def test_byte_identical_across_emissions(self, matrix, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_matrix_csv(matrix, {"cal": "family"}, a)
@@ -188,7 +200,7 @@ class TestRunReport:
         bundle = self.bundle(matrix)
         out = tmp_path / "r.json"
         emit_run_report(bundle, out)
-        loaded = load_run_report(out)
+        loaded = ReportBundle.from_dict(json.loads(out.read_text(encoding="utf-8")))
         assert loaded.to_dict() == bundle.to_dict()
 
     def test_schema_version_and_trailing_newline(self, matrix, tmp_path):
@@ -213,7 +225,7 @@ class TestRunReport:
     def test_skip_reasons_survive_roundtrip(self, matrix, tmp_path):
         out = tmp_path / "r.json"
         emit_run_report(self.bundle(matrix), out)
-        loaded = load_run_report(out)
+        loaded = ReportBundle.from_dict(json.loads(out.read_text(encoding="utf-8")))
         assert loaded.matrix.pair("bea", 0).skip_reason == SKIP_DEGENERATE
         assert loaded.matrix.pair("cal", 0).skip_reason == SKIP_TOO_SHORT
 

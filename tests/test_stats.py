@@ -24,6 +24,7 @@ from egoflux.stats import (
     CORRECTION_NONE,
     SKIP_DEGENERATE,
     SKIP_NONSTATIONARY,
+    SKIP_SINGULAR,
     SKIP_TOO_SHORT,
     CausalityMatrix,
     GrangerResult,
@@ -481,6 +482,57 @@ class TestCausalityScan:
         assert again.pair("alt_flat", 0).skip_reason == SKIP_DEGENERATE
 
 
+    def test_stored_best_lag_is_not_read(self):
+        matrix = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4)
+        d = matrix.to_dict()
+        argmin = d["pairs"][0]["best_lag"]
+        d["pairs"][0]["best_lag"] = 4 if argmin != 4 else 3
+        assert CausalityMatrix.from_dict(d).pair("alt_x", 0).best.lag == argmin
+
+
+def _adf_singular_series(n):
+    """One lone post in the first week, one in the last week, and a 0,1
+    alternation: each makes the ADF design rank deficient."""
+    first, last = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    first[0] = last[-1] = 1
+    return {"first": first, "last": last, "alternating": np.arange(n) % 2}
+
+
+class TestAdfSingular:
+    @pytest.mark.parametrize("n", [52, 260])
+    def test_alter_series_skipped_as_singular(self, n):
+        idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=n)
+        ego = np.random.default_rng(5).poisson(5.0, size=n)
+        alters = _adf_singular_series(n)
+        series = [TopicSeries("ego", 0, ego, idx)]
+        series += [TopicSeries(a, 0, counts, idx) for a, counts in alters.items()]
+        matrix = causality_scan(series, "ego", list(alters))
+        assert [p.skip_reason for p in matrix.pairs] == [SKIP_SINGULAR] * 3
+        assert all(p.diff_order is None and not p.results for p in matrix.pairs)
+        for counts in alters.values():
+            with pytest.raises(SingularDesignError):
+                make_stationary_pair(counts, ego)
+
+    def test_singular_ego_verdict_tested_once(self, monkeypatch):
+        n = 52
+        idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=n)
+        rng = np.random.default_rng(6)
+        ego = _adf_singular_series(n)["alternating"]
+        series = [TopicSeries("ego", 0, ego, idx)]
+        series += [TopicSeries(f"alt_{i}", 0, rng.poisson(5.0, size=n), idx)
+                   for i in range(3)]
+        calls = []
+        real_adf = stats_module.adf_test
+
+        def counting_adf(y, *args, **kwargs):
+            calls.append(np.asarray(y, dtype=float).tobytes())
+            return real_adf(y, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module, "adf_test", counting_adf)
+        matrix = causality_scan(series, "ego", ["alt_0", "alt_1", "alt_2"])
+        assert [p.skip_reason for p in matrix.pairs] == [SKIP_SINGULAR] * 3
+        assert calls.count(ego.astype(float).tobytes()) == 1
+
 
 def _ladder_series():
     """Ego topics: 0 white noise, 1 random walk (I(1)), 2 constant.
@@ -547,7 +599,8 @@ class TestScanDifferencing:
         lookup = {(s.account, s.topic): s.counts for s in series}
         codes = {DegenerateSeriesError: SKIP_DEGENERATE,
                  NonStationarizableError: SKIP_NONSTATIONARY,
-                 InsufficientDataError: SKIP_TOO_SHORT}
+                 InsufficientDataError: SKIP_TOO_SHORT,
+                 SingularDesignError: SKIP_SINGULAR}
         seen = set()
         for outcome in matrix.pairs:
             x = lookup.get((outcome.alter, outcome.topic))

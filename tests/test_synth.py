@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from egoflux.stats import CausalityMatrix, GrangerResult, PairOutcome, causality_scan
+from egoflux.stats import (
+    CORRECTION_BH,
+    CORRECTION_NONE,
+    CausalityMatrix,
+    GrangerResult,
+    PairOutcome,
+    causality_scan,
+)
 from egoflux.synth import (
     AlterSpec,
     Coupling,
@@ -127,7 +134,7 @@ class TestGenerateSeries:
             generate_series(spec_of(n_weeks=4))
 
 
-def hand_matrix(cells):
+def hand_matrix(cells, correction=CORRECTION_NONE):
     """cells: {(alter, topic): (p, lag)} -> minimal CausalityMatrix."""
     alters = sorted({a for a, _ in cells})
     topics = sorted({t for _, t in cells})
@@ -137,16 +144,14 @@ def hand_matrix(cells):
             outcome = PairOutcome(alter=alter, topic=topic)
             if (alter, topic) in cells:
                 p, lag = cells[(alter, topic)]
-                r = GrangerResult(lag=lag, f_stat=5.0, p_value=p,
-                                  n_obs_effective=90, alter=alter, topic=topic)
-                outcome.results = [r]
-                outcome.best = r
+                outcome.results = [GrangerResult(lag=lag, f_stat=5.0, p_value=p,
+                                                 n_obs_effective=90)]
                 outcome.diff_order = 0
             else:
                 outcome.skip_reason = "SHORT"
             pairs.append(outcome)
     return CausalityMatrix(ego="ego", alters=alters, n_topics=len(topics),
-                           max_lag=8, alpha=0.05, correction="none", pairs=pairs)
+                           max_lag=8, alpha=0.05, correction=correction, pairs=pairs)
 
 
 class TestScoreDetection:
@@ -184,10 +189,31 @@ class TestScoreDetection:
         assert score.precision_by_convention
 
     def test_adjusted_p_used_when_present(self):
-        matrix = hand_matrix({("a", 0): (1e-6, 2)})
+        matrix = hand_matrix({("a", 0): (1e-6, 2)}, correction=CORRECTION_BH)
         matrix.pairs[0].adjusted_p = 0.5
         score = score_detection(matrix, [("a", 0, 2, 0.8)], alpha=0.01)
         assert score.n_detections == 0
+
+    def test_bh_adjusted_p_equal_to_alpha_is_detected(self):
+        # Under BH the rule is adjusted p <= alpha, as CausalityMatrix.significant has it.
+        matrix = hand_matrix({("a", 0): (1e-6, 2)}, correction=CORRECTION_BH)
+        matrix.pairs[0].adjusted_p = 0.01
+        score = score_detection(matrix, [("a", 0, 2, 0.8)], alpha=0.01)
+        assert score.n_detections == 1
+        assert score.recall == 1.0
+
+    def test_detections_are_the_pairs_the_matrix_marks(self):
+        cells = {("a", 0): (1e-6, 2), ("a", 1): (0.05, 1), ("b", 0): (0.049, 3),
+                 ("b", 1): (0.2, 1)}
+        for correction in (CORRECTION_NONE, CORRECTION_BH):
+            matrix = hand_matrix(cells, correction=correction)
+            for pair, adjusted in zip(matrix.pairs, (0.05, 0.2, 0.04, 0.05)):
+                pair.adjusted_p = adjusted
+            marked = [(p.alter, p.topic) for p in matrix.pairs if matrix.significant(p)]
+            assert marked
+            truth = [(a, t, 1, 1.0) for a, t in marked]
+            score = score_detection(matrix, truth, matrix.alpha)
+            assert score.n_detections == len(marked) and score.precision == 1.0
 
     def test_to_dict_serializable(self):
         import json

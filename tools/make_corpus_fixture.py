@@ -5,11 +5,15 @@ Weekly post counts come from the synth module's AR(1)-with-couplings process
 count is materialized as a post whose text is drawn from that topic's word
 pool.  Texts carry URL / mention / hashtag / "RT" noise so the cleaning
 pipeline has real work to do.  Output is fully determined by the seeds below.
+
+Usage: python tools/make_corpus_fixture.py [OUT_CSV]
+       (default tests/data/synthetic_corpus.csv)
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -65,7 +69,7 @@ def make_text(rng: np.random.Generator, topic: int) -> str:
     return " ".join(out)
 
 
-def main() -> None:
+def main(out: Path) -> None:
     result = generate_series(spec)
     counts = {(s.account, s.topic): s.counts for s in result.series}
     rng = np.random.default_rng(424242)
@@ -99,13 +103,13 @@ def main() -> None:
                      make_text(rng, int(rng.integers(0, 3))), ""])
 
     rows.sort(key=lambda r: (r[2], r[0]))
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    with open(OUT, "w", newline="", encoding="utf-8") as fh:
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "author", "created_at", "text", "retweeted_author"])
         writer.writerows(rows)
-    print(f"wrote {len(rows)} posts to {OUT}")
+    print(f"wrote {len(rows)} posts to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)
