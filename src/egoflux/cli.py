@@ -160,7 +160,11 @@ def _cmd_series(args) -> int:
             week_index.bin_of(post.created_at)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    accounts = args.accounts.split(",") if args.accounts else None
+    accounts = None
+    if args.accounts:
+        accounts = [canonical_handle(name) for name in args.accounts.split(",")]
+        if None in accounts:
+            raise EgofluxError(f"--accounts {args.accounts!r} has an empty name")
     series = bin_posts(posts, labels, week_index, n_topics, accounts=accounts)
     with _open_out(args.out) as fh:
         write_series_rows(series, fh)

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .stats import CausalityMatrix
+from .stats import CausalityMatrix, PairOutcome
 
 SCHEMA_VERSION = 1
 DEFAULT_GROUP = "all"
@@ -50,8 +50,7 @@ class ReportBundle:
         )
 
 
-def _cell(matrix: CausalityMatrix, alter: str, topic: int) -> str:
-    outcome = matrix.pair(alter, topic)
+def _cell(matrix: CausalityMatrix, outcome: PairOutcome) -> str:
     best = outcome.best
     if best is None:
         return f"—({outcome.skip_reason})"
@@ -70,6 +69,7 @@ def emit_matrix_csv(matrix: CausalityMatrix, grouping: dict[str, str] | None,
         raise ValueError("empty causality matrix")
     grouping = grouping or {}
     rows = sorted(matrix.alters, key=lambda a: (grouping.get(a, DEFAULT_GROUP), a))
+    outcomes = {(p.alter, p.topic): p for p in matrix.pairs}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["group", "alter"] +
@@ -77,7 +77,7 @@ def emit_matrix_csv(matrix: CausalityMatrix, grouping: dict[str, str] | None,
         for alter in rows:
             writer.writerow(
                 [grouping.get(alter, DEFAULT_GROUP), alter]
-                + [_cell(matrix, alter, t) for t in range(matrix.n_topics)]
+                + [_cell(matrix, outcomes[(alter, t)]) for t in range(matrix.n_topics)]
             )
 
 

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import Post
+from .corpus import Post, canonical_handle
 
 
 def _utc_date(ts: datetime) -> date:
@@ -119,38 +119,53 @@ def write_series_csv(series: Sequence[TopicSeries], path) -> None:
         write_series_rows(series, fh)
 
 
-def _row_error(path, lineno: int, row: dict, exc: Exception | None) -> ValueError:
-    """A short row (DictReader pads it with None) or a cell that does not parse."""
-    problem = "row has too few cells" if None in row.values() else exc
-    return ValueError(f"{path}:{lineno}: {problem}")
-
-
 def read_series_csv(path) -> list[TopicSeries]:
     """Inverse of write_series_csv; reconstructs the shared WeekIndex.
 
+    Accounts pass through `canonical_handle`, as every other handle does.
     Raises ValueError naming the CSV line of a short row, a cell that does not
-    parse (week_start as an ISO date, topic and count as integers), a repeated
-    (account, topic, week_start) row, a negative count, or a week_start that
-    is not a whole number of weeks after the earliest one.
+    parse (week_start as an ISO date, topic and count as integers), an empty
+    account, a repeated (account, topic, week_start) row (after
+    canonicalising the account), a negative count, or a week_start that is
+    not a whole number of weeks after the earliest one.
     """
     cells: dict[tuple[str, int], dict[date, int]] = {}
+    weeks: dict[str, date] = {}  # each distinct week_start cell, parsed once
+    accounts: dict[str, str | None] = {}  # each distinct account cell, canonicalised once
     week_lines: dict[date, int] = {}  # first CSV line of each week_start
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"week_start", "account", "topic", "count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        required = ("week_start", "account", "topic", "count")
+        if not set(required).issubset(column):
             raise ValueError(f"series CSV must have columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        i_week, i_account, i_topic, i_count = (column[name] for name in required)
+        width = max(i_week, i_account, i_topic, i_count) + 1
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue  # a blank line is skipped and not counted, as csv.DictReader does
+            lineno += 1
+            if len(row) < width:
+                raise ValueError(f"{path}:{lineno}: row has too few cells")
+            cell_week, cell_account = row[i_week], row[i_account]
             try:
-                week = date.fromisoformat(row["week_start"])
-                key = (row["account"], int(row["topic"]))
-                count = int(row["count"])
-            except (TypeError, ValueError) as exc:
-                raise _row_error(path, lineno, row, exc) from None
-            if key[0] is None:  # short row, account in the last column
-                raise _row_error(path, lineno, row, None)
+                if cell_week not in weeks:
+                    weeks[cell_week] = date.fromisoformat(cell_week)
+                topic = int(row[i_topic])
+                count = int(row[i_count])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            week = weeks[cell_week]
+            if cell_account not in accounts:
+                accounts[cell_account] = canonical_handle(cell_account)
+            account = accounts[cell_account]
+            if account is None:
+                raise ValueError(f"{path}:{lineno}: empty account")
             if count < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
+            key = (account, topic)
             by_week = cells.setdefault(key, {})
             if week in by_week:
                 raise ValueError(f"{path}:{lineno}: repeated row for {key} in week {week}")
@@ -167,10 +182,10 @@ def read_series_csv(path) -> list[TopicSeries]:
             )
     n_weeks = (max(week_lines) - epoch).days // 7 + 1
     index = WeekIndex(epoch_week_start=epoch, n_weeks=n_weeks)
+    slot = {week: (week - epoch).days // 7 for week in week_lines}
     out = []
     for (account, topic), by_week in sorted(cells.items()):
         counts = np.zeros(n_weeks, dtype=int)
-        for week, count in by_week.items():
-            counts[(week - epoch).days // 7] = count
+        counts[[slot[week] for week in by_week]] = list(by_week.values())
         out.append(TopicSeries(account=account, topic=topic, counts=counts, week_index=index))
     return out

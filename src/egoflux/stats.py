@@ -4,9 +4,15 @@ The numerical core of the package: OLS fitting via QR decomposition,
 F-distribution tail probabilities from scipy.special.fdtrc, the augmented
 Dickey-Fuller unit-root test with MacKinnon approximate p-values, and the
 per-(alter, topic) causality scan over lags 1..max_lag, which tests each
-series for stationarity at most once per differencing order.  Each Granger
-F-test is one OLS fit: the restricted model's RSS is read off the leading
-block of the unrestricted fit's R factor.
+series for stationarity at most once per differencing order.
+
+Each statistic has one factorisation.  An ADF lag search is one QR of its
+largest design: the candidate designs are nested, so every candidate's RSS
+is read off that one factor.  A Granger test factors the ego's restricted
+design [1, y lags] once and tests every alter sharing it (same topic and
+differencing order) against that factor, by residualising their x-lag
+blocks on it (Frisch-Waugh-Lovell) and factoring the residuals in one
+stacked QR; `granger_test` is the one-alter call of the same function.
 
 Each rule of the decision has one owner: a pair's best lag is
 `PairOutcome.best` (argmin p over its per-lag results, ties to the smaller
@@ -81,6 +87,15 @@ class OlsFit:
         return np.sqrt(self.rss / self.df_resid * np.diag(r_inv @ r_inv.T))
 
 
+_RANK_DEFICIENT = "design matrix is rank deficient"
+
+
+def _rank_deficient(rdiag: np.ndarray):
+    """Whether the |R_ii| along the last axis are all zero or one is below 1e-10 of the largest."""
+    top = rdiag.max(axis=-1)
+    return (top == 0.0) | (rdiag.min(axis=-1) < 1e-10 * top)
+
+
 def ols(y, X) -> OlsFit:
     """Fit y = X beta + eps by QR decomposition.
 
@@ -99,9 +114,8 @@ def ols(y, X) -> OlsFit:
         raise InsufficientDataError(f"need more rows ({n}) than columns ({p})")
 
     Q, R = np.linalg.qr(X)
-    rdiag = np.abs(np.diag(R))
-    if rdiag.max() == 0.0 or rdiag.min() < 1e-10 * rdiag.max():
-        raise SingularDesignError("design matrix is rank deficient")
+    if _rank_deficient(np.abs(np.diag(R))):
+        raise SingularDesignError(_RANK_DEFICIENT)
 
     beta = np.linalg.solve(R, Q.T @ y)
     residuals = y - X @ beta
@@ -201,6 +215,12 @@ def adf_test(y, max_lag: int | None = None, alpha: float = DEFAULT_ALPHA) -> Adf
     candidates trimmed to the max_lag length), then the statistic comes from
     a refit on the full usable sample at the chosen order.  max_lag defaults
     to floor(12 * (T/100)^0.25), capped so at least 12 observations remain.
+
+    The lag search is one QR of the max_lag design X = QR.  Candidate p uses
+    the first p+2 columns of X, so its RSS is the full RSS plus the squares
+    of Q'target from entry p+2 on.  A rank-deficient candidate makes X rank
+    deficient too, so one rank check on R raises SingularDesignError for
+    the whole search.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -222,11 +242,18 @@ def adf_test(y, max_lag: int | None = None, alpha: float = DEFAULT_ALPHA) -> Adf
     if max_lag < 0:
         raise InsufficientDataError(f"series of length {T} too short for lag search")
 
+    target, X = _adf_design(y, max_lag, trim=max_lag)
+    Q, R = np.linalg.qr(X)
+    if _rank_deficient(np.abs(np.diag(R))):
+        raise SingularDesignError(_RANK_DEFICIENT)
+    coords = Q.T @ target
+    residuals = target - X @ np.linalg.solve(R, coords)
+    rss_full = float(residuals @ residuals)
+    # dropped[k]: what leaving out columns k.. of X adds to the full RSS.
+    dropped = np.append(np.cumsum(coords[::-1] ** 2)[::-1], 0.0).tolist()
     best_lag, best_aic = 0, math.inf
     for p in range(0, max_lag + 1):
-        target, X = _adf_design(y, p, trim=max_lag)
-        fit = ols(target, X)
-        crit = _aic(fit.rss, fit.n_obs, fit.n_params)
+        crit = _aic(rss_full + dropped[p + 2], len(target), p + 2)
         if crit < best_aic:
             best_aic, best_lag = crit, p
 
@@ -339,27 +366,35 @@ class GrangerResult:
 
 
 def _lag_columns(v: np.ndarray, lag: int) -> list[np.ndarray]:
-    n = len(v)
-    return [v[lag - j : n - j] for j in range(1, lag + 1)]
+    """Lags 1..lag of v along its last axis, each trimmed to the last n - lag entries."""
+    n = v.shape[-1]
+    return [v[..., lag - j : n - j] for j in range(1, lag + 1)]
 
 
-def granger_test(x, y, lag: int) -> GrangerResult:
-    """Test whether lags 1..lag of x improve the autoregression of y.
+def _restricted_fit(y: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QR of the restricted design [1, y lags]: its Q, its |diag R| and the residual of y[lag:]."""
+    n = len(y) - lag
+    Q, R = np.linalg.qr(np.column_stack([np.ones(n)] + _lag_columns(y, lag)))
+    target = y[lag:]
+    return Q, np.abs(np.diag(R)), target - Q @ (Q.T @ target)
 
-    Restricted model: y_t ~ const + y_{t-1..t-lag}.  Unrestricted adds
-    x_{t-1..t-lag}.  F = ((RSS_r - RSS_u)/lag) / (RSS_u/(n - 2*lag - 1))
-    with n the effective observation count after lag trimming.
 
-    Only the unrestricted design X = [1, y lags, x lags] = QR is fitted.  The
-    restricted columns are its leading block, so RSS_r - RSS_u = |R22 b2|^2
-    with R22 the trailing lag x lag block of R and b2 the x-lag coefficients,
-    and F = (|R22 b2|^2 / lag) / (RSS_u / (n - 2*lag - 1)), never negative.
+def _granger_batch(xs: np.ndarray, y: np.ndarray, lag: int) -> list[GrangerResult | None]:
+    """Granger F-test at `lag` of each row of xs against the one series y.
+
+    The restricted design is factored once, by `_restricted_fit`.  Each
+    alter's x-lag block is residualised on it (one stacked product) and the
+    residual blocks Z = Q_z R_z are factored in one stacked QR; every alter
+    is computed on its own slices, so a batch gives each alter the same bits
+    as a batch of one.  By Frisch-Waugh-Lovell, Z's fit of the restricted
+    residual e_r is the unrestricted fit: RSS_u = |e_r - Q_z Q_z'e_r|^2 and
+    RSS_r - RSS_u = |Q_z'e_r|^2.  The unrestricted R factor has the diagonal
+    of R_r and R_z, so an alter whose union fails the rank rule of `ols` is
+    rank deficient; its entry is None and the others are unaffected.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    if len(x) != len(y):
+    if xs.shape[-1] != len(y):
         raise ValueError("series must have equal length")
     if len(y) < 3 * lag + 10:
         raise InsufficientDataError(
@@ -367,21 +402,53 @@ def granger_test(x, y, lag: int) -> GrangerResult:
         )
 
     n = len(y) - lag
-    design = np.column_stack([np.ones(n)] + _lag_columns(y, lag) + _lag_columns(x, lag))
-    # A singular restricted block makes the whole R singular too: its diagonal
-    # is part of R's, checked against a maximum that can only be larger.
-    fit = ols(y[lag:], design)
     df2 = n - 2 * lag - 1
-
-    if fit.rss == 0.0:
-        return GrangerResult(
-            lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n, perfect_fit=True
-        )
-    gain = fit.r_factor[lag + 1 :, lag + 1 :] @ fit.coefficients[lag + 1 :]
-    f_stat = (float(gain @ gain) / lag) / (fit.rss / df2)
-    return GrangerResult(
-        lag=lag, f_stat=f_stat, p_value=f_sf(f_stat, lag, df2), n_obs_effective=n
+    q_r, rdiag_r, resid_r = _restricted_fit(y, lag)
+    x_lags = np.stack(_lag_columns(xs, lag), axis=-1)  # (alters, n, lag)
+    q_z, r_z = np.linalg.qr(x_lags - q_r @ (q_r.T @ x_lags))
+    coords = np.swapaxes(q_z, 1, 2) @ resid_r  # (alters, lag)
+    resid_u = resid_r - (q_z @ coords[..., None])[..., 0]
+    rdiag = np.concatenate(
+        [np.broadcast_to(rdiag_r, (len(xs), lag + 1)), np.abs(np.diagonal(r_z, axis1=1, axis2=2))],
+        axis=1,
     )
+
+    results: list[GrangerResult | None] = []
+    for deficient, rss_u, gain in zip(
+        _rank_deficient(rdiag).tolist(),
+        np.sum(resid_u * resid_u, axis=1).tolist(),
+        np.sum(coords * coords, axis=1).tolist(),
+    ):
+        if deficient:
+            results.append(None)
+        elif rss_u == 0.0:
+            results.append(GrangerResult(
+                lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n, perfect_fit=True
+            ))
+        else:
+            f_stat = (gain / lag) / (rss_u / df2)
+            results.append(GrangerResult(
+                lag=lag, f_stat=f_stat, p_value=f_sf(f_stat, lag, df2), n_obs_effective=n
+            ))
+    return results
+
+
+def granger_test(x, y, lag: int) -> GrangerResult:
+    """Test whether lags 1..lag of x improve the autoregression of y.
+
+    Restricted model: y_t ~ const + y_{t-1..t-lag}.  Unrestricted adds
+    x_{t-1..t-lag}.  F = ((RSS_r - RSS_u)/lag) / (RSS_u/(n - 2*lag - 1))
+    with n the effective observation count after lag trimming; the gain
+    RSS_r - RSS_u is a sum of squares, so F is never negative.  This is the
+    one-alter call of the scan's batched test (`_granger_batch`).  Raises
+    SingularDesignError when the unrestricted design is rank deficient.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    (result,) = _granger_batch(x[None, :], y, lag)
+    if result is None:
+        raise SingularDesignError(_RANK_DEFICIENT)
+    return result
 
 
 def bh_adjust(p_values) -> np.ndarray:
@@ -515,6 +582,30 @@ class CausalityMatrix:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _scan_group(outcomes: list[PairOutcome], xs: np.ndarray, y: np.ndarray, max_lag: int) -> None:
+    """Granger-test every alter of one (topic, diff order) group at lags 1..max_lag.
+
+    Per-lag results go into each outcome in lag order.  An alter left with
+    no result is skipped as SINGULAR if some lag's design was rank deficient,
+    else as SHORT.
+    """
+    singular = [False] * len(outcomes)
+    for lag in range(1, max_lag + 1):
+        try:
+            tested = _granger_batch(xs, y, lag)
+        except InsufficientDataError:
+            break  # higher lags only get shorter
+        for i, (outcome, result) in enumerate(zip(outcomes, tested)):
+            if result is None:
+                singular[i] = True
+            else:
+                outcome.results.append(result)
+    for outcome, was_singular in zip(outcomes, singular):
+        if not outcome.results:
+            outcome.skip_reason = SKIP_SINGULAR if was_singular else SKIP_TOO_SHORT
+            outcome.diff_order = None
+
+
 def causality_scan(
     series: list[TopicSeries],
     ego: str,
@@ -545,6 +636,8 @@ def causality_scan(
         raise ValueError(f"ego account {ego!r} has no series")
 
     pairs: list[PairOutcome] = []
+    # Tested pairs by (topic, diff order): each group shares the ego's series.
+    groups: dict[tuple[int, int], list[tuple[PairOutcome, np.ndarray]]] = {}
     for alter in alters:
         for topic in topics:
             outcome = PairOutcome(alter=alter, topic=topic)
@@ -559,21 +652,16 @@ def causality_scan(
             except tuple(_ADF_SKIPS) as exc:
                 outcome.skip_reason = _ADF_SKIPS[type(exc)]
                 continue
-
             outcome.diff_order = diff_order
-            xs, ys = x.at(diff_order), y.at(diff_order)
-            singular = False
-            for lag in range(1, max_lag + 1):
-                try:
-                    outcome.results.append(granger_test(xs, ys, lag))
-                except InsufficientDataError:
-                    break  # higher lags only get shorter
-                except (SingularDesignError, DegenerateSeriesError):
-                    singular = True
+            groups.setdefault((topic, diff_order), []).append((outcome, x.at(diff_order)))
 
-            if not outcome.results:
-                outcome.skip_reason = SKIP_SINGULAR if singular else SKIP_TOO_SHORT
-                outcome.diff_order = None
+    for (topic, diff_order), members in groups.items():
+        _scan_group(
+            [outcome for outcome, _ in members],
+            np.stack([xs for _, xs in members]),
+            ladders[(ego, topic)].at(diff_order),
+            max_lag,
+        )
 
     if correction == CORRECTION_BH:
         tested = [p for p in pairs if p.results]

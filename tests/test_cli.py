@@ -2,7 +2,9 @@
 
 import csv
 import json
+from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from egoflux import cli
@@ -283,6 +285,18 @@ class TestSeries:
                                      "--end", "2020-02-01T00:00:00+00:00")
         assert message.startswith(f"{bad}:2: ")
 
+    def test_accounts_canonicalised(self, tmp_path):
+        labels = self._labels(tmp_path, self.GOOD_ROW)
+        out = tmp_path / "series.csv"
+        assert main(["series", str(labels), "--accounts", "@Zed", "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert sorted({row.split(",")[1] for row in rows[1:]}) == ["ego", "zed"]
+
+    def test_empty_accounts_name_exits_one(self, tmp_path, caplog):
+        labels = self._labels(tmp_path, self.GOOD_ROW)
+        message = self._series_error(caplog, [labels], "--accounts", "a,,b")
+        assert message == "--accounts 'a,,b' has an empty name"
+
 
 class TestCausality:
     def test_matrix_json_parses(self, matrix_json):
@@ -311,6 +325,24 @@ class TestCausality:
                      "--alters", "@ALT_A, alt_b", "--max-lag", "4", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == matrix_json.read_bytes()
+
+    def test_alters_find_series_accounts_as_canonicalised(self, tmp_path):
+        path = tmp_path / "series.csv"
+        rng = np.random.default_rng(3)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["week_start", "account", "topic", "count"])
+            for account in ("Ego", "Alt_A"):
+                for week in range(60):
+                    day = date(2020, 1, 6) + timedelta(weeks=week)
+                    writer.writerow([day.isoformat(), account, 0, int(rng.poisson(5.0))])
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(path), "--ego", "Ego", "--alters", "Alt_A",
+                     "--max-lag", "2", "--out", str(out)])
+        assert code == 0
+        matrix = CausalityMatrix.from_dict(json.loads(out.read_text(encoding="utf-8")))
+        assert (matrix.ego, matrix.alters) == ("ego", ["alt_a"])
+        assert len(matrix.pair("alt_a", 0).results) == 2
 
     def test_short_series_row_exits_one_naming_line(self, tmp_path, caplog):
         bad = tmp_path / "series.csv"

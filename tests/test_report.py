@@ -141,6 +141,18 @@ class TestMatrixCsv:
         emit_matrix_csv(matrix, {"cal": "family"}, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cells_looked_up_once_per_matrix(self, matrix, tmp_path, monkeypatch):
+        expected = tmp_path / "expected.csv"
+        emit_matrix_csv(matrix, None, expected)
+
+        def no_linear_search(self, alter, topic):
+            raise AssertionError("emit_matrix_csv searched the pairs per cell")
+
+        monkeypatch.setattr(CausalityMatrix, "pair", no_linear_search)
+        out = tmp_path / "m.csv"
+        emit_matrix_csv(matrix, None, out)
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestHeatmapData:
     def test_header_and_tested_pairs_only(self, matrix, tmp_path):

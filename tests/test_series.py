@@ -227,6 +227,37 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=r"rows\.csv:3: .*'13/01/2020'"):
             read_series_csv(path)
 
+    def test_accounts_canonicalised(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,@Alt_A,0,3", "2020-01-13, alt_a ,0,1",
+                                           "2020-01-06,EGO,0,2"])
+        loaded = read_series_csv(path)
+        assert [(s.account, s.topic, s.counts.tolist()) for s in loaded] == [
+            ("alt_a", 0, [3, 1]), ("ego", 0, [2, 0])]
+
+    def test_accounts_that_canonicalise_alike_repeat(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,Alt_A,0,3", "2020-01-13,alt_a,0,1",
+                                           "2020-01-06,@alt_a,0,5"])
+        with pytest.raises(ValueError,
+                           match=r"rows\.csv:4: repeated row for \('alt_a', 0\) in week 2020-01-06"):
+            read_series_csv(path)
+
+    def test_empty_account_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13, @ ,0,1"])
+        with pytest.raises(ValueError, match=r"rows\.csv:3: empty account"):
+            read_series_csv(path)
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("count,note,topic,account,week_start\n"
+                        "3,x,0,ego,2020-01-06\n1,,0,ego,2020-01-20\n", encoding="utf-8")
+        (loaded,) = read_series_csv(path)
+        assert (loaded.account, loaded.topic, loaded.counts.tolist()) == ("ego", 0, [3, 0, 1])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "", "2020-01-13,ego,0,1"])
+        (loaded,) = read_series_csv(path)
+        assert loaded.counts.tolist() == [3, 1]
+
     def test_counts_length_must_match_index(self):
         idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=3)
         with pytest.raises(ValueError):

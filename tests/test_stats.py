@@ -170,6 +170,89 @@ class TestAdf:
         assert 0 <= result.lags_used <= 6
 
 
+def _reference_adf(y, max_lag=None, alpha=0.05):
+    """The former ADF lag search: one OLS fit per candidate lag, then the refit."""
+    y = np.asarray(y, dtype=float)
+    T = len(y)
+    if T >= 1 and np.ptp(y) == 0.0:
+        raise DegenerateSeriesError("series is constant")
+    if T - 1 < 12:
+        raise InsufficientDataError(f"need at least 13 observations, got {T}")
+    hard_cap = min(T - 13, (T - 4) // 2)
+    if max_lag is None:
+        max_lag = int(math.floor(12.0 * (T / 100.0) ** 0.25))
+    max_lag = min(max_lag, hard_cap)
+    if max_lag < 0:
+        raise InsufficientDataError(f"series of length {T} too short for lag search")
+    best_lag, best_aic = 0, math.inf
+    for p in range(0, max_lag + 1):
+        target, X = stats_module._adf_design(y, p, trim=max_lag)
+        fit = ols(target, X)
+        crit = fit.n_obs * math.log(fit.rss / fit.n_obs) + 2 * fit.n_params
+        if crit < best_aic:
+            best_aic, best_lag = crit, p
+    target, X = stats_module._adf_design(y, best_lag, trim=best_lag)
+    fit = ols(target, X)
+    stat = float(fit.coefficients[1] / fit.std_errors[1])
+    return best_lag, stat, fit.n_obs
+
+
+def _adf_reference_cases():
+    """Fixture series at each differencing order, random walks, white noise and
+    the rank-deficient shapes."""
+    cases = {}
+    for s in _scan_series() + _ladder_series():
+        for order in (0, 1, 2):
+            cases[f"{s.account}/{s.topic}/d{order}"] = np.diff(s.counts.astype(float), n=order)
+    rng = np.random.default_rng(41)
+    for n in (13, 20, 52, 150, 260, 520):
+        cases[f"walk{n}"] = np.cumsum(rng.standard_normal(n))
+        cases[f"noise{n}"] = rng.standard_normal(n)
+        cases[f"counts{n}"] = rng.poisson(2.0, size=n).astype(float)
+    for n in (52, 260):
+        for name, counts in _adf_singular_series(n).items():
+            cases[f"singular-{name}{n}"] = counts.astype(float)
+    cases["too-short"] = np.arange(10.0)
+    return cases
+
+
+class TestAdfAgainstPerCandidateFits:
+    @pytest.mark.parametrize("max_lag", [None, 0, 3, 6])
+    def test_same_lag_statistic_and_errors(self, max_lag):
+        outcomes = {"ok": 0}
+        for name, y in _adf_reference_cases().items():
+            try:
+                expected = _reference_adf(y, max_lag)
+            except (DegenerateSeriesError, InsufficientDataError,
+                    SingularDesignError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    adf_test(y, max_lag)
+                assert str(got.value) == str(exc), name
+                outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+                continue
+            result = adf_test(y, max_lag)
+            assert (result.lags_used, result.statistic, result.n_obs) == expected, name
+            outcomes["ok"] += 1
+        # Every kind of outcome is reached, and most series are tested.
+        assert set(outcomes) == {"ok", "DegenerateSeriesError", "InsufficientDataError",
+                                 "SingularDesignError"}
+        assert outcomes["ok"] > 60
+
+    def test_lag_search_is_one_factorisation(self, monkeypatch):
+        shapes = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module.np.linalg, "qr", counting_qr)
+        y = np.cumsum(np.random.default_rng(42).standard_normal(260))
+        result = adf_test(y)
+        # max_lag 15: one QR of the 244 x 17 search design, one of the refit.
+        assert shapes == [(244, 17), (259 - result.lags_used, result.lags_used + 2)]
+
+
 class TestDifferencing:
     def test_difference_values(self):
         np.testing.assert_allclose(difference([1.0, 4.0, 9.0]), [3.0, 5.0])
@@ -330,19 +413,6 @@ class TestGranger:
         y[0] = 5.0
         assert granger_test(x, y, lag=1) == _reference_granger(x, y, lag=1)
 
-    def test_one_ols_fit_per_call(self, monkeypatch):
-        calls = []
-        real_ols = stats_module.ols
-
-        def counting_ols(y, X):
-            calls.append(np.shape(X))
-            return real_ols(y, X)
-
-        monkeypatch.setattr(stats_module, "ols", counting_ols)
-        x, y = self._coupled()
-        granger_test(x, y, lag=3)
-        assert calls == [(117, 7)]
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             granger_test(np.ones(50), np.ones(50), lag=0)
@@ -350,6 +420,42 @@ class TestGranger:
             granger_test(np.ones(50), np.ones(60), lag=1)
         with pytest.raises(InsufficientDataError):
             granger_test(np.ones(12), np.ones(12), lag=1)
+
+
+class TestGrangerBatch:
+    """`_granger_batch` tests many alters against one ego series at once."""
+
+    def _draw(self, seed, n_alters=100, n=200):
+        rng = np.random.default_rng(seed)
+        y = rng.poisson(6.0, size=n).astype(float)
+        xs = rng.poisson(4.0, size=(n_alters, n)).astype(float)
+        xs[::5, :-2] += 0.8 * y[2:]  # some alters lead y by two weeks
+        return xs, y
+
+    @pytest.mark.parametrize("lag", [1, 3, 8])
+    def test_batch_of_many_equals_batch_of_one(self, lag):
+        for seed in range(10):
+            xs, y = self._draw(seed)
+            batch = stats_module._granger_batch(xs, y, lag)
+            singles = [stats_module._granger_batch(xs[i : i + 1], y, lag)[0]
+                       for i in range(len(xs))]
+            assert batch == singles  # dataclass equality: every float bit for bit
+            assert batch == [granger_test(x, y, lag) for x in xs]
+
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_singular_alter_leaves_neighbours_unchanged(self, lag):
+        xs, y = self._draw(50, n_alters=6)
+        # y itself: its lags repeat the restricted block's columns.
+        with_copy = np.insert(xs, 2, y, axis=0)
+        batch = stats_module._granger_batch(with_copy, y, lag)
+        assert batch[2] is None
+        assert batch[:2] + batch[3:] == stats_module._granger_batch(xs, y, lag)
+        with pytest.raises(SingularDesignError, match="design matrix is rank deficient"):
+            granger_test(y, y, lag)
+
+    def test_singular_restricted_block_fails_every_alter(self):
+        xs, _ = self._draw(51, n_alters=4, n=60)
+        assert stats_module._granger_batch(xs, np.tile([1.0, 4.0], 30), 2) == [None] * 4
 
 
 class TestBhAdjust:
@@ -585,6 +691,43 @@ class TestScanDifferencing:
                 assert calls.count(level) <= 1, (s.topic, order)
         # Ego topic 0 is stationary at order 0: one test serves all alters.
         assert calls.count(series[0].counts.astype(float).tobytes()) == 1
+
+    def test_one_restricted_factorisation_per_topic_order_and_lag(self, monkeypatch):
+        calls = []
+        real_fit = stats_module._restricted_fit
+
+        def counting_fit(y, lag):
+            calls.append((y.tobytes(), lag))
+            return real_fit(y, lag)
+
+        monkeypatch.setattr(stats_module, "_restricted_fit", counting_fit)
+        series = _ladder_series()
+        max_lag = 3
+        alters = LADDER_ALTERS + ["alt_i0_twin"]
+        twin = [TopicSeries("alt_i0_twin", s.topic, s.counts + 1, s.week_index)
+                for s in series if s.account == "alt_i0"]
+        matrix = causality_scan(series + twin, "ego", alters, max_lag=max_lag)
+        ego = {s.topic: s.counts.astype(float) for s in series if s.account == "ego"}
+        groups = {(p.topic, p.diff_order) for p in matrix.pairs if p.results}
+        expected = [(np.diff(ego[topic], n=order).tobytes(), lag)
+                    for topic, order in sorted(groups) for lag in range(1, max_lag + 1)]
+        assert sorted(calls) == sorted(expected)
+        assert len(set(calls)) == len(calls)
+        # Groups are shared: more pairs were tested than there are groups.
+        assert sum(1 for p in matrix.pairs if p.results) > len(groups)
+
+    def test_singular_alter_skipped_alone(self):
+        series = _ladder_series()
+        ego0 = next(s for s in series if (s.account, s.topic) == ("ego", 0))
+        copy = TopicSeries("alt_copy", 0, ego0.counts, ego0.week_index)
+        alters = ["alt_i0", "alt_copy", "alt_missing"]
+        matrix = causality_scan(series + [copy], "ego", alters, max_lag=3)
+        alone = causality_scan(series, "ego", ["alt_i0", "alt_missing"], max_lag=3)
+        assert matrix.pair("alt_copy", 0).skip_reason == SKIP_SINGULAR
+        assert matrix.pair("alt_copy", 0).diff_order is None
+        for alter in ("alt_i0", "alt_missing"):
+            assert matrix.pair(alter, 0) == alone.pair(alter, 0)
+            assert matrix.pair(alter, 0).results
 
     def test_constant_ego_topic_degenerate_for_every_alter(self):
         matrix = causality_scan(_ladder_series(), "ego", LADDER_ALTERS, max_lag=3)
