@@ -45,7 +45,7 @@ def main() -> None:
         print(f"  topic_{topic}: {share:.1%} of alter posts")
 
     print("\n== Weekly series ==")
-    all_labels = {**fit.ego_labels, **labels}
+    all_labels = {**fit.clustering.assignment, **labels}
     week_index = build_week_index(WINDOW)
     labeled_posts = [p for p in corpus.posts if p.id in all_labels]
     series = bin_posts(labeled_posts, all_labels, week_index,

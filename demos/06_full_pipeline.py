@@ -29,16 +29,17 @@ def main(out: Path) -> None:
     config = PipelineConfig(
         ego="ego", k_min=2, k_max=4, embed_dim=16, seed=42,
         max_lag=4, alpha=0.01, correction=CORRECTION_BH,
-        grouping={"alt_a": "close", "alt_b": "close", "alt_c": "distant"},
     )
     result = run_pipeline(corpus, config)
+    # Grouping only orders the rows of matrix.csv, so it is set on the report.
+    result.report.grouping = {"alt_a": "close", "alt_b": "close", "alt_c": "distant"}
 
-    m = result.metrics
+    m = result.report.metrics
     print("== Run summary ==")
     print(f"ego posts: {m['n_ego_posts']}, labeled posts: {m['n_labeled_posts']}")
     print(f"selected k: {m['selected_k']} "
           f"(silhouettes {m['silhouette_by_k']})")
-    print(f"classifier weighted F1: {m['weighted_f1']:.4f}")
+    print(f"classifier weighted F1: {m['eval']['weighted_f1']:.4f}")
     print(f"skipped pairs: {m['skip_counts'] or 'none'}")
 
     print("\n== Significant influence ==")

@@ -5,13 +5,16 @@ pass through the exact models fitted on the Ego corpus.  Its files:
 
 - ``phrases.json``: the sorted merge pairs of each phrase stage;
 - ``tfidf.json``: the vocabulary and IDF weights;
-- ``projector.json``: the fallback SVD projection (absent with external
-  embeddings);
-- ``topics.json``: k, medoid post ids, topic labels and summaries, and the
-  silhouette of each k tried;
-- ``classifier.json``: per-class weights and biases;
-- ``manifest.json``: the schema version, the parts written, the embedding
-  source and dimension, and the seed.
+- ``projector.json``: the fallback SVD projection and its dimension (absent
+  with external embeddings);
+- ``topics.json``: the schema version, the medoid post ids, one summary per
+  topic (index, label, size, top words) and the silhouette of each k tried;
+- ``classifier.json``: the classes, input dimension, weights and biases;
+- ``manifest.json``: the schema version, the parts written and the seed.
+
+Each value is written once: k is the number of summaries, and the embedding
+source and dimension follow from the projector (or, without one, the
+classifier).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .features import FallbackProjector, TfidfModel
 from .textpipe import PhrasePipeline
 from .topics import TopicSummary
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MANIFEST_JSON = "manifest.json"
 PHRASES_JSON = "phrases.json"
@@ -48,20 +51,25 @@ def _read_json(path: Path) -> dict:
 
 @dataclass
 class ModelBundle:
-    """Fitted models plus clustering artifacts, serializable to a directory."""
+    """Fitted models plus clustering artifacts, serializable to a directory.
+
+    `summaries[t]` describes topic t (its label included), so k is derived
+    from them.  A bundle without a projector was fitted on external
+    embeddings.
+    """
 
     phrases: PhrasePipeline
     tfidf: TfidfModel
-    k: int
     medoid_ids: list[str]
-    topic_labels: dict[int, str]
     summaries: list[TopicSummary]
     projector: FallbackProjector | None = None
     classifier: LinearClassifier | None = None
-    embedding_source: str = "external_file"
-    embedding_dim: int = 0
     seed: int = 42
     silhouette_by_k: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def k(self) -> int:
+        return len(self.summaries)
 
     def save(self, out_dir) -> Path:
         out = Path(out_dir)
@@ -73,12 +81,9 @@ class ModelBundle:
             out / TOPICS_JSON,
             {
                 "schema_version": SCHEMA_VERSION,
-                "k": self.k,
                 "medoid_ids": list(self.medoid_ids),
-                "labels": {str(t): lbl for t, lbl in self.topic_labels.items()},
                 "summaries": [s.to_dict() for s in self.summaries],
                 "silhouette_by_k": {str(k): float(v) for k, v in self.silhouette_by_k.items()},
-                "seed": self.seed,
             },
         )
         if self.projector is not None:
@@ -92,8 +97,6 @@ class ModelBundle:
             {
                 "schema_version": SCHEMA_VERSION,
                 "parts": sorted(parts),
-                "embedding_source": self.embedding_source,
-                "embedding_dim": self.embedding_dim,
                 "seed": self.seed,
             },
         )
@@ -117,15 +120,10 @@ class ModelBundle:
         return cls(
             phrases=PhrasePipeline.from_dict(_read_json(src / PHRASES_JSON)),
             tfidf=TfidfModel.from_dict(_read_json(src / TFIDF_JSON)),
-            k=int(topics["k"]),
             medoid_ids=list(topics["medoid_ids"]),
-            topic_labels={int(t): lbl for t, lbl in topics["labels"].items()},
             summaries=[TopicSummary.from_dict(s) for s in topics["summaries"]],
             projector=projector,
             classifier=classifier,
-            embedding_source=manifest["embedding_source"],
-            embedding_dim=int(manifest["embedding_dim"]),
-            seed=int(manifest.get("seed", 42)),
-            silhouette_by_k={int(k): float(v)
-                             for k, v in topics.get("silhouette_by_k", {}).items()},
+            seed=int(manifest["seed"]),
+            silhouette_by_k={int(k): float(v) for k, v in topics["silhouette_by_k"].items()},
         )

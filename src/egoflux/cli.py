@@ -91,9 +91,9 @@ def _cmd_topics(args) -> int:
     print("ranked alters: "
           + ", ".join(f"{h} ({c} retweets)" for h, c in fit.ranking.entries))
     print("k\tsilhouette")
-    for k in sorted(fit.silhouette_by_k):
-        chosen = " <- selected" if k == fit.clustering.k else ""
-        print(f"{k}\t{fit.silhouette_by_k[k]:.4f}{chosen}")
+    for k, score in sorted(fit.bundle.silhouette_by_k.items()):
+        chosen = " <- selected" if k == fit.bundle.k else ""
+        print(f"{k}\t{score:.4f}{chosen}")
     print(f"validation weighted F1: {fit.eval_report.weighted_f1:.4f}")
     for summary in fit.bundle.summaries:
         head = ", ".join(t for t, _ in summary.top_words[:8])
@@ -231,6 +231,8 @@ def _read_groups(path: str | None) -> dict[str, str] | None:
             handle = canonical_handle(row[handle_col])
             if handle is None:
                 raise EgofluxError(f"{path}:{reader.line_num}: empty handle")
+            if not row["group"]:  # None when the row has no group cell
+                raise EgofluxError(f"{path}:{reader.line_num}: no group for {handle!r}")
             grouping[handle] = row["group"]
     return grouping
 

@@ -122,8 +122,8 @@ def _iter_csv(path: Path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(CSV_COLUMNS).issubset(reader.fieldnames):
             raise CorpusFormatError(f"{path}: CSV header must contain {CSV_COLUMNS}")
-        for lineno, row in enumerate(reader, start=2):
-            yield f"{path}:{lineno}", {k: (row.get(k) or None) if k == "retweeted_author" else row.get(k) for k in CSV_COLUMNS}
+        for row in reader:  # line_num: the file line a row ends on, blank lines counted
+            yield f"{path}:{reader.line_num}", {k: (row.get(k) or None) if k == "retweeted_author" else row.get(k) for k in CSV_COLUMNS}
 
 
 def _iter_jsonl(path: Path):

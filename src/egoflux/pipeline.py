@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import classifier as clf_mod
 from .bundle import ModelBundle
@@ -49,7 +49,11 @@ DEFAULT_EMBED_DIM = 64
 
 @dataclass
 class PipelineConfig:
-    """Every knob of a full run, embedded verbatim in the run report."""
+    """Every knob of a full run, embedded verbatim in the run report.
+
+    The alter grouping changes no computation, so it is not a knob: it is set
+    on the report (`ReportBundle.grouping`).
+    """
 
     ego: str
     n_alters: int = 12
@@ -68,43 +72,26 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     correction: str = CORRECTION_NONE
     max_diff: int = DEFAULT_MAX_DIFF
-    grouping: dict[str, str] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "ego": self.ego,
-            "n_alters": self.n_alters,
-            "exclude": list(self.exclude),
-            "phrase_min_count": self.phrase_min_count,
-            "phrase_threshold": self.phrase_threshold,
-            "min_df": self.min_df,
-            "k": self.k,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "top_words": self.top_words,
-            "embed_dim": self.embed_dim,
-            "embeddings_path": self.embeddings_path,
-            "seed": self.seed,
-            "max_lag": self.max_lag,
-            "alpha": self.alpha,
-            "correction": self.correction,
-            "max_diff": self.max_diff,
-            "grouping": self.grouping,
-        }
+        # A list, as JSON reads it back, so a reloaded report's config is equal.
+        return {**asdict(self), "exclude": list(self.exclude)}
 
 
 @dataclass
 class TopicFit:
-    """Output of the model-fitting half of a run (everything except causality)."""
+    """Output of the model-fitting half of a run (everything except causality).
+
+    The ego's labels are `clustering.assignment`; the silhouette of each k
+    tried is `bundle.silhouette_by_k`.
+    """
 
     ego: str  # config.ego as canonical_handle spells it, as in Post.author
     bundle: ModelBundle
     clustering: Clustering
     eval_report: clf_mod.EvalReport
-    ego_labels: dict[str, int]
     alter_labels: dict[str, int]
     ranking: AlterRanking
-    silhouette_by_k: dict[int, float]
     n_unfeaturized: int
 
 
@@ -160,23 +147,20 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         raise ValueError("too few featurizable ego posts to cluster")
 
     dm = cosine_distance_matrix(ego_emb, cluster_ids)
-    silhouette_by_k: dict[int, float] = {}
     if config.k is not None:
         clustering = kmedoids(dm, config.k, seed=config.seed)
-        silhouette_by_k[config.k] = silhouette(dm, clustering)
+        silhouette_by_k = {config.k: silhouette(dm, clustering)}
     else:
-        k_max = min(config.k_max, dm.n - 1)
-        selection = select_k(dm, config.k_min, k_max, seed=config.seed)
-        clustering = selection.best
-        silhouette_by_k = selection.scores
+        selection = select_k(dm, config.k_min, min(config.k_max, dm.n - 1),
+                             seed=config.seed)
+        clustering, silhouette_by_k = selection.best, selection.scores
     summaries = summarize_topics(
         clustering, tfidf,
         [d for d in ego_docs if d.post_id in clustering.assignment],
         top_n=config.top_words,
     )
 
-    ego_labels = dict(clustering.assignment)
-    classifier, eval_report = clf_mod.train(ego_emb, ego_labels, seed=config.seed)
+    classifier, eval_report = clf_mod.train(ego_emb, clustering.assignment, seed=config.seed)
 
     alter_pred_ids = _featurizable_ids(alter_emb, alter_docs)
     alter_labels = clf_mod.predict(classifier, alter_emb, ids=alter_pred_ids)
@@ -184,14 +168,10 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     bundle = ModelBundle(
         phrases=phrases,
         tfidf=tfidf,
-        k=clustering.k,
         medoid_ids=list(clustering.medoid_ids),
-        topic_labels={s.topic: s.label for s in summaries},
         summaries=summaries,
         projector=projector,
         classifier=classifier,
-        embedding_source=ego_emb.source,
-        embedding_dim=ego_emb.dim,
         seed=config.seed,
         silhouette_by_k=silhouette_by_k,
     )
@@ -200,25 +180,29 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         bundle=bundle,
         clustering=clustering,
         eval_report=eval_report,
-        ego_labels=ego_labels,
         alter_labels=alter_labels,
         ranking=ranking,
-        silhouette_by_k=silhouette_by_k,
         n_unfeaturized=n_unfeaturized,
     )
 
 
 @dataclass
 class PipelineResult:
-    bundle: ModelBundle
+    """A full run: the fitted models, the report (matrix and metrics), the
+    weekly series and every post's label."""
+
+    fit: TopicFit
     report: ReportBundle
-    matrix: CausalityMatrix
     series: list[TopicSeries]
     labels: dict[str, int]
-    eval_report: clf_mod.EvalReport
-    clustering: Clustering
-    alters: list[str]
-    metrics: dict = field(default_factory=dict)
+
+    @property
+    def bundle(self) -> ModelBundle:
+        return self.fit.bundle
+
+    @property
+    def matrix(self) -> CausalityMatrix:
+        return self.report.matrix
 
 
 def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
@@ -226,7 +210,7 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
     fit = fit_topics(corpus, config)
     ego = fit.ego
     alters = [handle for handle, _ in fit.ranking.entries]
-    labels = {**fit.ego_labels, **fit.alter_labels}
+    labels = {**fit.clustering.assignment, **fit.alter_labels}
 
     week_index = build_week_index((corpus.window_start, corpus.window_end))
     labeled_posts = [p for p in corpus.posts if p.id in labels]
@@ -242,11 +226,10 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
         "n_ego_posts": sum(1 for p in corpus.posts if p.author == ego),
         "n_labeled_posts": len(labeled_posts),
         "n_unfeaturized_ego_posts": fit.n_unfeaturized,
-        "alter_retweet_counts": {h: c for h, c in fit.ranking.entries},
-        "silhouette_by_k": {str(k): v for k, v in sorted(fit.silhouette_by_k.items())},
+        "alter_retweet_counts": dict(fit.ranking.entries),
+        "silhouette_by_k": {str(k): v for k, v in sorted(fit.bundle.silhouette_by_k.items())},
         "selected_k": fit.clustering.k,
         "total_cost": fit.clustering.total_cost,
-        "weighted_f1": fit.eval_report.weighted_f1,
         "eval": fit.eval_report.to_dict(),
         "skip_counts": dict(sorted(skip_counts.items())),
         "n_weeks": week_index.n_weeks,
@@ -256,19 +239,8 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
         config=config.to_dict(),
         metrics=metrics,
         topics=[s.to_dict() for s in fit.bundle.summaries],
-        grouping=config.grouping,
     )
-    return PipelineResult(
-        bundle=fit.bundle,
-        report=report,
-        matrix=matrix,
-        series=series,
-        labels=labels,
-        eval_report=fit.eval_report,
-        clustering=fit.clustering,
-        alters=alters,
-        metrics=metrics,
-    )
+    return PipelineResult(fit=fit, report=report, series=series, labels=labels)
 
 
 def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .stats import CausalityMatrix, PairOutcome
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_GROUP = "all"
 P_CLAMP = 1e-16
 
@@ -21,7 +21,13 @@ RUN_REPORT_JSON = "run_report.json"
 
 @dataclass
 class ReportBundle:
-    """Everything a run produced, embedded verbatim for reproducibility."""
+    """Everything a run produced, embedded verbatim for reproducibility.
+
+    `config` is the run's `PipelineConfig.to_dict()`, `metrics` its per-stage
+    counts and scores (the classifier's under ``eval``), `topics` one summary
+    per topic, and `grouping` maps alters to the groups that order the rows
+    of matrix.csv; it is the report's only grouping.
+    """
 
     matrix: CausalityMatrix
     config: dict = field(default_factory=dict)
@@ -41,6 +47,9 @@ class ReportBundle:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportBundle":
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(
+                f"run report schema {d.get('schema_version')} != {SCHEMA_VERSION}")
         return cls(
             matrix=CausalityMatrix.from_dict(d["matrix"]),
             config=d.get("config", {}),

@@ -142,11 +142,10 @@ def read_series_csv(path) -> list[TopicSeries]:
             raise ValueError(f"series CSV must have columns {sorted(required)}")
         i_week, i_account, i_topic, i_count = (column[name] for name in required)
         width = max(i_week, i_account, i_topic, i_count) + 1
-        lineno = 1
         for row in reader:
             if not row:
-                continue  # a blank line is skipped and not counted, as csv.DictReader does
-            lineno += 1
+                continue  # a blank line is skipped
+            lineno = reader.line_num
             if len(row) < width:
                 raise ValueError(f"{path}:{lineno}: row has too few cells")
             cell_week, cell_account = row[i_week], row[i_account]

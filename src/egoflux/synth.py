@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import canonical_handle
 from .series import TopicSeries, WeekIndex
 from .stats import CausalityMatrix
 
@@ -56,6 +57,12 @@ class SynthSpec:
         if self.n_topics < 1:
             raise ValueError("n_topics must be >= 1")
         handles = [a.handle for a in self.alters]
+        for handle in [self.ego, *handles]:
+            # The series CSV is read back canonicalised, so truth.json and the
+            # scan's matrix name the same accounts only if these already are.
+            if canonical_handle(handle) != handle:
+                raise ValueError(f"handle {handle!r} is not canonical "
+                                 f"(canonical_handle gives {canonical_handle(handle)!r})")
         if len(set(handles)) != len(handles):
             raise ValueError("duplicate alter handles")
         if self.ego in handles:

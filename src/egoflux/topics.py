@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,12 +33,16 @@ def cosine_distance_matrix(emb, ids: Sequence[str]) -> DistanceMatrix:
     """Pairwise 1 - cos(v_i, v_j) over the given ids (order preserved)."""
     rows = np.stack([emb.vectors[i] for i in ids])
     norms = np.linalg.norm(rows, axis=1)
-    for i, nrm in enumerate(norms):
-        if nrm == 0.0:
-            raise ValueError(f"zero-norm vector for id {ids[i]!r}")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm vector for id {ids[zero[0]]!r}")
     unit = rows / norms[:, None]
-    d = 1.0 - unit @ unit.T
-    d = np.clip((d + d.T) / 2.0, 0.0, 2.0)
+    # numpy computes a matrix times its own transpose as one symmetric product
+    # (BLAS syrk: one triangle, mirrored), so d is symmetric bit for bit and
+    # needs no averaging with its transpose.
+    d = unit @ unit.T
+    np.subtract(1.0, d, out=d)
+    np.clip(d, 0.0, 2.0, out=d)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(ids=tuple(ids), d=d)
 
@@ -186,12 +190,10 @@ def silhouette(dm: DistanceMatrix, clustering: Clustering) -> float:
 
 @dataclass
 class KSelection:
-    """Per-k clusterings and scores plus the argmax-silhouette winner."""
+    """The argmax-silhouette clustering plus the silhouette of each k tried."""
 
-    best_k: int
     best: Clustering
     scores: dict[int, float]
-    clusterings: dict[int, Clustering] = field(repr=False, default_factory=dict)
 
 
 def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSelection:
@@ -201,14 +203,15 @@ def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSel
     if k_min < 2 or k_max > dm.n - 1:
         raise ValueError(f"k range [{k_min}, {k_max}] outside [2, {dm.n - 1}]")
     scores: dict[int, float] = {}
-    clusterings: dict[int, Clustering] = {}
+    best: Clustering | None = None
     for k in range(k_min, k_max + 1):
-        clusterings[k] = kmedoids(dm, k, seed=seed)
-        scores[k] = silhouette(dm, clusterings[k])
-        logger.info("k=%d silhouette=%.4f cost=%.4f", k, scores[k], clusterings[k].total_cost)
-    best_k = max(sorted(scores), key=lambda k: (scores[k], -k))
-    return KSelection(best_k=best_k, best=clusterings[best_k], scores=scores,
-                      clusterings=clusterings)
+        clustering = kmedoids(dm, k, seed=seed)
+        scores[k] = silhouette(dm, clustering)
+        logger.info("k=%d silhouette=%.4f cost=%.4f", k, scores[k], clustering.total_cost)
+        # Strictly greater: ties keep the smaller k.
+        if best is None or scores[k] > scores[best.k]:
+            best = clustering
+    return KSelection(best=best, scores=scores)
 
 
 @dataclass

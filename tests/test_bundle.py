@@ -28,13 +28,9 @@ def minimal_bundle():
     return ModelBundle(
         phrases=phrases,
         tfidf=tfidf,
-        k=2,
         medoid_ids=["d0", "d2"],
-        topic_labels={0: "alpha", 1: "beta"},
         summaries=[TopicSummary(topic=0, label="alpha", size=2, top_words=[("alpha", 0.9)]),
                    TopicSummary(topic=1, label="beta", size=2, top_words=[("beta", 0.8)])],
-        embedding_source="external_file",
-        embedding_dim=3,
         seed=7,
         silhouette_by_k={2: 0.5, 3: 0.4},
     )
@@ -45,12 +41,10 @@ class TestRoundtrip:
         bundle = pipeline_result.bundle
         out = bundle.save(tmp_path / "bundle")
         loaded = ModelBundle.load(out)
-        assert loaded.k == bundle.k
+        assert loaded.k == bundle.k == len(loaded.summaries)
+        assert [s.topic for s in loaded.summaries] == list(range(loaded.k))
         assert loaded.medoid_ids == bundle.medoid_ids
-        assert loaded.topic_labels == bundle.topic_labels
         assert loaded.seed == bundle.seed
-        assert loaded.embedding_source == bundle.embedding_source
-        assert loaded.embedding_dim == bundle.embedding_dim
         assert loaded.silhouette_by_k == bundle.silhouette_by_k
         assert loaded.phrases.to_dict() == bundle.phrases.to_dict()
         assert loaded.tfidf.to_dict() == bundle.tfidf.to_dict()
@@ -65,6 +59,8 @@ class TestRoundtrip:
         assert bundle.classifier is not None
         assert loaded.projector.to_dict() == bundle.projector.to_dict()
         assert loaded.classifier.to_dict() == bundle.classifier.to_dict()
+        # The embedding dimension, stored once per part that uses it.
+        assert loaded.classifier.dim == loaded.projector.dim
 
     def test_minimal_bundle_roundtrips_with_nones(self, tmp_path):
         bundle = minimal_bundle()
@@ -73,10 +69,16 @@ class TestRoundtrip:
         assert loaded.projector is None
         assert loaded.classifier is None
         assert loaded.k == 2
-        assert loaded.topic_labels == {0: "alpha", 1: "beta"}
+        assert [s.label for s in loaded.summaries] == ["alpha", "beta"]
         assert loaded.silhouette_by_k == {2: 0.5, 3: 0.4}
         assert not (out / PROJECTOR_JSON).exists()
         assert not (out / CLASSIFIER_JSON).exists()
+
+    def test_k_is_derived_from_summaries(self):
+        bundle = minimal_bundle()
+        assert bundle.k == len(bundle.summaries) == 2
+        with pytest.raises(AttributeError):
+            bundle.k = 3
 
     def test_save_creates_nested_directories(self, tmp_path):
         out = minimal_bundle().save(tmp_path / "a" / "b" / "bundle")
@@ -95,32 +97,39 @@ class TestManifest:
         out = minimal_bundle().save(tmp_path / "bundle")
         manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
         assert manifest["parts"] == sorted([PHRASES_JSON, TFIDF_JSON, TOPICS_JSON])
-        assert manifest["embedding_source"] == "external_file"
-        assert manifest["embedding_dim"] == 3
+
+    def test_manifest_holds_parts_version_and_seed_only(self, pipeline_result, tmp_path):
+        out = pipeline_result.bundle.save(tmp_path / "bundle")
+        manifest = json.loads((out / MANIFEST_JSON).read_text(encoding="utf-8"))
+        assert sorted(manifest) == ["parts", "schema_version", "seed"]
+        assert manifest["seed"] == pipeline_result.bundle.seed
+
+    @staticmethod
+    def _saved_with_version(tmp_path, version):
+        out = minimal_bundle().save(tmp_path / "bundle")
+        manifest_path = out / MANIFEST_JSON
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["schema_version"] = version
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        return out
 
     def test_unknown_schema_version_rejected(self, tmp_path):
-        out = minimal_bundle().save(tmp_path / "bundle")
-        manifest_path = out / MANIFEST_JSON
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["schema_version"] = 99
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="schema"):
-            ModelBundle.load(out)
+            ModelBundle.load(self._saved_with_version(tmp_path, 99))
 
     def test_schema_1_bundle_rejected(self, tmp_path):
-        out = minimal_bundle().save(tmp_path / "bundle")
-        manifest_path = out / MANIFEST_JSON
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["schema_version"] = 1
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match="schema 1 != 2"):
-            ModelBundle.load(out)
+        with pytest.raises(ValueError, match="schema 1 != 3"):
+            ModelBundle.load(self._saved_with_version(tmp_path, 1))
+
+    def test_schema_2_bundle_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="schema 2 != 3"):
+            ModelBundle.load(self._saved_with_version(tmp_path, 2))
 
     def test_topics_part_holds_no_vectors(self, pipeline_result, tmp_path):
         out = pipeline_result.bundle.save(tmp_path / "bundle")
         topics = json.loads((out / TOPICS_JSON).read_text(encoding="utf-8"))
-        assert sorted(topics) == ["k", "labels", "medoid_ids", "schema_version", "seed",
-                                  "silhouette_by_k", "summaries"]
+        assert sorted(topics) == ["medoid_ids", "schema_version", "silhouette_by_k",
+                                  "summaries"]
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -12,7 +12,7 @@ from egoflux.bundle import ModelBundle
 from egoflux.cli import main
 from egoflux.errors import EgofluxError
 from egoflux.pipeline import PipelineConfig
-from egoflux.report import ReportBundle
+from egoflux.report import ReportBundle, emit_report_bundle
 from egoflux.series import read_series_csv
 from egoflux.stats import CausalityMatrix
 from egoflux.synth import AlterSpec, Coupling, SynthSpec
@@ -392,6 +392,18 @@ class TestSimulate:
         assert spec.seed == 9
         assert spec.alters[0].handle == "a1"
 
+    def test_non_canonical_handle_exits_one(self, tmp_path, caplog):
+        spec = SynthSpec(n_weeks=30, n_topics=2, seed=9,
+                         alters=[AlterSpec(handle="Alt_A",
+                                           couplings=[Coupling(topic=0, lag=1, strength=0.8)])])
+        spec.save_json(tmp_path / "spec.json")
+        code = main(["simulate", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "sim")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "'Alt_A' is not canonical" in errors[0]
+        assert not (tmp_path / "sim").exists()
+
     def test_missing_spec_exits_one(self, tmp_path):
         code = main(["simulate", "--spec", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "sim")])
@@ -441,6 +453,42 @@ class TestReport:
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{groups}:3: empty handle"]
+
+    @pytest.mark.parametrize("row", ["alt_a", "alt_a,"])
+    def test_groups_row_without_group_exits_one(self, matrix_json, tmp_path, caplog, row):
+        groups = tmp_path / "groups.csv"
+        groups.write_text(f"handle,group\n{row}\nalt_b,work\n", encoding="utf-8")
+        code = main(["report", "--matrix", str(matrix_json),
+                     "--groups", str(groups), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{groups}:2: no group for 'alt_a'"]
+
+    def test_rerendered_run_report_holds_one_grouping(self, pipeline_result, tmp_path):
+        first = tmp_path / "first"
+        report = pipeline_result.report
+        emit_report_bundle(ReportBundle(matrix=report.matrix, config=report.config,
+                                        metrics=report.metrics, topics=report.topics,
+                                        grouping={"alt_a": "close"}), first)
+        groups = tmp_path / "groups.csv"
+        groups.write_text("handle,group\nalt_a,far\n", encoding="utf-8")
+        code = main(["report", "--matrix", str(first / "run_report.json"),
+                     "--groups", str(groups), "--out", str(tmp_path / "second")])
+        assert code == 0
+
+        def groupings(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key == "grouping":
+                        yield value
+                    yield from groupings(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from groupings(value)
+
+        for name, expected in (("first", {"alt_a": "close"}), ("second", {"alt_a": "far"})):
+            written = json.loads((tmp_path / name / "run_report.json").read_text("utf-8"))
+            assert list(groupings(written)) == [expected]
 
     def test_accepts_full_run_report_as_input(self, ws, matrix_json):
         first = ws / "report"

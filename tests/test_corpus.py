@@ -111,6 +111,17 @@ class TestLoadCsv:
         with pytest.raises(CorpusFormatError):
             load_corpus(path, format="csv", window=WINDOW, strict=True)
 
+    def test_error_names_file_line_of_row(self, tmp_path):
+        # A quoted text spanning lines 2-3 and a blank line 4 put the bad row on line 5.
+        path = tmp_path / "posts.csv"
+        write_csv(path, [
+            'a,x,2020-03-01T10:00:00Z,"two\nlines",\n',
+            "\n",
+            "b,,2020-03-01T11:00:00Z,no author,\n",
+        ])
+        with pytest.raises(CorpusFormatError, match=r"posts\.csv:5: empty author"):
+            load_corpus(path, format="csv", window=WINDOW, strict=True)
+
     def test_retweeted_author_canonicalized(self, tmp_path):
         path = tmp_path / "posts.csv"
         write_csv(path, ["a,Ego,2020-03-01T10:00:00Z,RT @Friend: hi,@Friend\n"])

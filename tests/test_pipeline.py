@@ -31,8 +31,8 @@ class TestFitTopics:
 
     def test_selects_two_topics(self, topic_fit):
         assert topic_fit.clustering.k == 2
-        assert set(topic_fit.silhouette_by_k) == {2, 3, 4}
-        best = max(topic_fit.silhouette_by_k.items(), key=lambda kv: (kv[1], -kv[0]))
+        assert set(topic_fit.bundle.silhouette_by_k) == {2, 3, 4}
+        best = max(topic_fit.bundle.silhouette_by_k.items(), key=lambda kv: (kv[1], -kv[0]))
         assert best[0] == 2
 
     def test_classifier_recovers_clusters(self, topic_fit):
@@ -40,22 +40,22 @@ class TestFitTopics:
 
     def test_label_maps_partition_the_accounts(self, topic_fit, two_topic_corpus):
         author = {p.id: p.author for p in two_topic_corpus.posts}
-        assert set(topic_fit.ego_labels).isdisjoint(topic_fit.alter_labels)
-        assert all(author[i] == "ego" for i in topic_fit.ego_labels)
+        ego_labels = topic_fit.clustering.assignment
+        assert set(ego_labels).isdisjoint(topic_fit.alter_labels)
+        assert all(author[i] == "ego" for i in ego_labels)
         assert all(author[i] in ("alt_a", "alt_b") for i in topic_fit.alter_labels)
-        assert topic_fit.ego_labels == topic_fit.clustering.assignment
         k = topic_fit.clustering.k
         assert all(0 <= t < k for t in topic_fit.alter_labels.values())
 
     def test_every_post_featurized_in_fixture(self, topic_fit, two_topic_corpus):
         assert topic_fit.n_unfeaturized == 0
-        n_labels = len(topic_fit.ego_labels) + len(topic_fit.alter_labels)
+        n_labels = len(topic_fit.clustering.assignment) + len(topic_fit.alter_labels)
         assert n_labels == len(two_topic_corpus.posts)
 
     def test_ego_handle_normalized(self, two_topic_corpus, pipeline_config):
         config = dataclasses.replace(pipeline_config, ego="@EGO", k=2)
         fit = fit_topics(two_topic_corpus, config)
-        assert len(fit.ego_labels) > 0
+        assert len(fit.clustering.assignment) > 0
 
     @pytest.mark.parametrize("ego", ["Ego ", " @ego"])
     def test_ego_spelled_loosely_fits_like_ego(self, two_topic_corpus, pipeline_config,
@@ -63,7 +63,7 @@ class TestFitTopics:
         fit = fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, ego=ego))
         assert fit.ego == "ego"
         assert fit.ranking == topic_fit.ranking
-        assert fit.ego_labels == topic_fit.ego_labels
+        assert fit.clustering.assignment == topic_fit.clustering.assignment
         assert fit.alter_labels == topic_fit.alter_labels
 
     def test_unknown_ego_raises(self, two_topic_corpus, pipeline_config):
@@ -116,7 +116,7 @@ class TestRunPipeline:
         result = run_pipeline(two_topic_corpus,
                               dataclasses.replace(pipeline_config, ego=" @Ego"))
         assert result.matrix.to_json() == pipeline_result.matrix.to_json()
-        assert result.metrics == pipeline_result.metrics
+        assert result.report.metrics == pipeline_result.report.metrics
 
     def test_matrix_covers_all_pairs(self, pipeline_result):
         matrix = pipeline_result.matrix
@@ -150,11 +150,13 @@ class TestRunPipeline:
             assert total == labeled_by_account[account]
 
     def test_metrics_contents(self, pipeline_result):
-        m = pipeline_result.metrics
+        m = pipeline_result.report.metrics
         assert {"n_ego_posts", "n_labeled_posts", "n_unfeaturized_ego_posts",
                 "alter_retweet_counts", "silhouette_by_k", "selected_k",
-                "total_cost", "weighted_f1", "eval", "skip_counts",
-                "n_weeks"} <= set(m)
+                "total_cost", "eval", "skip_counts", "n_weeks"} <= set(m)
+        # The weighted F1 is reported once, inside the classifier's eval.
+        assert "weighted_f1" not in m
+        assert m["eval"]["weighted_f1"] == pipeline_result.fit.eval_report.weighted_f1
         assert m["n_weeks"] == 30
         assert m["selected_k"] == 2
         assert m["n_ego_posts"] == 180
@@ -163,6 +165,11 @@ class TestRunPipeline:
 
     def test_config_embedded_verbatim(self, pipeline_result, pipeline_config):
         assert pipeline_result.report.config == pipeline_config.to_dict()
+
+    def test_config_holds_no_grouping(self, pipeline_config):
+        config = pipeline_config.to_dict()
+        assert "grouping" not in config
+        assert list(config) == [f.name for f in dataclasses.fields(PipelineConfig)]
 
     def test_report_carries_matrix_and_topics(self, pipeline_result):
         report = pipeline_result.report
@@ -228,11 +235,11 @@ class TestBundledFixtureCorpus:
     """Full run on the checked-in synthetic corpus with planted couplings."""
 
     def test_recovers_three_topics(self, fixture_result):
-        assert fixture_result.clustering.k == 3
-        assert fixture_result.eval_report.weighted_f1 >= 0.99
+        assert fixture_result.fit.clustering.k == 3
+        assert fixture_result.fit.eval_report.weighted_f1 >= 0.99
 
     def test_ranks_retweeted_alters_only(self, fixture_result):
-        assert fixture_result.alters == ["alt_a", "alt_b", "alt_c"]
+        assert fixture_result.matrix.alters == ["alt_a", "alt_b", "alt_c"]
 
     def test_detects_exactly_the_planted_couplings(self, fixture_result):
         matrix = fixture_result.matrix

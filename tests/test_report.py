@@ -203,7 +203,7 @@ class TestRunReport:
         return ReportBundle(
             matrix=matrix,
             config={"ego": "ego", "seed": 42, "alpha": 0.05},
-            metrics={"weighted_f1": 0.97, "silhouette_by_k": {"2": 0.4}},
+            metrics={"eval": {"weighted_f1": 0.97}, "silhouette_by_k": {"2": 0.4}},
             topics=[{"label": "topic_0", "top_words": ["a", "b"]}],
             grouping={"amy": "work"},
         )
@@ -242,11 +242,19 @@ class TestRunReport:
         assert loaded.matrix.pair("cal", 0).skip_reason == SKIP_TOO_SHORT
 
     def test_from_dict_defaults(self, matrix):
-        bundle = ReportBundle.from_dict({"matrix": matrix.to_dict()})
+        bundle = ReportBundle.from_dict({"schema_version": SCHEMA_VERSION,
+                                         "matrix": matrix.to_dict()})
         assert bundle.config == {}
         assert bundle.metrics == {}
         assert bundle.topics == []
         assert bundle.grouping is None
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_other_schema_rejected(self, matrix, version):
+        d = self.bundle(matrix).to_dict()
+        d["schema_version"] = version
+        with pytest.raises(ValueError, match=f"run report schema {version} != 2"):
+            ReportBundle.from_dict(d)
 
 
 class TestEmitReportBundle:

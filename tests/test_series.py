@@ -253,6 +253,11 @@ class TestSeriesCsv:
         (loaded,) = read_series_csv(path)
         assert (loaded.account, loaded.topic, loaded.counts.tolist()) == ("ego", 0, [3, 0, 1])
 
+    def test_error_names_file_line_after_blank_line(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "", "2020-01-06,ego,0,5"])
+        with pytest.raises(ValueError, match=r"rows\.csv:4: repeated row"):
+            read_series_csv(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "", "2020-01-13,ego,0,1"])
         (loaded,) = read_series_csv(path)

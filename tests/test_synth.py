@@ -65,6 +65,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec.validate()
 
+    @pytest.mark.parametrize("ego, alters, named", [
+        ("ego", ["Alt_A"], "Alt_A"),
+        ("ego", ["alt_a", "@alt_b"], "@alt_b"),
+        ("ego", [" alt_a"], " alt_a"),
+        ("Ego", ["alt_a"], "Ego"),
+    ])
+    def test_non_canonical_handle_named(self, ego, alters, named):
+        spec = SynthSpec(n_weeks=100, n_topics=2, seed=1, ego=ego,
+                         alters=[AlterSpec(h, []) for h in alters])
+        with pytest.raises(ValueError, match=f"handle {named!r} is not canonical"):
+            spec.validate()
+
+    def test_handles_that_canonicalise_alike_rejected(self):
+        spec = SynthSpec(n_weeks=100, n_topics=2, seed=1,
+                         alters=[AlterSpec("alt_a", []), AlterSpec("Alt_A", [])])
+        with pytest.raises(ValueError, match="'Alt_A' is not canonical"):
+            spec.validate()
+
     def test_nonfinite_strength(self):
         with pytest.raises(ValueError):
             spec_of(couplings=[Coupling(0, 1, float("nan"))]).validate()

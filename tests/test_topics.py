@@ -1,10 +1,13 @@
 """Distance matrices, PAM clustering, silhouette, k selection, topic summaries."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from egoflux import pipeline
+from egoflux.corpus import load_corpus
 from egoflux.features import SOURCE_FALLBACK, EmbeddingSet, fit_tfidf
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import (
@@ -17,6 +20,8 @@ from egoflux.topics import (
     summarize_topics,
     TopicSummary,
 )
+
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
 
 
 def emb_of(vectors):
@@ -67,6 +72,34 @@ class TestCosineDistanceMatrix:
         emb = emb_of({"ok": [1, 0], "empty": [0, 0]})
         with pytest.raises(ValueError, match="empty"):
             cosine_distance_matrix(emb, ["ok", "empty"])
+        # With several, the first in id order is named.
+        emb = emb_of({"ok": [1, 0], "z1": [0, 0], "z2": [0, 0]})
+        with pytest.raises(ValueError, match="'z2'"):
+            cosine_distance_matrix(emb, ["ok", "z2", "z1"])
+
+    def test_fixture_distances_bit_equal_to_averaged_formula(self, monkeypatch):
+        """Without the (d + d.T)/2 step, not one bit of the fixture's distances moves."""
+        captured = []
+
+        def capture(emb, ids):
+            captured.append((emb, ids))
+            return cosine_distance_matrix(emb, ids)
+
+        corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
+        monkeypatch.setattr(pipeline, "cosine_distance_matrix", capture)
+        pipeline.fit_topics(corpus, dataclasses.replace(FIXTURE_CONFIG, k=3))
+        [(emb, ids)] = captured
+
+        rows = np.stack([emb.vectors[i] for i in ids])
+        unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+        d = 1.0 - unit @ unit.T
+        old = np.clip((d + d.T) / 2.0, 0.0, 2.0)
+        np.fill_diagonal(old, 0.0)
+
+        new = cosine_distance_matrix(emb, ids).d
+        assert new.shape == (len(ids), len(ids)) and len(ids) > 500
+        assert new.tobytes() == old.tobytes()
+        assert (new == new.T).all()
 
 
 class TestKmedoids:
@@ -230,20 +263,19 @@ class TestSelectK:
             rng.normal([0, 3], 0.05, size=(8, 2)),
         ])
         sel = select_k(dm_from_points(pts), 2, 6)
-        assert sel.best_k == 3
+        assert sel.best.k == 3
         assert set(sel.scores) == {2, 3, 4, 5, 6}
 
     def test_degenerate_range(self):
         dm = two_cloud_dm(np.random.default_rng(9))
         sel = select_k(dm, 2, 2)
-        assert sel.best_k == 2
+        assert sel.best.k == 2
 
     def test_selection_rule_matches_scores(self):
         rng = np.random.default_rng(10)
         dm = dm_from_points(rng.normal(size=(20, 2)))
         sel = select_k(dm, 2, 6)
         expected = max(sorted(sel.scores), key=lambda k: (sel.scores[k], -k))
-        assert sel.best_k == expected
         assert sel.best.k == expected
 
     def test_empty_range_rejected(self):
