@@ -238,11 +238,21 @@ def _read_groups(path: str | None) -> dict[str, str] | None:
 
 
 def _cmd_report(args) -> int:
-    data = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
-    if "config" in data and "matrix" in data:
-        bundle = ReportBundle.from_dict(data)
-    else:
-        bundle = ReportBundle(matrix=CausalityMatrix.from_dict(data))
+    source = args.matrix
+    try:
+        data = json.loads(Path(source).read_text(encoding="utf-8"))
+        if isinstance(data, dict) and "config" in data and "matrix" in data:
+            bundle = ReportBundle.from_dict(data)
+        elif isinstance(data, dict) and "pairs" in data:
+            bundle = ReportBundle(matrix=CausalityMatrix.from_dict(data))
+        else:
+            raise EgofluxError(f"{source}: neither a causality matrix nor a run report")
+    except KeyError as exc:
+        raise EgofluxError(f"{source}: missing field {exc}") from exc
+    except TypeError as exc:
+        raise EgofluxError(f"{source}: malformed entry: {exc}") from exc
+    except ValueError as exc:
+        raise EgofluxError(f"{source}: {exc}") from exc
     grouping = _read_groups(args.groups)
     if grouping is not None:
         bundle.grouping = grouping

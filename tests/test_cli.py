@@ -502,6 +502,23 @@ class TestReport:
             json.loads((second / "run_report.json").read_text(encoding="utf-8")))
         assert loaded.matrix.alters == ["alt_a", "alt_b"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "neither a causality matrix nor a run report"),
+        ("[1, 2]", "neither a causality matrix nor a run report"),
+        ('{"schema_version": 1, "config": {}, "matrix": {}}', "run report schema 1 != 2"),
+        ('{"pairs": []}', "missing field 'ego'"),
+        ('{"pairs": [1]}', "malformed entry: 'int' object is not subscriptable"),
+    ], ids=["empty_object", "list", "schema_1_run_report", "matrix_missing_field",
+            "matrix_pair_not_object"])
+    def test_unreadable_input_named_and_exits_one(self, tmp_path, caplog, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["report", "--matrix", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{path}: {message}"]
+        assert not (tmp_path / "r").exists()
+
     def test_bad_groups_columns_exit_one(self, ws, matrix_json, tmp_path):
         groups = tmp_path / "groups.csv"
         groups.write_text("handle,team\nalt_b,close\n", encoding="utf-8")

@@ -11,6 +11,8 @@ from egoflux.corpus import load_corpus
 from egoflux.features import SOURCE_FALLBACK, EmbeddingSet, fit_tfidf
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import (
+    SWAP_BLOCK,
+    SWAP_TOL,
     Clustering,
     DistanceMatrix,
     cosine_distance_matrix,
@@ -19,6 +21,8 @@ from egoflux.topics import (
     silhouette,
     summarize_topics,
     TopicSummary,
+    _build_init,
+    _swap_descent,
 )
 
 from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
@@ -182,6 +186,103 @@ class TestKmedoids:
         dm = dm_from_points([[0.0], [0.0], [5.0], [5.0]])
         result = kmedoids(dm, k=2)
         assert result.total_cost == pytest.approx(0.0)
+
+
+def swap_costs(d, medoids):
+    """Total cost after each single swap: row = medoid slot, column = candidate."""
+    costs = np.empty((len(medoids), len(d)))
+    for slot in range(len(medoids)):
+        rest = d[:, [m for j, m in enumerate(medoids) if j != slot]].min(axis=1)
+        costs[slot] = np.minimum(rest[:, None], d).sum(axis=0)
+    costs[:, medoids] = np.inf
+    return costs
+
+
+def assert_swap_optimal(d, medoids):
+    cost = d[:, medoids].min(axis=1).sum()
+    assert swap_costs(d, list(medoids)).min() >= cost - 1e-9
+
+
+def best_improvement_descent(d, medoids):
+    """The former descent: apply the best of all k x (n - k) swaps until none improves."""
+    medoids = sorted(medoids)
+    while True:
+        cost = d[:, medoids].min(axis=1).sum()
+        costs = swap_costs(d, medoids)
+        slot, cand = np.unravel_index(np.argmin(costs), costs.shape)
+        if costs[slot, cand] >= cost - SWAP_TOL:
+            return medoids
+        medoids[slot] = int(cand)
+        medoids = sorted(medoids)
+
+
+def blob_dm(seed, n):
+    """n points in 4 dims around 8 seeded centres: many near-tied swaps."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(8, 4))
+    return dm_from_points(centres[rng.integers(8, size=n)] + rng.normal(0, 0.6, size=(n, 4)))
+
+
+# n > 3 blocks and not a multiple of the block, so descents wrap around and
+# cross block edges; one instance per k.
+LARGE = [(k, blob_dm(100 + k, 3 * SWAP_BLOCK + 17 + 5 * k)) for k in range(2, 11)]
+
+
+class TestSwapDescent:
+    @pytest.mark.parametrize("k, dm", LARGE, ids=[f"k{k}" for k, _ in LARGE])
+    def test_eager_and_best_improvement_both_swap_optimal(self, k, dm):
+        rng = np.random.default_rng(k)
+        for init in ([int(i) for i in rng.choice(dm.n, size=k, replace=False)],
+                     _build_init(dm.d, k, rng.permutation(dm.n))):
+            medoids, cost, _ = _swap_descent(dm.d, init)
+            assert medoids == sorted(set(medoids)) and len(medoids) == k
+            assert cost == pytest.approx(dm.d[:, medoids].min(axis=1).sum(), abs=1e-9)
+            assert_swap_optimal(dm.d, medoids)
+            assert_swap_optimal(dm.d, best_improvement_descent(dm.d, init))
+
+    @pytest.mark.parametrize("k, dm", LARGE[::4], ids=[f"k{k}" for k, _ in LARGE[::4]])
+    def test_kmedoids_result_swap_optimal(self, k, dm):
+        result = kmedoids(dm, k, seed=k)
+        assert_swap_optimal(dm.d, list(result.medoid_indices))
+
+    def test_restart_from_optimum_makes_no_swap(self):
+        k, dm = LARGE[3]
+        result = kmedoids(dm, k, seed=1)
+        medoids, cost, n_swaps = _swap_descent(dm.d, list(result.medoid_indices)[::-1])
+        assert n_swaps == 0
+        assert tuple(medoids) == result.medoid_indices
+        assert cost == result.total_cost
+
+    def test_ties_deterministic(self):
+        # Four exact copies of each of ten lattice points: every swap between
+        # copies is an exact tie.
+        pts = np.repeat(np.array([[x, y] for x in range(5) for y in range(2)], dtype=float),
+                        4, axis=0)
+        dm = dm_from_points(pts)
+        init = [0, 1, 2]
+        first = _swap_descent(dm.d, init)
+        assert _swap_descent(dm.d, init) == first
+        assert_swap_optimal(dm.d, first[0])
+        a, b = kmedoids(dm, 4, seed=5), kmedoids(dm, 4, seed=5)
+        assert a.medoid_indices == b.medoid_indices and a.assignment == b.assignment
+        assert_swap_optimal(dm.d, list(a.medoid_indices))
+
+    def test_k_one_below_n(self):
+        rng = np.random.default_rng(12)
+        dm = dm_from_points(rng.normal(size=(9, 2)))
+        result = kmedoids(dm, k=8)
+        # Only one point is not a medoid; it costs its distance to the nearest other.
+        assert result.total_cost == pytest.approx(brute_force_cost(dm.d, 8), abs=1e-12)
+        assert_swap_optimal(dm.d, list(result.medoid_indices))
+
+    def test_n_below_block(self):
+        rng = np.random.default_rng(13)
+        n = SWAP_BLOCK // 2 + 3
+        dm = dm_from_points(rng.normal(size=(n, 3)))
+        for k in (2, 5):
+            medoids, _, _ = _swap_descent(dm.d, list(range(k)))
+            assert_swap_optimal(dm.d, medoids)
+            assert_swap_optimal(dm.d, list(kmedoids(dm, k).medoid_indices))
 
 
 def manual_clustering(dm, labels, medoid_indices):
