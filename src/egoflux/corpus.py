@@ -100,30 +100,40 @@ class IngestResult:
         return self.dropped_out_of_window + self.dropped_malformed + self.dropped_duplicate
 
 
-def _post_from_record(record: dict, where: str) -> Post:
-    try:
-        post_id = str(record["id"]).strip()
-        author = canonical_handle(str(record["author"]))
-        created_at = parse_timestamp(str(record["created_at"]))
-        text = str(record.get("text", "") or "")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from exc
+def _post_from_record(record: dict) -> Post:
+    """The post a row holds; a bad row raises KeyError, TypeError or ValueError."""
+    post_id = str(record["id"]).strip()
+    author = canonical_handle(str(record["author"]))
+    created_at = parse_timestamp(str(record["created_at"]))
+    text = str(record.get("text", "") or "")
     if not post_id:
-        raise CorpusFormatError(f"{where}: empty id")
+        raise ValueError("empty id")
     if author is None:
-        raise CorpusFormatError(f"{where}: empty author")
+        raise ValueError("empty author")
     raw_rt = record.get("retweeted_author")
     retweeted = canonical_handle(raw_rt if raw_rt is None else str(raw_rt))
     return Post(id=post_id, author=author, created_at=created_at, text=text, retweeted_author=retweeted)
 
 
 def _iter_csv(path: Path):
+    # Read as csv.DictReader would: blank lines are skipped, a short row's
+    # missing fields are None, extra fields are ignored, and of a repeated
+    # header name the last column wins.
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(CSV_COLUMNS).issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(CSV_COLUMNS).issubset(header):
             raise CorpusFormatError(f"{path}: CSV header must contain {CSV_COLUMNS}")
-        for row in reader:  # line_num: the file line a row ends on, blank lines counted
-            yield f"{path}:{reader.line_num}", {k: (row.get(k) or None) if k == "retweeted_author" else row.get(k) for k in CSV_COLUMNS}
+        column = {name: i for i, name in enumerate(header)}
+        picks = [(name, column[name]) for name in CSV_COLUMNS]
+        for row in reader:
+            if not row:
+                continue
+            n = len(row)
+            record = {name: row[i] if i < n else None for name, i in picks}
+            record["retweeted_author"] = record["retweeted_author"] or None
+            # line_num: the file line a row ends on, blank lines counted
+            yield reader.line_num, record
 
 
 def _iter_jsonl(path: Path):
@@ -133,13 +143,12 @@ def _iter_jsonl(path: Path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                yield where, None
+                yield lineno, None
                 continue
-            yield where, record if isinstance(record, dict) else None
+            yield lineno, record if isinstance(record, dict) else None
 
 
 def load_corpus(
@@ -171,20 +180,21 @@ def load_corpus(
     result = IngestResult(corpus=Corpus(posts=(), window_start=start, window_end=end))
     seen_ids: set[str] = set()
     kept: list[Post] = []
-    for where, record in rows:
+    for lineno, record in rows:
         try:
             if record is None:
-                raise CorpusFormatError(f"{where}: not a JSON object")
-            post = _post_from_record(record, where)
-        except CorpusFormatError as exc:
+                raise ValueError("not a JSON object")
+            post = _post_from_record(record)
+        except (KeyError, TypeError, ValueError) as exc:
+            error = CorpusFormatError(f"{path}:{lineno}: {exc}")
             if strict:
-                raise
+                raise error from exc
             result.dropped_malformed += 1
-            logger.debug("skipping malformed row: %s", exc)
+            logger.debug("skipping malformed row: %s", error)
             continue
         if post.id in seen_ids:
             if strict:
-                raise CorpusFormatError(f"{where}: duplicate id {post.id!r}")
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate id {post.id!r}")
             result.dropped_duplicate += 1
             continue
         seen_ids.add(post.id)

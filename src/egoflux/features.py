@@ -105,11 +105,14 @@ def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matr
     )
     A.sum_duplicates()
     A.data *= model.idf[A.indices]
-    # Row by row with np.linalg.norm: its BLAS dot rounds differently from a
-    # vectorized sum of squares, and the last bit moves alter labels.
-    for start, stop in zip(A.indptr[:-1], A.indptr[1:]):
+    # Row by row with sqrt(row . row), which is what np.linalg.norm computes
+    # for a 1-D float row: its BLAS dot rounds differently from a vectorized
+    # sum of squares, and the last bit moves alter labels.
+    data = A.data
+    for start, stop in zip(A.indptr[:-1].tolist(), A.indptr[1:].tolist()):
         if stop > start:
-            A.data[start:stop] /= np.linalg.norm(A.data[start:stop])
+            row = data[start:stop]
+            row /= math.sqrt(row.dot(row))
     return A
 
 

@@ -110,7 +110,8 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
 
     ranking = rank_alters(corpus, ego, exclude=config.exclude, n=config.n_alters)
     alters = [handle for handle, _ in ranking.entries]
-    alter_posts = [p for p in corpus.posts if p.author in set(alters)]
+    alter_set = set(alters)
+    alter_posts = [p for p in corpus.posts if p.author in alter_set]
     logger.info("ego %s: %d posts; %d alters with %d posts",
                 ego, len(ego_posts), len(alters), len(alter_posts))
 

@@ -113,6 +113,8 @@ def fit_phrases(
 
 def apply_phrases(merges: frozenset[tuple[str, str]], tokens: Sequence[str]) -> list[str]:
     """Greedy left-to-right single merging pass over one token list."""
+    if not merges:
+        return list(tokens)
     out: list[str] = []
     i = 0
     while i < len(tokens):
@@ -172,14 +174,26 @@ def build_token_docs(
 ) -> list[TokenDoc]:
     """clean + tokenize each post, then apply phrase merging when given.
 
+    Each distinct whitespace token of the NFC-normalised texts is cleaned
+    and tokenized once per call; a post's tokens are its raw tokens' pieces
+    in order.  That equals `tokenize(clean(post.text))`: `clean` handles each
+    whitespace token on its own, and its pieces hold no whitespace.
+
     Stopword removal (when requested) runs after merging: phrase statistics
     need stopwords, TF-IDF downstream does not.  Fully-stripped posts come
     back as empty TokenDocs (kept, but logged).
     """
+    # Tuples of strings, unlike lists, drop out of the cyclic GC's tracking.
+    pieces_of: dict[str, tuple[str, ...]] = {}
     docs = []
     n_empty = 0
     for post in posts:
-        tokens = tokenize(clean(post.text))
+        tokens: list[str] = []
+        for raw in unicodedata.normalize("NFC", post.text).split():
+            pieces = pieces_of.get(raw)
+            if pieces is None:
+                pieces = pieces_of[raw] = tuple(tokenize(clean(raw)))
+            tokens += pieces
         if pipeline is not None:
             tokens = pipeline.apply(tokens)
         if remove_stops:

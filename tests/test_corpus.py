@@ -139,6 +139,76 @@ class TestLoadCsv:
             load_corpus(tmp_path / "nope.csv", format="csv", window=WINDOW)
 
 
+class TestCsvRowRules:
+    """Rows are read as csv.DictReader reads them."""
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        write_csv(path, [
+            "\n",
+            "a,x,2020-03-01T10:00:00Z,first,\n",
+            "\n\n",
+            "b,x,2020-03-02T10:00:00Z,second,\n",
+        ])
+        result = load_corpus(path, format="csv", window=WINDOW, strict=True)
+        assert [p.text for p in result.corpus.posts] == ["first", "second"]
+        assert result.dropped == 0
+
+    def test_short_row_missing_fields_are_none(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        write_csv(path, ["a,x,2020-03-01T10:00:00Z\n", "b,x\n"])
+        result = load_corpus(path, format="csv", window=WINDOW)
+        [post] = result.corpus.posts
+        assert (post.id, post.text, post.retweeted_author) == ("a", "", None)
+        assert result.dropped_malformed == 1
+        # A missing created_at reads as None, which is no timestamp.
+        with pytest.raises(CorpusFormatError,
+                           match=r"posts\.csv:3: Invalid isoformat string: 'None'$"):
+            load_corpus(path, format="csv", window=WINDOW, strict=True)
+
+    def test_extra_fields_ignored(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        write_csv(path, ["a,x,2020-03-01T10:00:00Z,hello,Friend,extra,more\n"])
+        [post] = load_corpus(path, format="csv", window=WINDOW, strict=True).corpus.posts
+        assert (post.text, post.retweeted_author) == ("hello", "friend")
+
+    def test_repeated_header_name_last_column_wins(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        path.write_text(
+            "text,id,author,created_at,text,retweeted_author\n"
+            "zero,a,x,2020-03-01T10:00:00Z,last,\n"
+            "zero,b,x,2020-03-02T10:00:00Z\n",
+            encoding="utf-8",
+        )
+        posts = load_corpus(path, format="csv", window=WINDOW, strict=True).corpus.posts
+        # Row b ends before the last text column, so its text is None.
+        assert [(p.id, p.text) for p in posts] == [("a", "last"), ("b", "")]
+
+    def test_error_texts(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        write_csv(path, ["a,x,2020-03-01T10:00:00Z,one,\n", "a,x,2020-03-01T11:00:00Z,two,\n"])
+        with pytest.raises(CorpusFormatError, match=r"posts\.csv:3: duplicate id 'a'$"):
+            load_corpus(path, format="csv", window=WINDOW, strict=True)
+        write_csv(path, [" ,x,2020-03-01T10:00:00Z,one,\n"])
+        with pytest.raises(CorpusFormatError, match=r"posts\.csv:2: empty id$"):
+            load_corpus(path, format="csv", window=WINDOW, strict=True)
+        path.write_text("id,author,text\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"posts\.csv: CSV header must contain"):
+            load_corpus(path, format="csv", window=WINDOW)
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"posts\.csv: CSV header must contain"):
+            load_corpus(path, format="csv", window=WINDOW)
+
+    def test_jsonl_error_texts(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_text('\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"posts\.jsonl:2: not a JSON object$"):
+            load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+        write_jsonl(path, [{"author": "x", "created_at": "2020-03-01T10:00:00Z"}])
+        with pytest.raises(CorpusFormatError, match=r"posts\.jsonl:1: 'id'$"):
+            load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+
+
 class TestLoadJsonl:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "posts.jsonl"

@@ -149,6 +149,27 @@ class TestTransformTfidf:
                 assert mat.indices[start:stop].tolist() == indices.tolist()
                 assert mat.data[start:stop].tobytes() == values.tobytes()
 
+    def test_data_bit_equal_per_row_norm_on_seeded_docs(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(300)]
+
+        def draw(pool, low, high):
+            return rng.choice(pool, size=int(rng.integers(low, high))).tolist()
+
+        ego = [TokenDoc(f"e{i}", draw(words[:200], 1, 80)) for i in range(300)]
+        model = fit_tfidf(ego, min_df=2)
+        docs = (ego + [TokenDoc(f"a{i}", draw(words, 0, 120)) for i in range(300)]
+                + [TokenDoc(f"o{i}", draw(words[200:], 1, 10)) for i in range(20)]
+                + [TokenDoc(f"z{i}", []) for i in range(20)])
+        A = tfidf_matrix(model, docs)
+        rows = [_reference_transform(model, doc) for doc in docs]
+        assert np.array_equal(A.indptr, np.cumsum([0] + [len(ix) for ix, _ in rows]))
+        assert np.array_equal(A.indices, np.concatenate([ix for ix, _ in rows]))
+        assert np.array_equal(A.data, np.concatenate([v for _, v in rows]))
+        # Seeded docs repeat tokens; the OOV-only and empty docs are zero rows.
+        assert any(len(set(d.tokens)) < len(d.tokens) for d in ego)
+        assert A[-40:].nnz == 0
+
 
 class TestEmbeddingIO:
     def _emb(self):

@@ -1,6 +1,8 @@
 """End-to-end pipeline tests: fitting, labeling, scanning, reporting."""
 
 import dataclasses
+import unicodedata
+from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
@@ -88,24 +90,40 @@ class TestFitTopics:
 
     def test_ego_posts_cleaned_once(self, two_topic_corpus, pipeline_config, monkeypatch):
         real_clean, real_fit_tfidf = textpipe.clean, pipeline.fit_tfidf
-        cleaned, tfidf_docs = [], []
+        real_build = pipeline.build_token_docs
+        cleaned, builds, tfidf_docs = [], [], []
 
         def counting_clean(text):
             cleaned.append(text)
             return real_clean(text)
+
+        def recording_build(posts, *args, **kwargs):
+            first = len(cleaned)
+            docs = real_build(posts, *args, **kwargs)
+            builds.append((list(posts), cleaned[first:]))
+            return docs
 
         def capturing_fit_tfidf(docs, **kwargs):
             tfidf_docs.append(docs)
             return real_fit_tfidf(docs, **kwargs)
 
         monkeypatch.setattr(textpipe, "clean", counting_clean)
+        monkeypatch.setattr(pipeline, "build_token_docs", recording_build)
         monkeypatch.setattr(pipeline, "fit_tfidf", capturing_fit_tfidf)
         fit = fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, k=2))
         monkeypatch.undo()
 
         ego_posts = [p for p in two_topic_corpus.posts if p.author == "ego"]
-        n_alter_posts = sum(1 for p in two_topic_corpus.posts if p.author in ("alt_a", "alt_b"))
-        assert len(cleaned) == len(ego_posts) + n_alter_posts
+        # Every ego post passes through one build_token_docs call, and every
+        # clean call is made by one.
+        ego_ids = Counter(p.id for posts, _ in builds for p in posts if p.author == "ego")
+        assert ego_ids == Counter(p.id for p in ego_posts)
+        assert sum(len(texts) for _, texts in builds) == len(cleaned)
+        # Within a call, clean runs at most once per distinct whitespace token.
+        for posts, texts in builds:
+            raw_tokens = {t for p in posts for t in unicodedata.normalize("NFC", p.text).split()}
+            assert len(texts) == len(set(texts))
+            assert set(texts) <= raw_tokens
         assert tfidf_docs == [build_token_docs(ego_posts, pipeline=fit.bundle.phrases,
                                                remove_stops=True)]
 

@@ -4,7 +4,9 @@ import csv
 import json
 import math
 import unicodedata
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from egoflux.textpipe import (
@@ -215,6 +217,11 @@ class TestApplyPhrases:
         merges = fit_phrases(STOCK_MARKET_DOCS, min_count=2, threshold=10.0)
         assert apply_phrases(merges, ["stock", "market"]) == ["stock", "market"]
 
+    def test_empty_merge_set_returns_a_copy(self):
+        tokens = ["a", "b", "a"]
+        out = apply_phrases(frozenset(), tokens)
+        assert out == tokens and out is not tokens
+
 
 class TestPhrasePipeline:
     def test_two_passes_merge_trigram(self):
@@ -272,3 +279,78 @@ class TestBuildTokenDocs:
         posts = [make_post("p1", "x", "2020-03-01T10:00:00", "that is the it")]
         docs = build_token_docs(posts, remove_stops=True)
         assert docs[0].tokens == []
+
+
+# Texts whose whitespace tokens exercise every branch of `clean`.
+EDGE_TEXTS = [
+    "a \u0301b caf\u00e9 cafe\u0301 e\u0301",
+    "\u0301\u0301 x\u0301y",
+    "\u0130stanbul \u0130STANBUL istanbul",
+    "don't don\u2019t it's 'quoted' \u2019tis",
+    "#tag #Tag #tag_two #### @user: @user RT rt Rt RT: #RT",
+    "HTTPS://Example.COM/x Www.Site.org http://t.co/A https:/nota url.com",
+    "route66 2021 42nd a_b snake_case __init__ 3 x",
+    "left\u00a0right wide\u2003space tab\there new\nline \r\n end\u2028sep",
+    "",
+    " \t\n\u00a0",
+    "new york city new york city hall",
+    "garden soil garden #garden soil, garden.",
+    "garden soil garden #garden soil, garden.",
+]
+
+
+def _reference_docs(posts, pipeline=None, remove_stops=False):
+    """build_token_docs as the per-post composition it stands for."""
+    docs = []
+    for post in posts:
+        tokens = tokenize(clean(post.text))
+        if pipeline is not None:
+            tokens = pipeline.apply(tokens)
+        if remove_stops:
+            tokens = remove_stopwords(tokens)
+        docs.append((post.id, tokens))
+    return docs
+
+
+def _posts(texts):
+    return [SimpleNamespace(id=f"p{i}", text=t) for i, t in enumerate(texts)]
+
+
+class TestBuildTokenDocsEquivalence:
+    """Cleaning each distinct whitespace token once equals cleaning each post."""
+
+    PIPELINE = PhrasePipeline(stages=[frozenset({("new", "york"), ("garden", "soil")}),
+                                      frozenset({("new_york", "city")})])
+
+    @pytest.mark.parametrize("pipeline", [None, PIPELINE])
+    @pytest.mark.parametrize("remove_stops", [False, True])
+    def test_edge_texts(self, pipeline, remove_stops):
+        posts = _posts(EDGE_TEXTS)
+        docs = build_token_docs(posts, pipeline, remove_stops)
+        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(
+            posts, pipeline, remove_stops)
+
+    def test_repeated_tokens_get_fresh_lists(self):
+        docs = build_token_docs(_posts(["garden soil", "garden soil"]))
+        assert docs[0].tokens == docs[1].tokens == ["garden", "soil"]
+        docs[0].tokens.append("x")
+        assert docs[1].tokens == ["garden", "soil"]
+
+    def test_seeded_random_texts(self):
+        alphabet = list("aAbZ09_'#@:.,-/ \t\n") + [
+            "\u0301", "\u0307", "\u0130", "\u00e9", "\u2019", "\u00a0", "\u2003",
+            "\u00df", "\u1e9e", "\uac00", "\u1100", "\u1161", "http://", "www.", "RT", "rt",
+        ]
+        rng = np.random.default_rng(11)
+        texts = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 30))).tolist())
+                 for _ in range(500)]
+        posts = _posts(texts)
+        docs = build_token_docs(posts)
+        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(posts)
+
+    def test_fixture_corpus_with_fitted_phrases(self):
+        posts = [SimpleNamespace(id=r["id"], text=r["text"]) for r in _fixture_rows()]
+        phrases = fit_phrase_pipeline(build_token_docs(posts))
+        assert phrases.stages[0]
+        docs = build_token_docs(posts, phrases, True)
+        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(posts, phrases, True)
