@@ -10,7 +10,7 @@ the embedding, so the whole pipeline remains deterministic.
 
 import numpy as np
 
-from egoflux.features import fallback_embeddings, fit_tfidf, tfidf_matrix
+from egoflux.features import FallbackProjector, fit_tfidf, tfidf_matrix
 from egoflux.textpipe import (
     TokenDoc,
     clean,
@@ -69,7 +69,8 @@ def main() -> None:
         print(f"  {inverse[idx]:<16}{val:.4f}")
 
     print("\n== Fallback embeddings ==")
-    emb = fallback_embeddings(model, merged_docs, dim=4, seed=42)
+    emb = FallbackProjector.fit(model, merged_docs, dim=4, seed=42).transform(
+        model, merged_docs)
     a, b = emb.vectors["d0"], emb.vectors["d1"]   # two market docs
     c = emb.vectors["d6"]                          # a weather doc
     print(f"dim={emb.dim}, source={emb.source}")

@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from egoflux.corpus import load_corpus
-from egoflux.features import fallback_embeddings, fit_tfidf
+from egoflux.features import FallbackProjector, fit_tfidf
 from egoflux.textpipe import build_token_docs, fit_phrase_pipeline
 from egoflux.topics import (
     cosine_distance_matrix,
@@ -31,9 +31,9 @@ def main() -> None:
 
     raw_docs = build_token_docs(ego_posts)
     phrases = fit_phrase_pipeline(raw_docs)
-    docs = build_token_docs(ego_posts, pipeline=phrases, remove_stops=True)
+    docs = build_token_docs(ego_posts, pipeline=phrases)
     tfidf = fit_tfidf(docs, min_df=2)
-    emb = fallback_embeddings(tfidf, docs, dim=16, seed=42)
+    emb = FallbackProjector.fit(tfidf, docs, dim=16, seed=42).transform(tfidf, docs)
 
     featurized = [d.post_id for d in docs
                   if d.post_id in emb.vectors and emb.vectors[d.post_id].any()]

@@ -102,9 +102,14 @@ class IngestResult:
 
 def _post_from_record(record: dict) -> Post:
     """The post a row holds; a bad row raises KeyError, TypeError or ValueError."""
-    post_id = str(record["id"]).strip()
-    author = canonical_handle(str(record["author"]))
-    created_at = parse_timestamp(str(record["created_at"]))
+    raw_id, raw_author, raw_created = record["id"], record["author"], record["created_at"]
+    # A JSON null, or a cell a short CSV row lacks, is missing, not the text "None".
+    if raw_id is None or raw_author is None or raw_created is None:
+        raise ValueError("missing " + ", ".join(
+            name for name in ("id", "author", "created_at") if record[name] is None))
+    post_id = str(raw_id).strip()
+    author = canonical_handle(str(raw_author))
+    created_at = parse_timestamp(str(raw_created))
     text = str(record.get("text", "") or "")
     if not post_id:
         raise ValueError("empty id")

@@ -10,7 +10,7 @@ class CorpusFormatError(EgofluxError):
 
 
 class EmbeddingFormatError(EgofluxError):
-    """Raised on inconsistent embedding files (dim mismatch, missing ids in strict mode)."""
+    """Raised on bad embedding files (bad header, dim mismatch, missing ids)."""
 
 
 class DegenerateSeriesError(EgofluxError):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,6 @@ from scipy import sparse
 from .errors import EmbeddingFormatError
 from .textpipe import TokenDoc
 
-logger = logging.getLogger(__name__)
-
 SOURCE_EXTERNAL = "external_file"
 SOURCE_FALLBACK = "tfidf_fallback"
 
@@ -30,6 +27,8 @@ DEFAULT_SVD_SEED = 42
 # Randomized SVD: extra sketch columns and subspace (power) iterations.
 SVD_OVERSAMPLE = 10
 SVD_POWER_ITERS = 4
+# Rows normalised at a time by FallbackProjector.transform.
+NORM_BLOCK = 2048
 
 
 @dataclass
@@ -128,17 +127,12 @@ class EmbeddingSet:
         return np.stack([self.vectors[i] for i in ids])
 
 
-def load_embeddings(
-    path,
-    docs: Sequence[TokenDoc] | None = None,
-    strict: bool = False,
-) -> EmbeddingSet:
+def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
     """Read id -> vector rows from JSONL ({"id":..., "v":[...]}) or CSV (id,v0..).
 
     All rows must share one dimension (error names the offending id); a
-    component that is not a number is an error naming the line.  When
-    `docs` is given, ids missing from the file are reported; strict mode
-    turns any missing id into an error.
+    component that is not a number is an error naming the line.  Every id
+    in `ids`, when given, must be in the file.
     """
     path = Path(path)
     if not path.exists():
@@ -165,7 +159,7 @@ def load_embeddings(
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[0] != "id":
+            if not header or header[0] != "id":
                 raise EmbeddingFormatError(f"{path}: CSV header must start with 'id'")
             for row in reader:
                 if not row:
@@ -188,13 +182,11 @@ def load_embeddings(
 
     if dim is None:
         raise EmbeddingFormatError(f"{path}: file contains no vectors")
-    if docs is not None:
-        missing = [d.post_id for d in docs if d.post_id not in vectors]
+    if ids is not None:
+        missing = [i for i in ids if i not in vectors]
         if missing:
-            msg = f"{path}: {len(missing)} ids missing from embedding file: {missing[:10]}"
-            if strict:
-                raise EmbeddingFormatError(msg)
-            logger.warning(msg)
+            raise EmbeddingFormatError(
+                f"{path}: {len(missing)} ids missing from embedding file: {missing[:10]}")
     return EmbeddingSet(dim=dim, vectors=vectors, source=SOURCE_EXTERNAL)
 
 
@@ -247,11 +239,16 @@ class FallbackProjector:
         return cls(components=_randomized_svd(A, dim, seed), dim=dim, seed=seed)
 
     def transform(self, model: TfidfModel, docs: Sequence[TokenDoc]) -> EmbeddingSet:
+        """Unit-length projections of the docs' TF-IDF rows (zero rows stay zero)."""
         A = tfidf_matrix(model, docs)
         rows = np.asarray(A @ self.components)
-        norms = np.linalg.norm(rows, axis=1)
-        nonzero = norms > 0
-        rows[nonzero] /= norms[nonzero, None]
+        # In blocks, so the norm's squares and the rows it divides are
+        # temporaries of one block, not copies of every row.
+        for start in range(0, len(rows), NORM_BLOCK):
+            block = rows[start:start + NORM_BLOCK]
+            norms = np.linalg.norm(block, axis=1)
+            nonzero = norms > 0
+            block[nonzero] /= norms[nonzero, None]
         vectors = {doc.post_id: rows[i] for i, doc in enumerate(docs)}
         return EmbeddingSet(dim=self.dim, vectors=vectors, source=SOURCE_FALLBACK)
 
@@ -268,12 +265,3 @@ class FallbackProjector:
         return cls(components=np.asarray(d["components"], dtype=float),
                    dim=int(d["dim"]), seed=int(d["seed"]))
 
-
-def fallback_embeddings(
-    model: TfidfModel,
-    docs: Sequence[TokenDoc],
-    dim: int,
-    seed: int = DEFAULT_SVD_SEED,
-) -> EmbeddingSet:
-    """Deterministic embedding stand-in when no encoder output is provided."""
-    return FallbackProjector.fit(model, docs, dim, seed=seed).transform(model, docs)

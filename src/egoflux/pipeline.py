@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 from . import classifier as clf_mod
 from .bundle import ModelBundle
-from .corpus import AlterRanking, Corpus, canonical_handle, rank_alters
+from .corpus import AlterRanking, Corpus, Post, canonical_handle, rank_alters
 from .features import (
     EmbeddingSet,
     FallbackProjector,
@@ -31,7 +31,7 @@ from .textpipe import (
     TokenDoc,
     build_token_docs,
     fit_phrase_pipeline,
-    remove_stopwords,
+    merge_then_drop_stopwords,
 )
 from .topics import (
     Clustering,
@@ -80,17 +80,18 @@ class PipelineConfig:
 
 @dataclass
 class TopicFit:
-    """Output of the model-fitting half of a run (everything except causality).
+    """The models fitted on the ego's posts, and the ranked alters.
 
     The ego's labels are `clustering.assignment`; the silhouette of each k
-    tried is `bundle.silhouette_by_k`.
+    tried is `bundle.silhouette_by_k`.  `embeddings` is the external set read
+    for the ego's and the alters' posts, or None when the projector embeds.
     """
 
     ego: str  # config.ego as canonical_handle spells it, as in Post.author
     bundle: ModelBundle
     clustering: Clustering
     eval_report: clf_mod.EvalReport
-    alter_labels: dict[str, int]
+    embeddings: EmbeddingSet | None
     ranking: AlterRanking
     n_unfeaturized: int
 
@@ -101,19 +102,23 @@ def _featurizable_ids(emb: EmbeddingSet, docs: list[TokenDoc]) -> list[str]:
             if d.post_id in emb.vectors and emb.vectors[d.post_id].any()]
 
 
+def _alter_posts(corpus: Corpus, ranking: AlterRanking) -> list[Post]:
+    """The ranked alters' posts, in corpus order."""
+    alters = {handle for handle, _ in ranking.entries}
+    return [p for p in corpus.posts if p.author in alters]
+
+
 def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
-    """Fit phrase/TF-IDF/embedding models on the ego, cluster, train, label alters."""
+    """Fit phrase/TF-IDF/embedding models on the ego's posts, cluster, train."""
     ego = canonical_handle(config.ego)
     ego_posts = [p for p in corpus.posts if p.author == ego]
     if not ego_posts:
         raise ValueError(f"corpus has no posts by ego {config.ego!r}")
 
     ranking = rank_alters(corpus, ego, exclude=config.exclude, n=config.n_alters)
-    alters = [handle for handle, _ in ranking.entries]
-    alter_set = set(alters)
-    alter_posts = [p for p in corpus.posts if p.author in alter_set]
+    alter_posts = _alter_posts(corpus, ranking)
     logger.info("ego %s: %d posts; %d alters with %d posts",
-                ego, len(ego_posts), len(alters), len(alter_posts))
+                ego, len(ego_posts), len(ranking.entries), len(alter_posts))
 
     # Models fit on the ego corpus only; alters pass through them unchanged.
     raw_ego_docs = build_token_docs(ego_posts)
@@ -121,23 +126,22 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         raw_ego_docs, min_count=config.phrase_min_count,
         threshold=config.phrase_threshold,
     )
-    # Each ego post is cleaned and tokenized once; merging and stopword removal
-    # then run on those tokens as build_token_docs would run them.
-    ego_docs = [TokenDoc(d.post_id, remove_stopwords(phrases.apply(d.tokens)))
+    # Each ego post is cleaned and tokenized once; its tokens then take the
+    # step build_token_docs gives a pipeline's docs.
+    ego_docs = [TokenDoc(d.post_id, merge_then_drop_stopwords(phrases, d.tokens))
                 for d in raw_ego_docs]
-    alter_docs = build_token_docs(alter_posts, pipeline=phrases, remove_stops=True)
     tfidf = fit_tfidf(ego_docs, min_df=config.min_df)
 
     projector: FallbackProjector | None = None
+    external: EmbeddingSet | None = None
     if config.embeddings_path:
-        emb = load_embeddings(config.embeddings_path, docs=ego_docs + alter_docs,
-                              strict=True)
-        ego_emb = alter_emb = emb
+        # Read once for the fit and the alters' labels, so both sides' ids are checked.
+        ego_emb = external = load_embeddings(
+            config.embeddings_path, ids=[p.id for p in ego_posts + alter_posts])
     else:
         dim = min(config.embed_dim, tfidf.dim)
         projector = FallbackProjector.fit(tfidf, ego_docs, dim, seed=config.seed)
         ego_emb = projector.transform(tfidf, ego_docs)
-        alter_emb = projector.transform(tfidf, alter_docs)
 
     cluster_ids = _featurizable_ids(ego_emb, ego_docs)
     n_unfeaturized = len(ego_docs) - len(cluster_ids)
@@ -163,9 +167,6 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
 
     classifier, eval_report = clf_mod.train(ego_emb, clustering.assignment, seed=config.seed)
 
-    alter_pred_ids = _featurizable_ids(alter_emb, alter_docs)
-    alter_labels = clf_mod.predict(classifier, alter_emb, ids=alter_pred_ids)
-
     bundle = ModelBundle(
         phrases=phrases,
         tfidf=tfidf,
@@ -181,7 +182,7 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         bundle=bundle,
         clustering=clustering,
         eval_report=eval_report,
-        alter_labels=alter_labels,
+        embeddings=external,
         ranking=ranking,
         n_unfeaturized=n_unfeaturized,
     )
@@ -207,11 +208,13 @@ class PipelineResult:
 
 
 def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
-    """Fit everything on the ego's posts, score the alters, scan for causality."""
+    """Fit everything on the ego's posts, label the alters' posts, scan for causality."""
     fit = fit_topics(corpus, config)
     ego = fit.ego
     alters = [handle for handle, _ in fit.ranking.entries]
-    labels = {**fit.clustering.assignment, **fit.alter_labels}
+    alter_labels = classify_corpus(fit.bundle, _alter_posts(corpus, fit.ranking),
+                                   fit.embeddings)
+    labels = {**fit.clustering.assignment, **alter_labels}
 
     week_index = build_week_index((corpus.window_start, corpus.window_end))
     labeled_posts = [p for p in corpus.posts if p.id in labels]
@@ -248,12 +251,12 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
                     ) -> dict[str, int]:
     """Label posts with a saved bundle, rebuilding features the same way.
 
-    When `emb` is None the bundle must carry the fallback projector; external
-    embedding files must cover every featurizable post id.
+    When `emb` is None the bundle must carry the fallback projector; a post
+    with no vector in `emb`, or a zero one, is left unlabeled.
     """
     if bundle.classifier is None:
         raise ValueError("bundle has no classifier part")
-    docs = build_token_docs(posts, pipeline=bundle.phrases, remove_stops=True)
+    docs = build_token_docs(posts, pipeline=bundle.phrases)
     if emb is None:
         if bundle.projector is None:
             raise ValueError(

@@ -139,7 +139,7 @@ def read_series_csv(path) -> list[TopicSeries]:
         column = {name: i for i, name in enumerate(header)}
         required = ("week_start", "account", "topic", "count")
         if not set(required).issubset(column):
-            raise ValueError(f"series CSV must have columns {sorted(required)}")
+            raise ValueError(f"{path}: series CSV must have columns {sorted(required)}")
         i_week, i_account, i_topic, i_count = (column[name] for name in required)
         width = max(i_week, i_account, i_topic, i_count) + 1
         for row in reader:
@@ -171,7 +171,7 @@ def read_series_csv(path) -> list[TopicSeries]:
             by_week[week] = count
             week_lines.setdefault(week, lineno)
     if not week_lines:
-        raise ValueError("series CSV is empty")
+        raise ValueError(f"{path}: series CSV is empty")
 
     epoch = min(week_lines)
     for week, lineno in week_lines.items():

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -623,12 +624,15 @@ def causality_scan(
     (DEGEN), no stationary order within max_diff (NONSTAT), too few weeks
     (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Optional
     Benjamini-Hochberg correction is applied across the best-lag p-values of
-    all tested pairs.
+    all tested pairs.  Repeated alters are refused.
     """
     if correction not in (CORRECTION_NONE, CORRECTION_BH):
         raise ValueError(f"unknown correction {correction!r}")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
+    repeated = sorted(a for a, n in Counter(alters).items() if n > 1)
+    if repeated:
+        raise ValueError(f"alters repeated: {repeated}")
     # One ladder per series: the ego's ADF verdicts are shared by every alter.
     ladders = {(s.account, s.topic): _Ladder(s.counts, alpha) for s in series}
     topics = sorted({t for (_, t) in ladders})

@@ -167,21 +167,22 @@ def fit_phrase_pipeline(
     return PhrasePipeline(stages=stages)
 
 
-def build_token_docs(
-    posts,
-    pipeline: PhrasePipeline | None = None,
-    remove_stops: bool = False,
-) -> list[TokenDoc]:
-    """clean + tokenize each post, then apply phrase merging when given.
+def merge_then_drop_stopwords(pipeline: PhrasePipeline, tokens: Sequence[str]) -> list[str]:
+    """Merge phrases, then drop stopwords: phrase statistics need them, TF-IDF does not."""
+    return remove_stopwords(pipeline.apply(tokens))
+
+
+def build_token_docs(posts, pipeline: PhrasePipeline | None = None) -> list[TokenDoc]:
+    """clean + tokenize each post; given a pipeline, merge and drop stopwords.
 
     Each distinct whitespace token of the NFC-normalised texts is cleaned
     and tokenized once per call; a post's tokens are its raw tokens' pieces
     in order.  That equals `tokenize(clean(post.text))`: `clean` handles each
     whitespace token on its own, and its pieces hold no whitespace.
 
-    Stopword removal (when requested) runs after merging: phrase statistics
-    need stopwords, TF-IDF downstream does not.  Fully-stripped posts come
-    back as empty TokenDocs (kept, but logged).
+    Without a pipeline the tokens keep their stopwords, as phrase fitting
+    needs them; with one they pass through `merge_then_drop_stopwords`.
+    Fully-stripped posts come back as empty TokenDocs (kept, but logged).
     """
     # Tuples of strings, unlike lists, drop out of the cyclic GC's tracking.
     pieces_of: dict[str, tuple[str, ...]] = {}
@@ -195,9 +196,7 @@ def build_token_docs(
                 pieces = pieces_of[raw] = tuple(tokenize(clean(raw)))
             tokens += pieces
         if pipeline is not None:
-            tokens = pipeline.apply(tokens)
-        if remove_stops:
-            tokens = remove_stopwords(tokens)
+            tokens = merge_then_drop_stopwords(pipeline, tokens)
         if not tokens:
             n_empty += 1
         docs.append(TokenDoc(post_id=post.id, tokens=tokens))

@@ -20,7 +20,7 @@ from egoflux.classifier import (
 )
 from egoflux.corpus import load_corpus
 from egoflux.features import SOURCE_EXTERNAL, EmbeddingSet
-from egoflux.pipeline import fit_topics
+from egoflux.pipeline import run_pipeline
 
 from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
 
@@ -247,7 +247,7 @@ def pegasos_objective(clf, emb, labels, train_ids):
 
 @pytest.fixture(scope="module")
 def fixture_case():
-    """fit_topics on the fixture corpus, with the ego embeddings/labels and the
+    """run_pipeline on the fixture corpus, with the ego embeddings/labels and the
     alter embeddings/ids it hands to the classifier (recorded at the call
     sites), and the reference classifier trained on the same inputs."""
     corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
@@ -265,13 +265,15 @@ def fixture_case():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clf_mod, "train", recording_train)
         mp.setattr(clf_mod, "predict", recording_predict)
-        fit = fit_topics(corpus, FIXTURE_CONFIG)
+        result = run_pipeline(corpus, FIXTURE_CONFIG)
     (emb, labels, seed), = train_calls
     alter_emb, alter_ids = predict_calls[-1]
     ref, train_ids, val_ids = reference_train(emb, labels, seed)
-    return SimpleNamespace(fit=fit, emb=emb, labels=labels, alter_emb=alter_emb,
-                           alter_ids=alter_ids, ref=ref, train_ids=train_ids,
-                           val_ids=val_ids)
+    alter_labels = {pid: t for pid, t in result.labels.items()
+                    if pid not in result.fit.clustering.assignment}
+    return SimpleNamespace(fit=result.fit, alter_labels=alter_labels, emb=emb, labels=labels,
+                           alter_emb=alter_emb, alter_ids=alter_ids, ref=ref,
+                           train_ids=train_ids, val_ids=val_ids)
 
 
 class TestFullBatchAgainstPerSample:
@@ -292,8 +294,8 @@ class TestFullBatchAgainstPerSample:
     def test_equal_alter_labels(self, fixture_case):
         case = fixture_case
         assert len(case.alter_ids) > 0
-        assert case.fit.alter_labels == reference_predict(case.ref, case.alter_emb,
-                                                          case.alter_ids)
+        assert case.alter_labels == reference_predict(case.ref, case.alter_emb,
+                                                      case.alter_ids)
 
 
 class TestBlockPredict:

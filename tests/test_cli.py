@@ -199,6 +199,16 @@ class TestClassify:
                      "--model", str(tmp_path / "missing")])
         assert code == 1
 
+    def test_embeddings_csv_with_blank_first_line_exits_one(self, corpus_jsonl, bundle_dir,
+                                                            tmp_path, caplog):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("\nid,v0\np0000,1.0\n", encoding="utf-8")
+        code = main(["classify", str(corpus_jsonl), "--model", str(bundle_dir),
+                     "--embeddings", str(emb), "--out", str(tmp_path / "labels.csv")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{emb}: CSV header must start with 'id'"]
+
 
 class TestSeries:
     def test_full_grid_with_explicit_window(self, series_csv):
@@ -318,6 +328,15 @@ class TestCausality:
         assert not out.exists()
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["series file has no account for --alters ['ghost', 'zed']"]
+
+    def test_repeated_alters_exit_one_naming_them(self, series_csv, tmp_path, caplog):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(series_csv), "--ego", "ego",
+                     "--alters", "alt_a,ALT_A,@alt_a", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["alters repeated: ['alt_a']"]
 
     def test_alters_and_ego_handles_canonicalized(self, matrix_json, series_csv, tmp_path):
         out = tmp_path / "matrix.json"

@@ -161,9 +161,25 @@ class TestCsvRowRules:
         [post] = result.corpus.posts
         assert (post.id, post.text, post.retweeted_author) == ("a", "", None)
         assert result.dropped_malformed == 1
-        # A missing created_at reads as None, which is no timestamp.
-        with pytest.raises(CorpusFormatError,
-                           match=r"posts\.csv:3: Invalid isoformat string: 'None'$"):
+        # A missing created_at reads as None, which is a missing field.
+        with pytest.raises(CorpusFormatError, match=r"posts\.csv:3: missing created_at$"):
+            load_corpus(path, format="csv", window=WINDOW, strict=True)
+
+    @pytest.mark.parametrize("header, short_row, missing", [
+        ("id,created_at,text,retweeted_author,author", "b,2020-03-02T10:00:00Z,two,", "author"),
+        ("author,created_at,text,retweeted_author,id", "x,2020-03-02T10:00:00Z,two,", "id"),
+    ], ids=["author_last", "id_last"])
+    def test_short_row_missing_id_or_author_is_malformed(self, tmp_path, header, short_row,
+                                                         missing):
+        # A cell the row lacks is None, never the text "None" or handle "none".
+        path = tmp_path / "posts.csv"
+        full_row = ("a,2020-03-01T10:00:00Z,one,,x" if missing == "author"
+                    else "x,2020-03-01T10:00:00Z,one,,a")
+        path.write_text(f"{header}\n{full_row}\n{short_row}\n", encoding="utf-8")
+        result = load_corpus(path, format="csv", window=WINDOW)
+        assert [(p.id, p.author) for p in result.corpus.posts] == [("a", "x")]
+        assert result.dropped_malformed == 1
+        with pytest.raises(CorpusFormatError, match=rf"posts\.csv:3: missing {missing}$"):
             load_corpus(path, format="csv", window=WINDOW, strict=True)
 
     def test_extra_fields_ignored(self, tmp_path):
@@ -206,6 +222,17 @@ class TestCsvRowRules:
             load_corpus(path, format="jsonl", window=WINDOW, strict=True)
         write_jsonl(path, [{"author": "x", "created_at": "2020-03-01T10:00:00Z"}])
         with pytest.raises(CorpusFormatError, match=r"posts\.jsonl:1: 'id'$"):
+            load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+
+    @pytest.mark.parametrize("field", ["id", "author", "created_at"])
+    def test_jsonl_null_field_is_malformed(self, tmp_path, field):
+        path = tmp_path / "posts.jsonl"
+        good = {"id": "a", "author": "x", "created_at": "2020-03-01T10:00:00Z", "text": "one"}
+        write_jsonl(path, [good, {**good, "id": "b", field: None}])
+        result = load_corpus(path, format="jsonl", window=WINDOW)
+        assert [(p.id, p.author) for p in result.corpus.posts] == [("a", "x")]
+        assert result.dropped_malformed == 1
+        with pytest.raises(CorpusFormatError, match=rf"posts\.jsonl:2: missing {field}$"):
             load_corpus(path, format="jsonl", window=WINDOW, strict=True)
 
 

@@ -15,8 +15,8 @@ from egoflux.features import (
     SOURCE_FALLBACK,
     EmbeddingSet,
     FallbackProjector,
+    NORM_BLOCK,
     TfidfModel,
-    fallback_embeddings,
     fit_tfidf,
     load_embeddings,
     save_embeddings,
@@ -134,10 +134,8 @@ class TestTransformTfidf:
                  for r in rows]
         raw_ego = build_token_docs([p for p in posts if p.author == "ego"])
         phrases = fit_phrase_pipeline(raw_ego)
-        ego_docs = build_token_docs([p for p in posts if p.author == "ego"],
-                                    pipeline=phrases, remove_stops=True)
-        alter_docs = build_token_docs([p for p in posts if p.author != "ego"],
-                                      pipeline=phrases, remove_stops=True)
+        ego_docs = build_token_docs([p for p in posts if p.author == "ego"], pipeline=phrases)
+        alter_docs = build_token_docs([p for p in posts if p.author != "ego"], pipeline=phrases)
         model = fit_tfidf(ego_docs)
         edge_docs = [TokenDoc("empty", []), TokenDoc("oov", ["zzz_oov", "qqq_oov"])]
         for docs in (ego_docs, alter_docs + edge_docs):
@@ -231,11 +229,17 @@ class TestEmbeddingIO:
     def test_strict_missing_doc_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "p1", "v": [1.0, 0.0]}\n', encoding="utf-8")
-        docs = [TokenDoc("p1", ["x"]), TokenDoc("p2", ["y"])]
         with pytest.raises(EmbeddingFormatError, match="p2"):
-            load_embeddings(path, docs=docs, strict=True)
-        loaded = load_embeddings(path, docs=docs, strict=False)
-        assert set(loaded.vectors) == {"p1"}
+            load_embeddings(path, ids=["p1", "p2"])
+
+    @pytest.mark.parametrize("text", ["\nid,v0\np1,1.0\n", ""],
+                             ids=["blank_first_line", "empty_file"])
+    def test_csv_without_header_names_file(self, tmp_path, text):
+        path = tmp_path / "emb.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"emb\.csv: CSV header must start with 'id'"):
+            load_embeddings(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(EmbeddingFormatError):
@@ -254,7 +258,7 @@ class TestFallbackProjector:
         rng = np.random.default_rng(0)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
-        emb = fallback_embeddings(model, docs, dim=model.dim)
+        emb = FallbackProjector.fit(model, docs, dim=model.dim).transform(model, docs)
         dense = tfidf_matrix(model, docs).toarray()
         low = emb.matrix([d.post_id for d in docs])
         for i in range(0, 40, 7):
@@ -267,7 +271,7 @@ class TestFallbackProjector:
         rng = np.random.default_rng(1)
         docs = self._fit_corpus(rng, n_docs=60, vocab=20)
         model = fit_tfidf(docs, min_df=1)
-        emb = fallback_embeddings(model, docs, dim=10)
+        emb = FallbackProjector.fit(model, docs, dim=10).transform(model, docs)
         dense = tfidf_matrix(model, docs).toarray()
         low = emb.matrix([d.post_id for d in docs])
         full_cos, low_cos = [], []
@@ -282,7 +286,7 @@ class TestFallbackProjector:
         rng = np.random.default_rng(2)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
-        emb = fallback_embeddings(model, docs, dim=6)
+        emb = FallbackProjector.fit(model, docs, dim=6).transform(model, docs)
         assert emb.source == SOURCE_FALLBACK
         for vec in emb.vectors.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
@@ -290,15 +294,15 @@ class TestFallbackProjector:
     def test_empty_doc_stays_zero(self):
         docs = docs_of(["a", "b"], ["a", "c"], [])
         model = fit_tfidf(docs, min_df=1)
-        emb = fallback_embeddings(model, docs, dim=2)
+        emb = FallbackProjector.fit(model, docs, dim=2).transform(model, docs)
         assert np.linalg.norm(emb.vectors["d2"]) == 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
-        a = fallback_embeddings(model, docs, dim=5, seed=42)
-        b = fallback_embeddings(model, docs, dim=5, seed=42)
+        a = FallbackProjector.fit(model, docs, dim=5, seed=42).transform(model, docs)
+        b = FallbackProjector.fit(model, docs, dim=5, seed=42).transform(model, docs)
         for pid in a.vectors:
             np.testing.assert_array_equal(a.vectors[pid], b.vectors[pid])
 
@@ -313,6 +317,20 @@ class TestFallbackProjector:
         out2 = again.transform(model, new_docs)
         np.testing.assert_allclose(out1.vectors["d0"], out2.vectors["d0"], atol=1e-12)
 
+    def test_rows_bit_equal_one_pass_norm_across_blocks(self):
+        rng = np.random.default_rng(6)
+        fit_docs = self._fit_corpus(rng)
+        model = fit_tfidf(fit_docs, min_df=1)
+        projector = FallbackProjector.fit(model, fit_docs, dim=5)
+        docs = self._fit_corpus(rng, n_docs=2 * NORM_BLOCK + 7) + [TokenDoc("empty", [])]
+        emb = projector.transform(model, docs)
+        rows = np.asarray(tfidf_matrix(model, docs) @ projector.components)
+        norms = np.linalg.norm(rows, axis=1)
+        rows[norms > 0] /= norms[norms > 0, None]
+        assert all(emb.vectors[d.post_id].tobytes() == rows[i].tobytes()
+                   for i, d in enumerate(docs))
+        assert not emb.vectors["empty"].any()
+
     def test_dim_larger_than_vocab_rejected(self):
         docs = docs_of(["a", "b"], ["a", "b"])
         model = fit_tfidf(docs, min_df=1)
@@ -325,7 +343,7 @@ class TestFallbackProjector:
         docs_b = [TokenDoc(f"b{i}", list(rng.choice(["y1", "y2", "y3"], 6))) for i in range(20)]
         docs = docs_a + docs_b
         model = fit_tfidf(docs, min_df=1)
-        emb = fallback_embeddings(model, docs, dim=4)
+        emb = FallbackProjector.fit(model, docs, dim=4).transform(model, docs)
         for i in range(0, 20, 5):
             for j in range(0, 20, 5):
                 cos = float(emb.vectors[f"a{i}"] @ emb.vectors[f"b{j}"])

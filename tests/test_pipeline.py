@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: fitting, labeling, scanning, reporting."""
 
 import dataclasses
+import json
 import unicodedata
 from collections import Counter
 from datetime import datetime, timezone
@@ -10,6 +11,8 @@ import pytest
 
 from egoflux import pipeline, textpipe
 from egoflux.corpus import Corpus, Post, load_corpus
+from egoflux.errors import EmbeddingFormatError
+from egoflux.features import load_embeddings, save_embeddings
 from egoflux.pipeline import (
     PipelineConfig,
     classify_corpus,
@@ -40,19 +43,23 @@ class TestFitTopics:
     def test_classifier_recovers_clusters(self, topic_fit):
         assert topic_fit.eval_report.weighted_f1 >= 0.99
 
-    def test_label_maps_partition_the_accounts(self, topic_fit, two_topic_corpus):
+    def test_label_maps_partition_the_accounts(self, topic_fit, pipeline_result,
+                                               two_topic_corpus):
         author = {p.id: p.author for p in two_topic_corpus.posts}
         ego_labels = topic_fit.clustering.assignment
-        assert set(ego_labels).isdisjoint(topic_fit.alter_labels)
+        alter_labels = {i: t for i, t in pipeline_result.labels.items()
+                        if i not in ego_labels}
         assert all(author[i] == "ego" for i in ego_labels)
-        assert all(author[i] in ("alt_a", "alt_b") for i in topic_fit.alter_labels)
+        # The ego's posts keep their cluster labels; the classifier labels only alters'.
+        assert {i: pipeline_result.labels[i] for i in ego_labels} == ego_labels
+        assert all(author[i] in ("alt_a", "alt_b") for i in alter_labels)
         k = topic_fit.clustering.k
-        assert all(0 <= t < k for t in topic_fit.alter_labels.values())
+        assert all(0 <= t < k for t in alter_labels.values())
 
-    def test_every_post_featurized_in_fixture(self, topic_fit, two_topic_corpus):
+    def test_every_post_featurized_in_fixture(self, topic_fit, pipeline_result,
+                                              two_topic_corpus):
         assert topic_fit.n_unfeaturized == 0
-        n_labels = len(topic_fit.clustering.assignment) + len(topic_fit.alter_labels)
-        assert n_labels == len(two_topic_corpus.posts)
+        assert len(pipeline_result.labels) == len(two_topic_corpus.posts)
 
     def test_ego_handle_normalized(self, two_topic_corpus, pipeline_config):
         config = dataclasses.replace(pipeline_config, ego="@EGO", k=2)
@@ -61,12 +68,13 @@ class TestFitTopics:
 
     @pytest.mark.parametrize("ego", ["Ego ", " @ego"])
     def test_ego_spelled_loosely_fits_like_ego(self, two_topic_corpus, pipeline_config,
-                                               topic_fit, ego):
-        fit = fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, ego=ego))
+                                               topic_fit, pipeline_result, ego):
+        result = run_pipeline(two_topic_corpus, dataclasses.replace(pipeline_config, ego=ego))
+        fit = result.fit
         assert fit.ego == "ego"
         assert fit.ranking == topic_fit.ranking
         assert fit.clustering.assignment == topic_fit.clustering.assignment
-        assert fit.alter_labels == topic_fit.alter_labels
+        assert result.labels == pipeline_result.labels
 
     def test_unknown_ego_raises(self, two_topic_corpus, pipeline_config):
         config = dataclasses.replace(pipeline_config, ego="ghost")
@@ -124,8 +132,7 @@ class TestFitTopics:
             raw_tokens = {t for p in posts for t in unicodedata.normalize("NFC", p.text).split()}
             assert len(texts) == len(set(texts))
             assert set(texts) <= raw_tokens
-        assert tfidf_docs == [build_token_docs(ego_posts, pipeline=fit.bundle.phrases,
-                                               remove_stops=True)]
+        assert tfidf_docs == [build_token_docs(ego_posts, pipeline=fit.bundle.phrases)]
 
 
 class TestRunPipeline:
@@ -217,8 +224,7 @@ class TestClassifyCorpus:
     def test_explicit_embeddings_respected(self, pipeline_result, two_topic_corpus):
         bundle = pipeline_result.bundle
         posts = two_topic_corpus.posts[:20]
-        from egoflux.textpipe import build_token_docs
-        docs = build_token_docs(posts, pipeline=bundle.phrases, remove_stops=True)
+        docs = build_token_docs(posts, pipeline=bundle.phrases)
         emb = bundle.projector.transform(bundle.tfidf, docs)
         assert classify_corpus(bundle, posts, emb=emb) == \
             classify_corpus(bundle, posts)
@@ -234,6 +240,55 @@ class TestClassifyCorpus:
         bundle = dataclasses.replace(pipeline_result.bundle, projector=None)
         with pytest.raises(ValueError, match="projector"):
             classify_corpus(bundle, two_topic_corpus.posts[:5])
+
+
+class TestExternalEmbeddings:
+    """run_pipeline on an embeddings file that holds the fixture's own fallback vectors."""
+
+    @pytest.fixture(scope="class")
+    def emb_path(self, pipeline_result, two_topic_corpus, tmp_path_factory):
+        bundle = pipeline_result.bundle
+        docs = build_token_docs(two_topic_corpus.posts, pipeline=bundle.phrases)
+        path = tmp_path_factory.mktemp("emb") / "vectors.jsonl"
+        save_embeddings(bundle.projector.transform(bundle.tfidf, docs), path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def external_result(self, two_topic_corpus, pipeline_config, emb_path):
+        config = dataclasses.replace(pipeline_config, embeddings_path=str(emb_path))
+        return run_pipeline(two_topic_corpus, config)
+
+    def test_alter_labels_are_classify_corpus_labels(self, external_result,
+                                                     two_topic_corpus, emb_path):
+        alter_posts = [p for p in two_topic_corpus.posts if p.author in ("alt_a", "alt_b")]
+        expected = classify_corpus(external_result.bundle, alter_posts,
+                                   load_embeddings(emb_path))
+        alter_labels = {i: t for i, t in external_result.labels.items()
+                        if i not in external_result.fit.clustering.assignment}
+        assert alter_labels == expected
+        assert len(expected) == len(alter_posts)
+
+    def test_same_labels_and_matrix_as_the_fallback_run(self, external_result,
+                                                        pipeline_result):
+        assert external_result.fit.embeddings is not None
+        assert pipeline_result.fit.embeddings is None
+        assert external_result.labels == pipeline_result.labels
+        assert external_result.matrix.to_json() == pipeline_result.matrix.to_json()
+
+    def test_saved_bundle_has_no_projector(self, external_result, tmp_path):
+        out = external_result.bundle.save(tmp_path / "bundle")
+        assert (out / "classifier.json").is_file()
+        assert not (out / "projector.json").exists()
+
+    def test_file_missing_an_alter_id_names_it(self, emb_path, two_topic_corpus,
+                                               pipeline_config, tmp_path):
+        alter_id = next(p.id for p in two_topic_corpus.posts if p.author == "alt_b")
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(line for line in emb_path.read_text().splitlines(True)
+                                if json.loads(line)["id"] != alter_id))
+        config = dataclasses.replace(pipeline_config, embeddings_path=str(path))
+        with pytest.raises(EmbeddingFormatError, match=rf"1 ids missing .*\['{alter_id}'\]"):
+            run_pipeline(two_topic_corpus, config)
 
 
 FIXTURE_WINDOW = (datetime(2021, 1, 4, tzinfo=timezone.utc),

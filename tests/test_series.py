@@ -167,13 +167,13 @@ class TestSeriesCsv:
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("week_start,account\n2020-01-06,ego\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.csv: series CSV must have columns"):
             read_series_csv(path)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("week_start,account,topic,count\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"empty\.csv: series CSV is empty$"):
             read_series_csv(path)
 
     def _write_rows(self, tmp_path, rows):

@@ -575,6 +575,10 @@ class TestCausalityScan:
         with pytest.raises(ValueError):
             causality_scan(_scan_series(), "nobody", ["alt_x"])
 
+    def test_repeated_alters_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"alters repeated: \['alt_flat', 'alt_x'\]"):
+            causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat", "alt_x", "alt_flat"])
+
     def test_unknown_correction_rejected(self):
         with pytest.raises(ValueError):
             causality_scan(_scan_series(), "ego", ["alt_x"], correction="bonferroni")

@@ -267,7 +267,7 @@ class TestBuildTokenDocs:
             make_post("p1", "x", "2020-03-01T10:00:00",
                       "RT @y: The Stock Market hit a record! https://t.co/z #markets"),
         ]
-        docs = build_token_docs(posts, remove_stops=True)
+        docs = build_token_docs(posts, PhrasePipeline())
         assert docs[0].post_id == "p1"
         assert docs[0].tokens == ["stock", "market", "hit", "record", "markets"]
 
@@ -277,7 +277,7 @@ class TestBuildTokenDocs:
 
     def test_stopword_only_post_yields_empty_doc(self):
         posts = [make_post("p1", "x", "2020-03-01T10:00:00", "that is the it")]
-        docs = build_token_docs(posts, remove_stops=True)
+        docs = build_token_docs(posts, PhrasePipeline())
         assert docs[0].tokens == []
 
 
@@ -299,15 +299,13 @@ EDGE_TEXTS = [
 ]
 
 
-def _reference_docs(posts, pipeline=None, remove_stops=False):
+def _reference_docs(posts, pipeline=None):
     """build_token_docs as the per-post composition it stands for."""
     docs = []
     for post in posts:
         tokens = tokenize(clean(post.text))
         if pipeline is not None:
-            tokens = pipeline.apply(tokens)
-        if remove_stops:
-            tokens = remove_stopwords(tokens)
+            tokens = remove_stopwords(pipeline.apply(tokens))
         docs.append((post.id, tokens))
     return docs
 
@@ -323,12 +321,10 @@ class TestBuildTokenDocsEquivalence:
                                       frozenset({("new_york", "city")})])
 
     @pytest.mark.parametrize("pipeline", [None, PIPELINE])
-    @pytest.mark.parametrize("remove_stops", [False, True])
-    def test_edge_texts(self, pipeline, remove_stops):
+    def test_edge_texts(self, pipeline):
         posts = _posts(EDGE_TEXTS)
-        docs = build_token_docs(posts, pipeline, remove_stops)
-        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(
-            posts, pipeline, remove_stops)
+        docs = build_token_docs(posts, pipeline)
+        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(posts, pipeline)
 
     def test_repeated_tokens_get_fresh_lists(self):
         docs = build_token_docs(_posts(["garden soil", "garden soil"]))
@@ -352,5 +348,5 @@ class TestBuildTokenDocsEquivalence:
         posts = [SimpleNamespace(id=r["id"], text=r["text"]) for r in _fixture_rows()]
         phrases = fit_phrase_pipeline(build_token_docs(posts))
         assert phrases.stages[0]
-        docs = build_token_docs(posts, phrases, True)
-        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(posts, phrases, True)
+        docs = build_token_docs(posts, phrases)
+        assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(posts, phrases)
