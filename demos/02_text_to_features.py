@@ -73,7 +73,7 @@ def main() -> None:
         model, merged_docs)
     a, b = emb.vectors["d0"], emb.vectors["d1"]   # two market docs
     c = emb.vectors["d6"]                          # a weather doc
-    print(f"dim={emb.dim}, source={emb.source}")
+    print(f"dim={emb.dim}")
     print(f"cos(market, market)  = {float(a @ b):.3f}")
     print(f"cos(market, weather) = {float(a @ c):.3f}")
     print("same-theme posts sit close; cross-theme posts do not.")

@@ -37,8 +37,8 @@ def main(out: Path) -> None:
     m = result.report.metrics
     print("== Run summary ==")
     print(f"ego posts: {m['n_ego_posts']}, labeled posts: {m['n_labeled_posts']}")
-    print(f"selected k: {m['selected_k']} "
-          f"(silhouettes {m['silhouette_by_k']})")
+    print(f"selected k: {result.bundle.k} "
+          f"(silhouettes {result.bundle.silhouette_by_k})")
     print(f"classifier weighted F1: {m['eval']['weighted_f1']:.4f}")
     print(f"skipped pairs: {m['skip_counts'] or 'none'}")
 

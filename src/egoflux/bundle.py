@@ -1,20 +1,22 @@
 """Versioned on-disk topic-model bundle shared by the topics/classify stages.
 
 The bundle is a directory of JSON files so that Alter posts are guaranteed to
-pass through the exact models fitted on the Ego corpus.  Its files:
+pass through the exact models fitted on the Ego corpus.  It owns the topic
+model, which the run report names by index.  Its files:
 
 - ``phrases.json``: the sorted merge pairs of each phrase stage;
 - ``tfidf.json``: the vocabulary and IDF weights;
-- ``projector.json``: the fallback SVD projection and its dimension (absent
-  with external embeddings);
-- ``topics.json``: the schema version, the medoid post ids, one summary per
-  topic (index, label, size, top words) and the silhouette of each k tried;
-- ``classifier.json``: the classes, input dimension, weights and biases;
+- ``projector.json``: the fallback SVD components (absent with external
+  embeddings);
+- ``topics.json``: the medoid post ids, one summary per topic (index, label,
+  size, top words) and the silhouette of each k tried;
+- ``classifier.json``: the classes, weights and biases;
 - ``manifest.json``: the schema version, the parts written and the seed.
 
-Each value is written once: k is the number of summaries, and the embedding
-source and dimension follow from the projector (or, without one, the
-classifier).
+A value is written once, and only if loading reads it: k is the number of
+summaries, a dimension is the width of its matrix, and only the manifest
+holds a schema version.  Loading reads the projector only if the manifest
+lists it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .features import FallbackProjector, TfidfModel
 from .textpipe import PhrasePipeline
 from .topics import TopicSummary
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 MANIFEST_JSON = "manifest.json"
 PHRASES_JSON = "phrases.json"
@@ -62,8 +64,8 @@ class ModelBundle:
     tfidf: TfidfModel
     medoid_ids: list[str]
     summaries: list[TopicSummary]
+    classifier: LinearClassifier
     projector: FallbackProjector | None = None
-    classifier: LinearClassifier | None = None
     seed: int = 42
     silhouette_by_k: dict[int, float] = field(default_factory=dict)
 
@@ -74,24 +76,20 @@ class ModelBundle:
     def save(self, out_dir) -> Path:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        parts = [PHRASES_JSON, TFIDF_JSON, TOPICS_JSON]
-        _write_json(out / PHRASES_JSON, self.phrases.to_dict())
-        _write_json(out / TFIDF_JSON, self.tfidf.to_dict())
-        _write_json(
-            out / TOPICS_JSON,
-            {
-                "schema_version": SCHEMA_VERSION,
+        parts = {
+            PHRASES_JSON: self.phrases.to_dict(),
+            TFIDF_JSON: self.tfidf.to_dict(),
+            TOPICS_JSON: {
                 "medoid_ids": list(self.medoid_ids),
                 "summaries": [s.to_dict() for s in self.summaries],
                 "silhouette_by_k": {str(k): float(v) for k, v in self.silhouette_by_k.items()},
             },
-        )
+            CLASSIFIER_JSON: self.classifier.to_dict(),
+        }
         if self.projector is not None:
-            _write_json(out / PROJECTOR_JSON, self.projector.to_dict())
-            parts.append(PROJECTOR_JSON)
-        if self.classifier is not None:
-            _write_json(out / CLASSIFIER_JSON, self.classifier.to_dict())
-            parts.append(CLASSIFIER_JSON)
+            parts[PROJECTOR_JSON] = self.projector.to_dict()
+        for name, payload in parts.items():
+            _write_json(out / name, payload)
         _write_json(
             out / MANIFEST_JSON,
             {
@@ -104,26 +102,27 @@ class ModelBundle:
 
     @classmethod
     def load(cls, in_dir) -> "ModelBundle":
+        """Read a bundle; its projector is read only when the manifest lists it."""
         src = Path(in_dir)
         manifest = _read_json(src / MANIFEST_JSON)
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"{src}: bundle schema {manifest.get('schema_version')} != {SCHEMA_VERSION}"
             )
-        topics = _read_json(src / TOPICS_JSON)
-        projector = None
-        if (src / PROJECTOR_JSON).exists():
-            projector = FallbackProjector.from_dict(_read_json(src / PROJECTOR_JSON))
-        classifier = None
-        if (src / CLASSIFIER_JSON).exists():
-            classifier = LinearClassifier.from_dict(_read_json(src / CLASSIFIER_JSON))
-        return cls(
-            phrases=PhrasePipeline.from_dict(_read_json(src / PHRASES_JSON)),
-            tfidf=TfidfModel.from_dict(_read_json(src / TFIDF_JSON)),
-            medoid_ids=list(topics["medoid_ids"]),
-            summaries=[TopicSummary.from_dict(s) for s in topics["summaries"]],
-            projector=projector,
-            classifier=classifier,
-            seed=int(manifest["seed"]),
-            silhouette_by_k={int(k): float(v) for k, v in topics["silhouette_by_k"].items()},
-        )
+        try:
+            topics = _read_json(src / TOPICS_JSON)
+            return cls(
+                phrases=PhrasePipeline.from_dict(_read_json(src / PHRASES_JSON)),
+                tfidf=TfidfModel.from_dict(_read_json(src / TFIDF_JSON)),
+                medoid_ids=list(topics["medoid_ids"]),
+                summaries=[TopicSummary.from_dict(s) for s in topics["summaries"]],
+                classifier=LinearClassifier.from_dict(_read_json(src / CLASSIFIER_JSON)),
+                projector=(FallbackProjector.from_dict(_read_json(src / PROJECTOR_JSON))
+                           if PROJECTOR_JSON in manifest["parts"] else None),
+                seed=int(manifest["seed"]),
+                silhouette_by_k={int(k): float(v) for k, v in topics["silhouette_by_k"].items()},
+            )
+        except KeyError as exc:
+            raise ValueError(f"{src}: missing field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"{src}: malformed entry: {exc}") from None

@@ -26,7 +26,6 @@ class LinearClassifier:
     weights: np.ndarray
     biases: np.ndarray
     classes: list[int]
-    dim: int
 
     def __post_init__(self) -> None:
         if len(self.classes) < 2:
@@ -34,11 +33,13 @@ class LinearClassifier:
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
             raise ValueError("classifier weights contain NaN/Inf")
 
+    @property
+    def dim(self) -> int:
+        return self.weights.shape[1]
+
     def to_dict(self) -> dict:
         return {
-            "schema_version": 2,
             "classes": list(self.classes),
-            "dim": self.dim,
             "weights": [[float(x) for x in row] for row in self.weights],
             "biases": [float(x) for x in self.biases],
         }
@@ -49,7 +50,6 @@ class LinearClassifier:
             weights=np.asarray(d["weights"], dtype=float),
             biases=np.asarray(d["biases"], dtype=float),
             classes=[int(c) for c in d["classes"]],
-            dim=int(d["dim"]),
         )
 
 
@@ -168,7 +168,7 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
         W += (eta / n_train) * (hit_y.T @ X)
         b += (eta / n_train) * hit_y.sum(axis=0)
 
-    clf = LinearClassifier(weights=W, biases=b, classes=classes, dim=dim)
+    clf = LinearClassifier(weights=W, biases=b, classes=classes)
     report = evaluate(predict(clf, emb, ids=val_ids),
                       {pid: labels[pid] for pid in val_ids})
     logger.info("validation weighted F1 = %.4f on %d held-out posts",

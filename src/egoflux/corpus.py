@@ -100,23 +100,37 @@ class IngestResult:
         return self.dropped_out_of_window + self.dropped_malformed + self.dropped_duplicate
 
 
+def record_id(value) -> str:
+    """The id a corpus or embeddings row holds: a string (stripped, not empty) or
+    a JSON integer that is not a bool, so `1` and `"1"` are one id and `1.0` none."""
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(f"id {value!r} is not a string or an integer")
+    post_id = value.strip()
+    if not post_id:
+        raise ValueError("empty id")
+    return post_id
+
+
 def _post_from_record(record: dict) -> Post:
-    """The post a row holds; a bad row raises KeyError, TypeError or ValueError."""
+    """The post a row holds, its id by `record_id` and its other fields strings;
+    a bad row raises KeyError, TypeError or ValueError."""
     raw_id, raw_author, raw_created = record["id"], record["author"], record["created_at"]
     # A JSON null, or a cell a short CSV row lacks, is missing, not the text "None".
     if raw_id is None or raw_author is None or raw_created is None:
         raise ValueError("missing " + ", ".join(
             name for name in ("id", "author", "created_at") if record[name] is None))
-    post_id = str(raw_id).strip()
-    author = canonical_handle(str(raw_author))
-    created_at = parse_timestamp(str(raw_created))
+    for name in ("author", "created_at", "retweeted_author"):
+        if not isinstance(record.get(name), (str, type(None))):
+            raise TypeError(f"{name} {record[name]!r} is not a string")
+    post_id = record_id(raw_id)
+    author = canonical_handle(raw_author)
+    created_at = parse_timestamp(raw_created)
     text = str(record.get("text", "") or "")
-    if not post_id:
-        raise ValueError("empty id")
     if author is None:
         raise ValueError("empty author")
-    raw_rt = record.get("retweeted_author")
-    retweeted = canonical_handle(raw_rt if raw_rt is None else str(raw_rt))
+    retweeted = canonical_handle(record.get("retweeted_author"))
     return Post(id=post_id, author=author, created_at=created_at, text=text, retweeted_author=retweeted)
 
 

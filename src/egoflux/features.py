@@ -16,11 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from .corpus import record_id
 from .errors import EmbeddingFormatError
 from .textpipe import TokenDoc
-
-SOURCE_EXTERNAL = "external_file"
-SOURCE_FALLBACK = "tfidf_fallback"
 
 DEFAULT_MIN_DF = 2
 DEFAULT_SVD_SEED = 42
@@ -37,8 +35,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    doc_count: int
-    min_df: int
 
     @property
     def dim(self) -> int:
@@ -47,11 +43,8 @@ class TfidfModel:
     def to_dict(self) -> dict:
         ordered = sorted(self.vocabulary.items(), key=lambda kv: kv[1])
         return {
-            "schema_version": 1,
             "vocabulary": [t for t, _ in ordered],
             "idf": [float(v) for v in self.idf],
-            "doc_count": self.doc_count,
-            "min_df": self.min_df,
         }
 
     @classmethod
@@ -59,8 +52,6 @@ class TfidfModel:
         return cls(
             vocabulary={t: i for i, t in enumerate(d["vocabulary"])},
             idf=np.asarray(d["idf"], dtype=float),
-            doc_count=int(d["doc_count"]),
-            min_df=int(d["min_df"]),
         )
 
 
@@ -82,7 +73,7 @@ def fit_tfidf(docs: Sequence[TokenDoc], min_df: int = DEFAULT_MIN_DF) -> TfidfMo
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in vocab_tokens], dtype=float
     )
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs, min_df=min_df)
+    return TfidfModel(vocabulary=vocabulary, idf=idf)
 
 
 def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matrix:
@@ -121,7 +112,6 @@ class EmbeddingSet:
 
     dim: int
     vectors: dict[str, np.ndarray]
-    source: str
 
     def matrix(self, ids: Sequence[str]) -> np.ndarray:
         return np.stack([self.vectors[i] for i in ids])
@@ -130,9 +120,9 @@ class EmbeddingSet:
 def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
     """Read id -> vector rows from JSONL ({"id":..., "v":[...]}) or CSV (id,v0..).
 
-    All rows must share one dimension (error names the offending id); a
-    component that is not a number is an error naming the line.  Every id
-    in `ids`, when given, must be in the file.
+    Ids follow `corpus.record_id` and may appear once; all rows must share
+    one dimension and hold finite numbers.  A bad row's error names the file
+    and line.  Every id in `ids`, when given, must be in the file.
     """
     path = Path(path)
     if not path.exists():
@@ -140,18 +130,23 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
 
-    def add(post_id: str, values: Sequence[float]) -> None:
+    def add(lineno: int, raw_id, values: Sequence[float]) -> None:
+        # record_id's TypeError or ValueError is named by the caller's handler.
         nonlocal dim
+        where = f"{path}:{lineno}"
+        post_id = record_id(raw_id)
+        if post_id in vectors:
+            raise EmbeddingFormatError(f"{where}: duplicate id {post_id!r}")
         vec = np.asarray(values, dtype=float)
-        if vec.ndim != 1 or len(vec) == 0:
-            raise EmbeddingFormatError(f"{path}: id {post_id!r} has no vector")
+        if len(vec) == 0:
+            raise EmbeddingFormatError(f"{where}: id {post_id!r} has no vector")
         if not np.all(np.isfinite(vec)):
-            raise EmbeddingFormatError(f"{path}: id {post_id!r} has NaN/Inf components")
+            raise EmbeddingFormatError(f"{where}: id {post_id!r} has NaN/Inf components")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
             raise EmbeddingFormatError(
-                f"{path}: id {post_id!r} has dim {len(vec)}, expected {dim}"
+                f"{where}: id {post_id!r} has dim {len(vec)}, expected {dim}"
             )
         vectors[post_id] = vec
 
@@ -165,10 +160,9 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
                 if not row:
                     continue
                 try:
-                    values = [float(v) for v in row[1:]]
+                    add(reader.line_num, row[0], [float(v) for v in row[1:]])
                 except ValueError as exc:
                     raise EmbeddingFormatError(f"{path}:{reader.line_num}: {exc}") from None
-                add(row[0], values)
     else:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -176,7 +170,11 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
                     continue
                 try:
                     record = json.loads(line)
-                    add(str(record["id"]), record["v"])
+                    raw_id, values = record["id"], record["v"]
+                    # Types compared exactly: a bool is an int to isinstance.
+                    if type(values) is not list or not {float, int}.issuperset(map(type, values)):
+                        raise TypeError(f"v is not a list of numbers: {values!r:.80}")
+                    add(lineno, raw_id, values)
                 except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
                     raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
 
@@ -187,7 +185,7 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
         if missing:
             raise EmbeddingFormatError(
                 f"{path}: {len(missing)} ids missing from embedding file: {missing[:10]}")
-    return EmbeddingSet(dim=dim, vectors=vectors, source=SOURCE_EXTERNAL)
+    return EmbeddingSet(dim=dim, vectors=vectors)
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
@@ -225,8 +223,10 @@ class FallbackProjector:
     """
 
     components: np.ndarray
-    dim: int
-    seed: int
+
+    @property
+    def dim(self) -> int:
+        return self.components.shape[1]
 
     @classmethod
     def fit(cls, model: TfidfModel, docs: Sequence[TokenDoc], dim: int,
@@ -236,7 +236,7 @@ class FallbackProjector:
         if dim > model.dim:
             raise ValueError(f"dim {dim} exceeds vocabulary size {model.dim}")
         A = tfidf_matrix(model, docs)
-        return cls(components=_randomized_svd(A, dim, seed), dim=dim, seed=seed)
+        return cls(components=_randomized_svd(A, dim, seed))
 
     def transform(self, model: TfidfModel, docs: Sequence[TokenDoc]) -> EmbeddingSet:
         """Unit-length projections of the docs' TF-IDF rows (zero rows stay zero)."""
@@ -250,18 +250,12 @@ class FallbackProjector:
             nonzero = norms > 0
             block[nonzero] /= norms[nonzero, None]
         vectors = {doc.post_id: rows[i] for i, doc in enumerate(docs)}
-        return EmbeddingSet(dim=self.dim, vectors=vectors, source=SOURCE_FALLBACK)
+        return EmbeddingSet(dim=self.dim, vectors=vectors)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "dim": self.dim,
-            "seed": self.seed,
-            "components": [[float(v) for v in row] for row in self.components],
-        }
+        return {"components": [[float(v) for v in row] for row in self.components]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FallbackProjector":
-        return cls(components=np.asarray(d["components"], dtype=float),
-                   dim=int(d["dim"]), seed=int(d["seed"]))
+        return cls(components=np.asarray(d["components"], dtype=float))
 

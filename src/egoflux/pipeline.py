@@ -231,19 +231,12 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
         "n_labeled_posts": len(labeled_posts),
         "n_unfeaturized_ego_posts": fit.n_unfeaturized,
         "alter_retweet_counts": dict(fit.ranking.entries),
-        "silhouette_by_k": {str(k): v for k, v in sorted(fit.bundle.silhouette_by_k.items())},
-        "selected_k": fit.clustering.k,
         "total_cost": fit.clustering.total_cost,
         "eval": fit.eval_report.to_dict(),
         "skip_counts": dict(sorted(skip_counts.items())),
         "n_weeks": week_index.n_weeks,
     }
-    report = ReportBundle(
-        matrix=matrix,
-        config=config.to_dict(),
-        metrics=metrics,
-        topics=[s.to_dict() for s in fit.bundle.summaries],
-    )
+    report = ReportBundle(matrix=matrix, config=config.to_dict(), metrics=metrics)
     return PipelineResult(fit=fit, report=report, series=series, labels=labels)
 
 
@@ -254,8 +247,6 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
     When `emb` is None the bundle must carry the fallback projector; a post
     with no vector in `emb`, or a zero one, is left unlabeled.
     """
-    if bundle.classifier is None:
-        raise ValueError("bundle has no classifier part")
     docs = build_token_docs(posts, pipeline=bundle.phrases)
     if emb is None:
         if bundle.projector is None:

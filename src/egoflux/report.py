@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .stats import CausalityMatrix, PairOutcome
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_GROUP = "all"
 P_CLAMP = 1e-16
 
@@ -21,18 +21,18 @@ RUN_REPORT_JSON = "run_report.json"
 
 @dataclass
 class ReportBundle:
-    """Everything a run produced, embedded verbatim for reproducibility.
+    """What a run produced, embedded verbatim for reproducibility.
 
     `config` is the run's `PipelineConfig.to_dict()`, `metrics` its per-stage
-    counts and scores (the classifier's under ``eval``), `topics` one summary
-    per topic, and `grouping` maps alters to the groups that order the rows
-    of matrix.csv; it is the report's only grouping.
+    counts and scores (the classifier's under ``eval``), and `grouping` maps
+    alters to the groups that order the rows of matrix.csv; it is the
+    report's only grouping.  The topic model is the bundle's: the report
+    names topics by index, as matrix.csv does.
     """
 
     matrix: CausalityMatrix
     config: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    topics: list[dict] = field(default_factory=list)
     grouping: dict[str, str] | None = None
 
     def to_dict(self) -> dict:
@@ -40,7 +40,6 @@ class ReportBundle:
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
             "metrics": self.metrics,
-            "topics": self.topics,
             "grouping": self.grouping,
             "matrix": self.matrix.to_dict(),
         }
@@ -54,7 +53,6 @@ class ReportBundle:
             matrix=CausalityMatrix.from_dict(d["matrix"]),
             config=d.get("config", {}),
             metrics=d.get("metrics", {}),
-            topics=d.get("topics", []),
             grouping=d.get("grouping"),
         )
 

@@ -62,6 +62,8 @@ _ADF_SKIPS = {
 CORRECTION_NONE = "none"
 CORRECTION_BH = "benjamini_hochberg"
 
+MATRIX_SCHEMA_VERSION = 2
+
 
 # ---------------------------------------------------------------------------
 # Ordinary least squares
@@ -184,7 +186,6 @@ class AdfResult:
     statistic: float
     p_value: float
     lags_used: int
-    regression: str
     is_stationary: bool
     n_obs: int
 
@@ -266,7 +267,6 @@ def adf_test(y, max_lag: int | None = None, alpha: float = DEFAULT_ALPHA) -> Adf
         statistic=stat,
         p_value=p_value,
         lags_used=best_lag,
-        regression="constant",
         is_stationary=p_value < alpha,
         n_obs=fit.n_obs,
     )
@@ -515,14 +515,13 @@ class CausalityMatrix:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": MATRIX_SCHEMA_VERSION,
             "ego": self.ego,
             "alters": list(self.alters),
             "n_topics": self.n_topics,
             "max_lag": self.max_lag,
             "alpha": self.alpha,
             "correction": self.correction,
-            "best_lag_rule": "argmin p, ties to smaller lag",
             "pairs": [
                 {
                     "alter": p.alter,
@@ -530,7 +529,6 @@ class CausalityMatrix:
                     "skip_reason": p.skip_reason,
                     "diff_order": p.diff_order,
                     "adjusted_p": p.adjusted_p,
-                    "best_lag": p.best.lag if p.best else None,
                     "results": [
                         {
                             "lag": r.lag,
@@ -548,7 +546,10 @@ class CausalityMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalityMatrix":
-        """Inverse of to_dict.  `best_lag` is not read: `PairOutcome.best` derives it."""
+        """Inverse of to_dict; a matrix of another schema is refused by its version."""
+        if d.get("schema_version") != MATRIX_SCHEMA_VERSION:
+            raise ValueError(
+                f"matrix schema {d.get('schema_version')} != {MATRIX_SCHEMA_VERSION}")
         pairs = [
             PairOutcome(
                 alter=pd["alter"],
@@ -624,7 +625,8 @@ def causality_scan(
     (DEGEN), no stationary order within max_diff (NONSTAT), too few weeks
     (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Optional
     Benjamini-Hochberg correction is applied across the best-lag p-values of
-    all tested pairs.  Repeated alters are refused.
+    all tested pairs.  Repeated alters are refused, and so are series whose
+    topics are not 0..n-1, since the matrix names topics by index.
     """
     if correction not in (CORRECTION_NONE, CORRECTION_BH):
         raise ValueError(f"unknown correction {correction!r}")
@@ -636,6 +638,8 @@ def causality_scan(
     # One ladder per series: the ego's ADF verdicts are shared by every alter.
     ladders = {(s.account, s.topic): _Ladder(s.counts, alpha) for s in series}
     topics = sorted({t for (_, t) in ladders})
+    if topics != list(range(len(topics))):
+        raise ValueError(f"series topics {topics} are not 0..{len(topics) - 1}")
     if not any(acc == ego for (acc, _) in ladders):
         raise ValueError(f"ego account {ego!r} has no series")
 

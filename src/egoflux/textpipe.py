@@ -140,8 +140,7 @@ class PhrasePipeline:
         return merged
 
     def to_dict(self) -> dict:
-        return {"schema_version": 2,
-                "stages": [[list(pair) for pair in sorted(stage)] for stage in self.stages]}
+        return {"stages": [[list(pair) for pair in sorted(stage)] for stage in self.stages]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhrasePipeline":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -21,6 +22,29 @@ FIXTURE_WINDOW = (datetime(2021, 1, 4, tzinfo=timezone.utc),
 FIXTURE_CONFIG = PipelineConfig(ego="ego", k_min=2, k_max=4, embed_dim=16,
                                 seed=42, max_lag=4, alpha=0.01,
                                 correction=CORRECTION_BH)
+
+
+def written_keys(node, maps=("silhouette_by_k",)):
+    """Key paths of a written JSON value: every dict key, recursing into dicts
+    and into the first element of lists, but not into the maps named (their
+    keys are data, not fields)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (key,)
+            if key not in maps:
+                yield from ((key, *rest) for rest in written_keys(value, maps))
+    elif isinstance(node, list) and node:
+        yield from ((0, *rest) for rest in written_keys(node[0], maps))
+
+
+def without_key(data, path):
+    """A deep copy of JSON `data` with the key at `path` deleted."""
+    data = json.loads(json.dumps(data))
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    return data
 
 
 def make_post(pid: str, author: str, ts: str, text: str, retweeted: str | None = None) -> Post:

@@ -231,7 +231,7 @@ def test_05_pam_optimality(announce):
         vecs = rng.standard_normal((n, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         emb = EmbeddingSet(vectors={f"p{j}": vecs[j] for j in range(n)},
-                           dim=3, source="external_file")
+                           dim=3)
         dm = cosine_distance_matrix(emb, [f"p{j}" for j in range(n)])
         clustering = kmedoids(dm, k, seed=int(rng.integers(1 << 30)))
         if abs(clustering.total_cost - brute_force(dm.d, k)) > 1e-9:
@@ -272,8 +272,7 @@ def _blobs(data_seed: int, centers, per_class: int = 50, spread: float = 0.15):
             vectors[pid] = np.asarray(center) + spread * rng.standard_normal(
                 len(center))
             labels[pid] = cls
-    emb = EmbeddingSet(vectors=vectors, dim=len(centers[0]),
-                       source="external_file")
+    emb = EmbeddingSet(vectors=vectors, dim=len(centers[0]))
     return emb, labels
 
 

@@ -19,7 +19,7 @@ from egoflux.classifier import (
     train,
 )
 from egoflux.corpus import load_corpus
-from egoflux.features import SOURCE_EXTERNAL, EmbeddingSet
+from egoflux.features import EmbeddingSet
 from egoflux.pipeline import run_pipeline
 
 from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
@@ -33,7 +33,7 @@ def blob_data(rng, centers, per_class=30, spread=0.15):
             pid = f"c{c}_{i}"
             vectors[pid] = rng.normal(center, spread, size=dim)
             labels[pid] = c
-    emb = EmbeddingSet(dim=dim, vectors=vectors, source=SOURCE_EXTERNAL)
+    emb = EmbeddingSet(dim=dim, vectors=vectors)
     return emb, labels
 
 
@@ -145,24 +145,21 @@ class TestPredict:
             weights=W,
             biases=np.asarray(biases, dtype=float),
             classes=list(range(W.shape[0])),
-            dim=W.shape[1],
         )
 
     def test_argmax(self):
         clf = self._fixed_clf([[1, 0], [0, 1]], [0, 0])
-        emb = EmbeddingSet(dim=2, vectors={"p": np.array([0.2, 0.9])},
-                           source=SOURCE_EXTERNAL)
+        emb = EmbeddingSet(dim=2, vectors={"p": np.array([0.2, 0.9])})
         assert predict(clf, emb)["p"] == 1
 
     def test_exact_tie_lowest_class(self):
         clf = self._fixed_clf([[1, 0], [1, 0], [0, 1]], [0, 0, 0])
-        emb = EmbeddingSet(dim=2, vectors={"p": np.array([1.0, 0.0])},
-                           source=SOURCE_EXTERNAL)
+        emb = EmbeddingSet(dim=2, vectors={"p": np.array([1.0, 0.0])})
         assert predict(clf, emb)["p"] == 0
 
     def test_dim_mismatch_rejected(self):
         clf = self._fixed_clf([[1, 0], [0, 1]], [0, 0])
-        emb = EmbeddingSet(dim=3, vectors={"p": np.zeros(3)}, source=SOURCE_EXTERNAL)
+        emb = EmbeddingSet(dim=3, vectors={"p": np.zeros(3)})
         with pytest.raises(ValueError):
             predict(clf, emb)
 
@@ -171,7 +168,6 @@ class TestPredict:
         emb = EmbeddingSet(
             dim=2,
             vectors={"z": np.array([1.0, 0.0]), "a": np.array([0.0, 1.0])},
-            source=SOURCE_EXTERNAL,
         )
         assert list(predict(clf, emb)) == ["a", "z"]
 
@@ -193,7 +189,6 @@ class TestSerialization:
                 weights=np.zeros((1, 2)),
                 biases=np.zeros(1),
                 classes=[0],
-                dim=2,
                 )
 
 
@@ -225,7 +220,7 @@ def reference_train(emb, labels, seed):
             if hit.any():
                 W[hit] += (eta * Y[i][hit])[:, None] * X[i][None, :]
                 b[hit] += eta * Y[i][hit]
-    clf = LinearClassifier(weights=W, biases=b, classes=classes, dim=dim)
+    clf = LinearClassifier(weights=W, biases=b, classes=classes)
     return clf, train_ids, val_ids
 
 
@@ -304,8 +299,8 @@ class TestBlockPredict:
     def _random_case(self):
         rng = np.random.default_rng(21)
         clf = LinearClassifier(weights=rng.normal(size=(3, 8)), biases=rng.normal(size=3),
-                               classes=[2, 5, 7], dim=8)
-        emb = EmbeddingSet(dim=8, source=SOURCE_EXTERNAL,
+                               classes=[2, 5, 7])
+        emb = EmbeddingSet(dim=8,
                            vectors={f"p{i:05d}": rng.normal(size=8) for i in range(self.N)})
         return clf, emb
 

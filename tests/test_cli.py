@@ -363,6 +363,26 @@ class TestCausality:
         assert (matrix.ego, matrix.alters) == ("ego", ["alt_a"])
         assert len(matrix.pair("alt_a", 0).results) == 2
 
+    @pytest.mark.parametrize("topics", [(0, 2), (-1, 0)], ids=["gap", "negative"])
+    def test_topics_not_zero_to_n_exit_one_naming_them(self, tmp_path, caplog, topics):
+        path = tmp_path / "series.csv"
+        rng = np.random.default_rng(3)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["week_start", "account", "topic", "count"])
+            for account in ("ego", "alt_a"):
+                for topic in topics:
+                    for week in range(60):
+                        day = date(2020, 1, 6) + timedelta(weeks=week)
+                        writer.writerow([day.isoformat(), account, topic,
+                                         int(rng.poisson(5.0))])
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(path), "--ego", "ego", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"series topics {list(topics)} are not 0..1"]
+
     def test_short_series_row_exits_one_naming_line(self, tmp_path, caplog):
         bad = tmp_path / "series.csv"
         bad.write_text("week_start,account,topic,count\n2020-01-06,ego,0,3\n2020-01-13,ego\n",
@@ -487,7 +507,7 @@ class TestReport:
         first = tmp_path / "first"
         report = pipeline_result.report
         emit_report_bundle(ReportBundle(matrix=report.matrix, config=report.config,
-                                        metrics=report.metrics, topics=report.topics,
+                                        metrics=report.metrics,
                                         grouping={"alt_a": "close"}), first)
         groups = tmp_path / "groups.csv"
         groups.write_text("handle,group\nalt_a,far\n", encoding="utf-8")
@@ -524,10 +544,15 @@ class TestReport:
     @pytest.mark.parametrize("text, message", [
         ("{}", "neither a causality matrix nor a run report"),
         ("[1, 2]", "neither a causality matrix nor a run report"),
-        ('{"schema_version": 1, "config": {}, "matrix": {}}', "run report schema 1 != 2"),
-        ('{"pairs": []}', "missing field 'ego'"),
-        ('{"pairs": [1]}', "malformed entry: 'int' object is not subscriptable"),
-    ], ids=["empty_object", "list", "schema_1_run_report", "matrix_missing_field",
+        ('{"schema_version": 1, "config": {}, "matrix": {}}', "run report schema 1 != 3"),
+        ('{"schema_version": 2, "config": {}, "matrix": {}}', "run report schema 2 != 3"),
+        ('{"pairs": []}', "matrix schema None != 2"),
+        ('{"schema_version": 1, "pairs": []}', "matrix schema 1 != 2"),
+        ('{"schema_version": 2, "pairs": []}', "missing field 'ego'"),
+        ('{"schema_version": 2, "pairs": [1]}',
+         "malformed entry: 'int' object is not subscriptable"),
+    ], ids=["empty_object", "list", "schema_1_run_report", "schema_2_run_report",
+            "matrix_without_schema", "schema_1_matrix", "matrix_missing_field",
             "matrix_pair_not_object"])
     def test_unreadable_input_named_and_exits_one(self, tmp_path, caplog, text, message):
         path = tmp_path / "input.json"

@@ -11,6 +11,7 @@ from egoflux.corpus import (
     load_corpus,
     parse_timestamp,
     rank_alters,
+    record_id,
 )
 from egoflux.errors import CorpusFormatError
 from tests.conftest import make_post
@@ -233,6 +234,55 @@ class TestCsvRowRules:
         assert [(p.id, p.author) for p in result.corpus.posts] == [("a", "x")]
         assert result.dropped_malformed == 1
         with pytest.raises(CorpusFormatError, match=rf"posts\.jsonl:2: missing {field}$"):
+            load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+
+
+class TestFieldTypes:
+    """An id is a string or a JSON integer; author and created_at are strings."""
+
+    GOOD = {"id": "a", "author": "x", "created_at": "2020-03-01T10:00:00Z", "text": "one"}
+
+    @pytest.mark.parametrize("value, text", [
+        ("p1", "p1"), ("  p1 ", "p1"), (7, "7"), (-3, "-3"), (10**20, str(10**20)),
+    ])
+    def test_record_id_accepts(self, value, text):
+        assert record_id(value) == text
+
+    @pytest.mark.parametrize("value, error", [
+        (True, TypeError), (False, TypeError), (1.0, TypeError), (None, TypeError),
+        ([1, 2], TypeError), ({"a": 1}, TypeError), ("", ValueError), ("  ", ValueError),
+    ])
+    def test_record_id_refuses(self, value, error):
+        with pytest.raises(error):
+            record_id(value)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", True, "id True is not a string or an integer"),
+        ("id", 1.0, "id 1.0 is not a string or an integer"),
+        ("id", [1, 2], r"id \[1, 2\] is not a string or an integer"),
+        ("author", {"a": 1}, r"author \{'a': 1\} is not a string"),
+        ("author", 5, "author 5 is not a string"),
+        ("created_at", 1583056800, "created_at 1583056800 is not a string"),
+        ("retweeted_author", ["y"], r"retweeted_author \['y'\] is not a string"),
+    ], ids=["id_bool", "id_float", "id_list", "author_object", "author_number",
+            "created_at_number", "retweeted_author_list"])
+    def test_wrong_json_type(self, tmp_path, field, value, message):
+        path = tmp_path / "posts.jsonl"
+        write_jsonl(path, [self.GOOD, {**self.GOOD, "id": "b", field: value}])
+        result = load_corpus(path, format="jsonl", window=WINDOW)
+        assert [(p.id, p.author) for p in result.corpus.posts] == [("a", "x")]
+        assert result.dropped_malformed == 1
+        with pytest.raises(CorpusFormatError, match=rf"posts\.jsonl:2: {message}$"):
+            load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+
+    def test_integer_id_is_its_decimal_text(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        write_jsonl(path, [{**self.GOOD, "id": 1}, {**self.GOOD, "id": "1"},
+                           {**self.GOOD, "id": 2}])
+        result = load_corpus(path, format="jsonl", window=WINDOW)
+        assert [p.id for p in result.corpus.posts] == ["1", "2"]
+        assert result.dropped_duplicate == 1
+        with pytest.raises(CorpusFormatError, match=r"posts\.jsonl:2: duplicate id '1'$"):
             load_corpus(path, format="jsonl", window=WINDOW, strict=True)
 
 

@@ -11,8 +11,6 @@ from scipy.stats import spearmanr
 
 from egoflux.errors import EmbeddingFormatError
 from egoflux.features import (
-    SOURCE_EXTERNAL,
-    SOURCE_FALLBACK,
     EmbeddingSet,
     FallbackProjector,
     NORM_BLOCK,
@@ -88,8 +86,7 @@ class TestFitTfidf:
         again = TfidfModel.from_dict(model.to_dict())
         assert again.vocabulary == model.vocabulary
         np.testing.assert_allclose(again.idf, model.idf)
-        assert again.doc_count == model.doc_count
-        assert again.min_df == model.min_df
+        assert again.to_dict() == model.to_dict()
 
 
 class TestTransformTfidf:
@@ -174,7 +171,6 @@ class TestEmbeddingIO:
         return EmbeddingSet(
             dim=2,
             vectors={"p1": np.array([1.0, 0.0]), "p2": np.array([0.5, 0.5])},
-            source=SOURCE_EXTERNAL,
         )
 
     def test_jsonl_roundtrip(self, tmp_path):
@@ -245,6 +241,54 @@ class TestEmbeddingIO:
         with pytest.raises(EmbeddingFormatError):
             load_embeddings(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"id": null, "v": [1.0]}'], r"emb\.jsonl:1: id None is not a string or an integer"),
+        (['{"id": true, "v": [1.0]}'], r"emb\.jsonl:1: id True is not a string or an integer"),
+        (['{"id": 1.0, "v": [1.0]}'], r"emb\.jsonl:1: id 1\.0 is not a string or an integer"),
+        (['{"id": "p1", "v": [1.0]}', '{"id": " ", "v": [1.0]}'], r"emb\.jsonl:2: empty id"),
+        (['{"id": "p1", "v": [true, false]}'],
+         r"emb\.jsonl:1: v is not a list of numbers: \[True, False\]"),
+        (['{"id": "p1", "v": [1.0, "2"]}'], r"emb\.jsonl:1: v is not a list of numbers: \[1\.0, '2'\]"),
+        (['{"id": "p1", "v": [[1.0]]}'], r"emb\.jsonl:1: v is not a list of numbers: \[\[1\.0\]\]"),
+        (['{"id": "p1", "v": 1.0}'], r"emb\.jsonl:1: v is not a list of numbers: 1\.0"),
+        ([json.dumps({"id": "p1", "v": [0.5] * 99 + [None]})],
+         r"emb\.jsonl:1: v is not a list of numbers: \[(0\.5, ){15}0\.5,"),  # cut at 80
+        (['{"id": "p1", "v": []}'], r"emb\.jsonl:1: id 'p1' has no vector"),
+        (['{"id": "p1", "v": [1.0]}', '', '{"id": "p1", "v": [2.0]}'],
+         r"emb\.jsonl:3: duplicate id 'p1'"),
+        (['{"id": 7, "v": [1.0]}', '{"id": "7", "v": [2.0]}'],
+         r"emb\.jsonl:2: duplicate id '7'"),
+        (['{"id": "p1", "v": [1.0]}', '{"id": "p2", "v": [1.0, 2.0]}'],
+         r"emb\.jsonl:2: id 'p2' has dim 2, expected 1"),
+    ], ids=["null_id", "bool_id", "float_id", "blank_id", "bool_components",
+            "string_component", "nested_component", "v_not_list", "long_v_cut", "empty_v",
+            "repeated_id",
+            "repeated_integer_id", "dim_mismatch"])
+    def test_jsonl_refusal_names_line(self, tmp_path, lines, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=message + "$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,v0\n,1.0\n", r"emb\.csv:2: empty id"),
+        ("id,v0\np1,1.0\np2,2.0\np1,3.0\n", r"emb\.csv:4: duplicate id 'p1'"),
+        ("id,v0\np1,1.0\np2,inf\n", r"emb\.csv:3: id 'p2' has NaN/Inf components"),
+    ], ids=["empty_id", "repeated_id", "inf_component"])
+    def test_csv_refusal_names_line(self, tmp_path, text, message):
+        path = tmp_path / "emb.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=message + "$"):
+            load_embeddings(path)
+
+    def test_ids_follow_the_corpus_rule(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": 7, "v": [1, 2.5]}\n{"id": " p8 ", "v": [0.0, 1.0]}\n',
+                        encoding="utf-8")
+        loaded = load_embeddings(path)
+        assert sorted(loaded.vectors) == ["7", "p8"]
+        np.testing.assert_array_equal(loaded.vectors["7"], [1.0, 2.5])
+
 
 class TestFallbackProjector:
     def _fit_corpus(self, rng, n_docs=40, vocab=12, doc_len=8):
@@ -282,12 +326,11 @@ class TestFallbackProjector:
         rho = spearmanr(full_cos, low_cos).statistic
         assert rho > 0.8
 
-    def test_rows_unit_norm_and_source(self):
+    def test_rows_unit_norm(self):
         rng = np.random.default_rng(2)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
         emb = FallbackProjector.fit(model, docs, dim=6).transform(model, docs)
-        assert emb.source == SOURCE_FALLBACK
         for vec in emb.vectors.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
@@ -355,7 +398,6 @@ class TestEmbeddingSet:
         emb = EmbeddingSet(
             dim=2,
             vectors={"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])},
-            source=SOURCE_EXTERNAL,
         )
         mat = emb.matrix(["b", "a"])
         np.testing.assert_allclose(mat, [[3.0, 4.0], [1.0, 2.0]])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from egoflux import pipeline, textpipe
+from egoflux.bundle import TOPICS_JSON
 from egoflux.corpus import Corpus, Post, load_corpus
 from egoflux.errors import EmbeddingFormatError
 from egoflux.features import load_embeddings, save_embeddings
@@ -19,10 +20,11 @@ from egoflux.pipeline import (
     fit_topics,
     run_pipeline,
 )
+from egoflux.report import emit_report_bundle
 from egoflux.stats import CORRECTION_BH
 from egoflux.textpipe import build_token_docs, english_stopwords
 
-from conftest import FIXTURE_CORPUS_CSV, make_post
+from conftest import FIXTURE_CORPUS_CSV, make_post, written_keys
 
 
 @pytest.fixture(scope="module")
@@ -176,16 +178,14 @@ class TestRunPipeline:
 
     def test_metrics_contents(self, pipeline_result):
         m = pipeline_result.report.metrics
-        assert {"n_ego_posts", "n_labeled_posts", "n_unfeaturized_ego_posts",
-                "alter_retweet_counts", "silhouette_by_k", "selected_k",
-                "total_cost", "eval", "skip_counts", "n_weeks"} <= set(m)
+        assert set(m) == {"n_ego_posts", "n_labeled_posts", "n_unfeaturized_ego_posts",
+                          "alter_retweet_counts", "total_cost", "eval", "skip_counts",
+                          "n_weeks"}
         # The weighted F1 is reported once, inside the classifier's eval.
         assert "weighted_f1" not in m
         assert m["eval"]["weighted_f1"] == pipeline_result.fit.eval_report.weighted_f1
         assert m["n_weeks"] == 30
-        assert m["selected_k"] == 2
         assert m["n_ego_posts"] == 180
-        assert all(isinstance(k, str) for k in m["silhouette_by_k"])
         assert m["alter_retweet_counts"] == {"alt_a": 37, "alt_b": 19}
 
     def test_config_embedded_verbatim(self, pipeline_result, pipeline_config):
@@ -196,11 +196,11 @@ class TestRunPipeline:
         assert "grouping" not in config
         assert list(config) == [f.name for f in dataclasses.fields(PipelineConfig)]
 
-    def test_report_carries_matrix_and_topics(self, pipeline_result):
+    def test_report_carries_matrix_not_topics(self, pipeline_result):
         report = pipeline_result.report
         assert report.matrix is pipeline_result.matrix
-        assert report.topics == [s.to_dict()
-                                 for s in pipeline_result.bundle.summaries]
+        assert report.matrix.n_topics == pipeline_result.bundle.k
+        assert not hasattr(report, "topics")
         assert report.grouping is None
 
 
@@ -228,12 +228,6 @@ class TestClassifyCorpus:
         emb = bundle.projector.transform(bundle.tfidf, docs)
         assert classify_corpus(bundle, posts, emb=emb) == \
             classify_corpus(bundle, posts)
-
-    def test_bundle_without_classifier_rejected(self, pipeline_result,
-                                                two_topic_corpus):
-        bundle = dataclasses.replace(pipeline_result.bundle, classifier=None)
-        with pytest.raises(ValueError, match="no classifier"):
-            classify_corpus(bundle, two_topic_corpus.posts[:5])
 
     def test_bundle_without_projector_needs_embeddings(self, pipeline_result,
                                                        two_topic_corpus):
@@ -319,6 +313,15 @@ class TestBundledFixtureCorpus:
         found = {(p.alter, p.topic): p.best.lag for p in matrix.pairs
                  if matrix.significant(p)}
         assert found == {("alt_a", 2): 2, ("alt_b", 1): 1}
+
+    def test_run_report_holds_no_topic_model(self, fixture_result, tmp_path):
+        paths = emit_report_bundle(fixture_result.report, tmp_path / "report")
+        bundle = fixture_result.bundle.save(tmp_path / "bundle")
+        topics = json.loads((bundle / TOPICS_JSON).read_text(encoding="utf-8"))
+        run_report = json.loads(paths["run_report"].read_text(encoding="utf-8"))
+        keys = {path[-1] for path in written_keys(run_report, maps=())}
+        assert set(topics) and not keys & set(topics)
+        assert "selected_k" not in keys
 
     def test_vocabulary_is_stopword_free(self, fixture_result):
         vocab = set(fixture_result.bundle.tfidf.vocabulary)

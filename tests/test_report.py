@@ -121,20 +121,6 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             emit_matrix_csv(m, None, tmp_path / "m.csv")
 
-    def test_stored_best_lag_other_than_argmin_renders_argmin(self, tmp_path):
-        results = [GrangerResult(lag=1, f_stat=1.5, p_value=0.2, n_obs_effective=100),
-                   GrangerResult(lag=2, f_stat=9.0, p_value=0.001, n_obs_effective=99),
-                   GrangerResult(lag=3, f_stat=9.0, p_value=0.001, n_obs_effective=98)]
-        pair = PairOutcome(alter="amy", topic=0, results=results, diff_order=0)
-        d = make_matrix([pair], alters=["amy"], n_topics=1).to_dict()
-        assert d["pairs"][0]["best_lag"] == 2  # argmin p, ties to the smaller lag
-        d["pairs"][0]["best_lag"] = 1
-        loaded = CausalityMatrix.from_dict(json.loads(json.dumps(d)))
-        emit_matrix_csv(loaded, None, tmp_path / "m.csv")
-        emit_heatmap_data(loaded, tmp_path / "h.csv")
-        assert read_csv(tmp_path / "m.csv")[1][2] == "0.001 (2)*"
-        assert read_csv(tmp_path / "h.csv")[1][3] == "2"
-
     def test_byte_identical_across_emissions(self, matrix, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_matrix_csv(matrix, {"cal": "family"}, a)
@@ -203,8 +189,7 @@ class TestRunReport:
         return ReportBundle(
             matrix=matrix,
             config={"ego": "ego", "seed": 42, "alpha": 0.05},
-            metrics={"eval": {"weighted_f1": 0.97}, "silhouette_by_k": {"2": 0.4}},
-            topics=[{"label": "topic_0", "top_words": ["a", "b"]}],
+            metrics={"eval": {"weighted_f1": 0.97}, "n_weeks": 30},
             grouping={"amy": "work"},
         )
 
@@ -246,15 +231,18 @@ class TestRunReport:
                                          "matrix": matrix.to_dict()})
         assert bundle.config == {}
         assert bundle.metrics == {}
-        assert bundle.topics == []
         assert bundle.grouping is None
 
-    @pytest.mark.parametrize("version", [1, None])
+    @pytest.mark.parametrize("version", [1, 2, None])
     def test_other_schema_rejected(self, matrix, version):
         d = self.bundle(matrix).to_dict()
         d["schema_version"] = version
-        with pytest.raises(ValueError, match=f"run report schema {version} != 2"):
+        with pytest.raises(ValueError, match=f"run report schema {version} != 3"):
             ReportBundle.from_dict(d)
+
+    def test_holds_run_fields_only(self, matrix):
+        assert sorted(self.bundle(matrix).to_dict()) == [
+            "config", "grouping", "matrix", "metrics", "schema_version"]
 
 
 class TestEmitReportBundle:

@@ -1,7 +1,9 @@
 """OLS, F distribution, ADF, differencing, Granger tests, BH, and the scan."""
 
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import date
@@ -22,6 +24,7 @@ from egoflux.series import TopicSeries, WeekIndex
 from egoflux.stats import (
     CORRECTION_BH,
     CORRECTION_NONE,
+    MATRIX_SCHEMA_VERSION,
     SKIP_DEGENERATE,
     SKIP_NONSTATIONARY,
     SKIP_SINGULAR,
@@ -38,6 +41,8 @@ from egoflux.stats import (
     make_stationary_pair,
     ols,
 )
+
+from conftest import without_key, written_keys
 
 
 class TestOls:
@@ -140,7 +145,6 @@ class TestAdf:
         assert result.p_value == pytest.approx(2.704479526994369e-26, rel=1e-6)
         assert result.lags_used == 0
         assert result.is_stationary
-        assert result.regression == "constant"
 
     def test_random_walk_frozen(self):
         rng = np.random.default_rng(11)
@@ -592,12 +596,39 @@ class TestCausalityScan:
         assert again.pair("alt_flat", 0).skip_reason == SKIP_DEGENERATE
 
 
-    def test_stored_best_lag_is_not_read(self):
-        matrix = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4)
-        d = matrix.to_dict()
-        argmin = d["pairs"][0]["best_lag"]
-        d["pairs"][0]["best_lag"] = 4 if argmin != 4 else 3
-        assert CausalityMatrix.from_dict(d).pair("alt_x", 0).best.lag == argmin
+    def test_matrix_json_holds_no_best_lag(self):
+        d = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4).to_dict()
+        assert d["schema_version"] == MATRIX_SCHEMA_VERSION == 2
+        assert "best_lag_rule" not in d
+        assert all("best_lag" not in pd for pd in d["pairs"])
+
+    @pytest.mark.parametrize("version", [1, None, 3])
+    def test_other_matrix_schema_rejected(self, version):
+        d = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4).to_dict()
+        d["schema_version"] = version
+        with pytest.raises(ValueError, match=f"matrix schema {version} != 2"):
+            CausalityMatrix.from_dict(d)
+
+    def test_every_written_key_is_read(self):
+        matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat"],
+                                max_lag=3, correction=CORRECTION_BH)
+        written = json.loads(matrix.to_json())
+        paths = list(written_keys(written))
+        assert ("pairs", 0, "results", 0, "perfect_fit") in paths
+        for path in paths:
+            named = "schema None" if path == ("schema_version",) else f"'{path[-1]}'"
+            with pytest.raises((KeyError, ValueError), match=named):
+                CausalityMatrix.from_dict(without_key(written, path))
+
+    @pytest.mark.parametrize("topics", [[0, 2], [-1, 0], [1, 2]],
+                             ids=["gap", "negative", "from_one"])
+    def test_topics_not_zero_to_n_rejected_by_name(self, topics):
+        idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=60)
+        rng = np.random.default_rng(4)
+        series = [TopicSeries(account, topic, rng.poisson(5.0, size=60), idx)
+                  for account in ("ego", "alt_a") for topic in topics]
+        with pytest.raises(ValueError, match=re.escape(f"series topics {topics} are not 0..1")):
+            causality_scan(series, "ego", ["alt_a"])
 
 
 def _adf_singular_series(n):

@@ -8,7 +8,7 @@ import pytest
 
 from egoflux import pipeline
 from egoflux.corpus import load_corpus
-from egoflux.features import SOURCE_FALLBACK, EmbeddingSet, fit_tfidf
+from egoflux.features import EmbeddingSet, fit_tfidf
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import (
     SWAP_BLOCK,
@@ -32,7 +32,6 @@ def emb_of(vectors):
     return EmbeddingSet(
         dim=len(next(iter(vectors.values()))),
         vectors={k: np.asarray(v, dtype=float) for k, v in vectors.items()},
-        source=SOURCE_FALLBACK,
     )
 
 
