@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .bundle import ModelBundle
-from .corpus import Corpus, Post, canonical_handle, load_corpus, parse_timestamp
+from .corpus import Corpus, Post, canonical_handle, load_corpus, parse_timestamp, record_id
 from .errors import EgofluxError
 from .pipeline import PipelineConfig, classify_corpus, fit_topics
 from .report import ReportBundle, emit_report_bundle
@@ -136,14 +136,15 @@ def _cmd_series(args) -> int:
                 where = f"{path}:{reader.line_num}"
                 if None in row.values():
                     raise ValueError(f"{where}: row has too few cells")
-                post_id = row["post_id"]
-                if post_id in seen_at:
-                    raise ValueError(f"{where}: post_id {post_id!r} repeats {seen_at[post_id]}")
                 try:
+                    post_id = record_id(row["post_id"])
                     created_at = parse_timestamp(row["created_at"])
-                    labels[post_id] = int(row["topic"])
+                    topic = int(row["topic"])
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
+                if post_id in seen_at:
+                    raise ValueError(f"{where}: post_id {post_id!r} repeats {seen_at[post_id]}")
+                labels[post_id] = topic
                 seen_at[post_id] = where
                 posts.append(Post(id=post_id, author=row["author"],
                                   created_at=created_at, text=""))

@@ -36,11 +36,12 @@ from .textpipe import (
 from .topics import (
     Clustering,
     cosine_distance_matrix,
-    kmedoids,
     select_k,
-    silhouette,
     summarize_topics,
 )
+# Not called here (select_k calls them); perfbench/tracing.py looks both up
+# on this module by name, so they stay importable from it.
+from .topics import kmedoids, silhouette  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -152,13 +153,13 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         raise ValueError("too few featurizable ego posts to cluster")
 
     dm = cosine_distance_matrix(ego_emb, cluster_ids)
+    # A fixed k is a search over the one k.
     if config.k is not None:
-        clustering = kmedoids(dm, config.k, seed=config.seed)
-        silhouette_by_k = {config.k: silhouette(dm, clustering)}
+        k_min = k_max = config.k
     else:
-        selection = select_k(dm, config.k_min, min(config.k_max, dm.n - 1),
-                             seed=config.seed)
-        clustering, silhouette_by_k = selection.best, selection.scores
+        k_min, k_max = config.k_min, min(config.k_max, dm.n - 1)
+    selection = select_k(dm, k_min, k_max, seed=config.seed)
+    clustering, silhouette_by_k = selection.best, selection.scores
     summaries = summarize_topics(
         clustering, tfidf,
         [d for d in ego_docs if d.post_id in clustering.assignment],
@@ -234,7 +235,6 @@ def run_pipeline(corpus: Corpus, config: PipelineConfig) -> PipelineResult:
         "total_cost": fit.clustering.total_cost,
         "eval": fit.eval_report.to_dict(),
         "skip_counts": dict(sorted(skip_counts.items())),
-        "n_weeks": week_index.n_weeks,
     }
     report = ReportBundle(matrix=matrix, config=config.to_dict(), metrics=metrics)
     return PipelineResult(fit=fit, report=report, series=series, labels=labels)

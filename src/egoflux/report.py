@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .stats import CausalityMatrix, PairOutcome
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 DEFAULT_GROUP = "all"
 P_CLAMP = 1e-16
 

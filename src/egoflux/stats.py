@@ -17,8 +17,11 @@ stacked QR; `granger_test` is the one-alter call of the same function.
 Each rule of the decision has one owner: a pair's best lag is
 `PairOutcome.best` (argmin p over its per-lag results, ties to the smaller
 lag), and whether a pair is significant is `CausalityMatrix.significant`
-(best p < alpha, or BH-adjusted p <= alpha under the BH correction).  A pair
-that cannot be tested carries a skip code instead of results.
+(best p < alpha, or BH-adjusted p <= alpha under the BH correction).  The
+matrix owns what follows from the scan and derives it rather than storing
+it: the BH-adjusted p is `CausalityMatrix.adjusted_p`, computed once per
+matrix.  A pair that cannot be tested carries a skip code instead of
+results.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +66,7 @@ _ADF_SKIPS = {
 CORRECTION_NONE = "none"
 CORRECTION_BH = "benjamini_hochberg"
 
-MATRIX_SCHEMA_VERSION = 2
+MATRIX_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +321,6 @@ class _Ladder:
 
 def _joint_diff_order(x: _Ladder, y: _Ladder, max_diff: int) -> int:
     """Smallest differencing order at which both series pass the ADF test."""
-    if len(x.at(0)) != len(y.at(0)):
-        raise ValueError("series must have equal length")
     order = 0
     while True:
         # x is tested first, so its ADF errors take precedence over y's.
@@ -347,6 +349,8 @@ def make_stationary_pair(
     rank-deficient series, such as one lone spike).
     """
     xl, yl = _Ladder(x, alpha), _Ladder(y, alpha)
+    if len(xl.at(0)) != len(yl.at(0)):
+        raise ValueError("series must have equal length")
     order = _joint_diff_order(xl, yl, max_diff)
     return xl.at(order), yl.at(order), order
 
@@ -363,7 +367,11 @@ class GrangerResult:
     f_stat: float
     p_value: float
     n_obs_effective: int
-    perfect_fit: bool = False
+
+    @property
+    def perfect_fit(self) -> bool:
+        """The unrestricted model fits exactly (RSS 0), so F is infinite and p is 0."""
+        return self.f_stat == math.inf
 
 
 def _lag_columns(v: np.ndarray, lag: int) -> list[np.ndarray]:
@@ -423,9 +431,7 @@ def _granger_batch(xs: np.ndarray, y: np.ndarray, lag: int) -> list[GrangerResul
         if deficient:
             results.append(None)
         elif rss_u == 0.0:
-            results.append(GrangerResult(
-                lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n, perfect_fit=True
-            ))
+            results.append(GrangerResult(lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n))
         else:
             f_stat = (gain / lag) / (rss_u / df2)
             results.append(GrangerResult(
@@ -474,7 +480,6 @@ class PairOutcome:
     results: list[GrangerResult] = field(default_factory=list)
     diff_order: int | None = None
     skip_reason: str | None = None
-    adjusted_p: float | None = None
 
     @property
     def best(self) -> GrangerResult | None:
@@ -485,11 +490,18 @@ class PairOutcome:
 
 @dataclass
 class CausalityMatrix:
-    """Scan output: one PairOutcome per (alter, topic), ordered."""
+    """Scan output: one PairOutcome per (alter, topic), ordered.
+
+    `n_weeks` is the length of every scanned series.  The values that follow
+    from the scan are derived here, not stored: a result's sample size
+    `n_weeks - diff_order - lag` (restored by `from_dict`) and each tested
+    pair's BH-adjusted p (`adjusted_p`).
+    """
 
     ego: str
     alters: list[str]
     n_topics: int
+    n_weeks: int
     max_lag: int
     alpha: float
     correction: str
@@ -501,6 +513,17 @@ class CausalityMatrix:
                 return p
         raise KeyError((alter, topic))
 
+    @cached_property
+    def adjusted_p(self) -> dict[tuple[str, int], float]:
+        """Benjamini-Hochberg adjusted p of each tested pair, by (alter, topic).
+
+        BH runs over the best p of the tested pairs in pair order, once per
+        matrix: the pairs are not to change after this is first read.
+        """
+        tested = [p for p in self.pairs if p.best is not None]
+        adjusted = bh_adjust([p.best.p_value for p in tested]).tolist()
+        return {(p.alter, p.topic): adj for p, adj in zip(tested, adjusted)}
+
     def significant(self, outcome: PairOutcome) -> bool:
         """Whether a pair is significant: the one place a p is compared with alpha.
 
@@ -510,7 +533,7 @@ class CausalityMatrix:
         if outcome.best is None:
             return False
         if self.correction == CORRECTION_BH:
-            return outcome.adjusted_p is not None and outcome.adjusted_p <= self.alpha
+            return self.adjusted_p[(outcome.alter, outcome.topic)] <= self.alpha
         return outcome.best.p_value < self.alpha
 
     def to_dict(self) -> dict:
@@ -519,6 +542,7 @@ class CausalityMatrix:
             "ego": self.ego,
             "alters": list(self.alters),
             "n_topics": self.n_topics,
+            "n_weeks": self.n_weeks,
             "max_lag": self.max_lag,
             "alpha": self.alpha,
             "correction": self.correction,
@@ -528,14 +552,11 @@ class CausalityMatrix:
                     "topic": p.topic,
                     "skip_reason": p.skip_reason,
                     "diff_order": p.diff_order,
-                    "adjusted_p": p.adjusted_p,
                     "results": [
                         {
                             "lag": r.lag,
                             "f_stat": r.f_stat if math.isfinite(r.f_stat) else None,
                             "p_value": r.p_value,
-                            "n_obs_effective": r.n_obs_effective,
-                            "perfect_fit": r.perfect_fit,
                         }
                         for r in p.results
                     ],
@@ -550,6 +571,7 @@ class CausalityMatrix:
         if d.get("schema_version") != MATRIX_SCHEMA_VERSION:
             raise ValueError(
                 f"matrix schema {d.get('schema_version')} != {MATRIX_SCHEMA_VERSION}")
+        n_weeks = d["n_weeks"]
         pairs = [
             PairOutcome(
                 alter=pd["alter"],
@@ -559,14 +581,12 @@ class CausalityMatrix:
                         lag=rd["lag"],
                         f_stat=math.inf if rd["f_stat"] is None else rd["f_stat"],
                         p_value=rd["p_value"],
-                        n_obs_effective=rd["n_obs_effective"],
-                        perfect_fit=rd["perfect_fit"],
+                        n_obs_effective=n_weeks - pd["diff_order"] - rd["lag"],
                     )
                     for rd in pd["results"]
                 ],
                 diff_order=pd["diff_order"],
                 skip_reason=pd["skip_reason"],
-                adjusted_p=pd["adjusted_p"],
             )
             for pd in d["pairs"]
         ]
@@ -574,6 +594,7 @@ class CausalityMatrix:
             ego=d["ego"],
             alters=list(d["alters"]),
             n_topics=d["n_topics"],
+            n_weeks=n_weeks,
             max_lag=d["max_lag"],
             alpha=d["alpha"],
             correction=d["correction"],
@@ -623,10 +644,11 @@ def causality_scan(
     per-lag F-test for lags 1..max_lag.  Pairs that cannot be tested are
     recorded with a skip reason instead of results: a constant series
     (DEGEN), no stationary order within max_diff (NONSTAT), too few weeks
-    (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Optional
-    Benjamini-Hochberg correction is applied across the best-lag p-values of
-    all tested pairs.  Repeated alters are refused, and so are series whose
-    topics are not 0..n-1, since the matrix names topics by index.
+    (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Under
+    the Benjamini-Hochberg correction the matrix derives each tested pair's
+    adjusted p.  Repeated alters are refused, and so are series whose topics
+    are not 0..n-1, since the matrix names topics by index, and series of
+    unequal length, since the matrix holds one `n_weeks`.
     """
     if correction not in (CORRECTION_NONE, CORRECTION_BH):
         raise ValueError(f"unknown correction {correction!r}")
@@ -642,6 +664,10 @@ def causality_scan(
         raise ValueError(f"series topics {topics} are not 0..{len(topics) - 1}")
     if not any(acc == ego for (acc, _) in ladders):
         raise ValueError(f"ego account {ego!r} has no series")
+    lengths = sorted({len(s.counts) for s in series})
+    if len(lengths) > 1:
+        raise ValueError(f"series of unequal length: {lengths} weeks")
+    n_weeks = lengths[0]
 
     pairs: list[PairOutcome] = []
     # Tested pairs by (topic, diff order): each group shares the ego's series.
@@ -671,12 +697,6 @@ def causality_scan(
             max_lag,
         )
 
-    if correction == CORRECTION_BH:
-        tested = [p for p in pairs if p.results]
-        adjusted = bh_adjust([p.best.p_value for p in tested])
-        for p, adj in zip(tested, adjusted):
-            p.adjusted_p = float(adj)
-
     skip_count = sum(1 for p in pairs if p.skip_reason)
     if skip_count:
         logger.info("causality_scan skipped %d of %d pairs", skip_count, len(pairs))
@@ -684,6 +704,7 @@ def causality_scan(
         ego=ego,
         alters=list(alters),
         n_topics=len(topics),
+        n_weeks=n_weeks,
         max_lag=max_lag,
         alpha=alpha,
         correction=correction,

@@ -80,7 +80,6 @@ class SynthSpec:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "n_weeks": self.n_weeks,
             "n_topics": self.n_topics,
             "seed": self.seed,

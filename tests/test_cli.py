@@ -279,6 +279,15 @@ class TestSeries:
         bad = self._labels(tmp_path, self.GOOD_ROW, "p1,ego,2020-01-08T10:00:00+00:00,1\n")
         assert self._series_error(caplog, [bad]) == f"{bad}:3: post_id 'p1' repeats {bad}:2"
 
+    @pytest.mark.parametrize("post_id", ['""', '" "'], ids=["empty", "blank"])
+    def test_empty_post_id_names_line(self, tmp_path, caplog, post_id):
+        bad = self._labels(tmp_path, self.GOOD_ROW, f"{post_id},ego,2020-01-07T10:00:00+00:00,0\n")
+        assert self._series_error(caplog, [bad]) == f"{bad}:3: empty id"
+
+    def test_post_id_read_stripped(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, self.GOOD_ROW, '" p1",ego,2020-01-08T10:00:00+00:00,0\n')
+        assert self._series_error(caplog, [bad]) == f"{bad}:3: post_id 'p1' repeats {bad}:2"
+
     def test_same_file_twice_is_not_counted_twice(self, tmp_path, caplog):
         ok = self._labels(tmp_path, self.GOOD_ROW)
         assert self._series_error(caplog, [ok, ok]) == f"{ok}:2: post_id 'p1' repeats {ok}:2"
@@ -431,6 +440,34 @@ class TestSimulate:
         assert spec.seed == 9
         assert spec.alters[0].handle == "a1"
 
+    def test_spec_json_holds_only_keys_from_dict_reads(self, sim_dir):
+        nodes = []
+
+        class ReadKeys(dict):
+            """A JSON object that records which of its keys are read."""
+
+            def __init__(self, pairs):
+                super().__init__(pairs)
+                self.read = set()
+                nodes.append(self)
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                self.read.add(key)
+                return super().__contains__(key)
+
+        text = (sim_dir / "spec.json").read_text(encoding="utf-8")
+        SynthSpec.from_dict(json.loads(text, object_pairs_hook=ReadKeys))
+        assert len(nodes) == 3  # the spec, its one alter and that alter's coupling
+        assert [sorted(set(node) - node.read) for node in nodes] == [[], [], []]
+
     def test_non_canonical_handle_exits_one(self, tmp_path, caplog):
         spec = SynthSpec(n_weeks=30, n_topics=2, seed=9,
                          alters=[AlterSpec(handle="Alt_A",
@@ -544,16 +581,18 @@ class TestReport:
     @pytest.mark.parametrize("text, message", [
         ("{}", "neither a causality matrix nor a run report"),
         ("[1, 2]", "neither a causality matrix nor a run report"),
-        ('{"schema_version": 1, "config": {}, "matrix": {}}', "run report schema 1 != 3"),
-        ('{"schema_version": 2, "config": {}, "matrix": {}}', "run report schema 2 != 3"),
-        ('{"pairs": []}', "matrix schema None != 2"),
-        ('{"schema_version": 1, "pairs": []}', "matrix schema 1 != 2"),
-        ('{"schema_version": 2, "pairs": []}', "missing field 'ego'"),
-        ('{"schema_version": 2, "pairs": [1]}',
+        ('{"schema_version": 1, "config": {}, "matrix": {}}', "run report schema 1 != 4"),
+        ('{"schema_version": 2, "config": {}, "matrix": {}}', "run report schema 2 != 4"),
+        ('{"schema_version": 3, "config": {}, "matrix": {}}', "run report schema 3 != 4"),
+        ('{"pairs": []}', "matrix schema None != 3"),
+        ('{"schema_version": 1, "pairs": []}', "matrix schema 1 != 3"),
+        ('{"schema_version": 2, "pairs": []}', "matrix schema 2 != 3"),
+        ('{"schema_version": 3, "pairs": []}', "missing field 'n_weeks'"),
+        ('{"schema_version": 3, "n_weeks": 60, "pairs": [1]}',
          "malformed entry: 'int' object is not subscriptable"),
     ], ids=["empty_object", "list", "schema_1_run_report", "schema_2_run_report",
-            "matrix_without_schema", "schema_1_matrix", "matrix_missing_field",
-            "matrix_pair_not_object"])
+            "schema_3_run_report", "matrix_without_schema", "schema_1_matrix",
+            "schema_2_matrix", "matrix_missing_field", "matrix_pair_not_object"])
     def test_unreadable_input_named_and_exits_one(self, tmp_path, caplog, text, message):
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")

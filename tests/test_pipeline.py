@@ -23,6 +23,7 @@ from egoflux.pipeline import (
 from egoflux.report import emit_report_bundle
 from egoflux.stats import CORRECTION_BH
 from egoflux.textpipe import build_token_docs, english_stopwords
+from egoflux.topics import kmedoids, silhouette
 
 from conftest import FIXTURE_CORPUS_CSV, make_post, written_keys
 
@@ -97,6 +98,29 @@ class TestFitTopics:
         with pytest.raises(ValueError, match="too few featurizable"):
             fit_topics(corpus, config)
 
+
+    def test_fixed_k_is_a_search_over_that_k(self, two_topic_corpus, pipeline_config,
+                                             monkeypatch):
+        captured = []
+        real_distances = pipeline.cosine_distance_matrix
+
+        def capture(emb, ids):
+            captured.append(real_distances(emb, ids))
+            return captured[-1]
+
+        monkeypatch.setattr(pipeline, "cosine_distance_matrix", capture)
+        fit = fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, k=3))
+        [dm] = captured
+        direct = kmedoids(dm, 3, seed=pipeline_config.seed)
+        assert fit.clustering.assignment == direct.assignment
+        assert fit.clustering.total_cost == direct.total_cost
+        assert fit.bundle.silhouette_by_k == {3: silhouette(dm, direct)}
+
+    @pytest.mark.parametrize("k", [1, 10_000])
+    def test_fixed_k_out_of_range_refused_by_select_k(self, two_topic_corpus,
+                                                      pipeline_config, k):
+        with pytest.raises(ValueError, match=rf"k range \[{k}, {k}\] outside \[2, \d+\]"):
+            fit_topics(two_topic_corpus, dataclasses.replace(pipeline_config, k=k))
 
     def test_ego_posts_cleaned_once(self, two_topic_corpus, pipeline_config, monkeypatch):
         real_clean, real_fit_tfidf = textpipe.clean, pipeline.fit_tfidf
@@ -179,12 +203,12 @@ class TestRunPipeline:
     def test_metrics_contents(self, pipeline_result):
         m = pipeline_result.report.metrics
         assert set(m) == {"n_ego_posts", "n_labeled_posts", "n_unfeaturized_ego_posts",
-                          "alter_retweet_counts", "total_cost", "eval", "skip_counts",
-                          "n_weeks"}
+                          "alter_retweet_counts", "total_cost", "eval", "skip_counts"}
         # The weighted F1 is reported once, inside the classifier's eval.
         assert "weighted_f1" not in m
         assert m["eval"]["weighted_f1"] == pipeline_result.fit.eval_report.weighted_f1
-        assert m["n_weeks"] == 30
+        # The week count is the matrix's, not a metric.
+        assert pipeline_result.matrix.n_weeks == 30
         assert m["n_ego_posts"] == 180
         assert m["alter_retweet_counts"] == {"alt_a": 37, "alt_b": 19}
 

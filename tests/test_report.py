@@ -30,10 +30,12 @@ from egoflux.stats import (
 )
 
 
-def pair_at(alter, topic, p, lag, adjusted=None):
-    result = GrangerResult(lag=lag, f_stat=12.0, p_value=p, n_obs_effective=100)
-    return PairOutcome(alter=alter, topic=topic, results=[result],
-                       diff_order=0, adjusted_p=adjusted)
+N_WEEKS = 104
+
+
+def pair_at(alter, topic, p, lag):
+    result = GrangerResult(lag=lag, f_stat=12.0, p_value=p, n_obs_effective=N_WEEKS - lag)
+    return PairOutcome(alter=alter, topic=topic, results=[result], diff_order=0)
 
 
 def pair_skipped(alter, topic, reason):
@@ -41,7 +43,7 @@ def pair_skipped(alter, topic, reason):
 
 
 def make_matrix(pairs, alters, n_topics=2, alpha=0.05, correction=CORRECTION_NONE):
-    return CausalityMatrix(ego="ego", alters=alters, n_topics=n_topics,
+    return CausalityMatrix(ego="ego", alters=alters, n_topics=n_topics, n_weeks=N_WEEKS,
                            max_lag=4, alpha=alpha, correction=correction,
                            pairs=pairs)
 
@@ -103,18 +105,23 @@ class TestMatrixCsv:
             ("all", "bea"), ("family", "cal"), ("work", "amy")]
 
     def test_bh_marker_follows_adjusted_p(self, tmp_path):
-        # Raw p below alpha but adjusted p above it: no marker under BH.
+        # BH over the four best p gives adjusted p 0.08, 0.05, 0.95, 0.95.
         pairs = [
-            pair_at("amy", 0, p=0.04, lag=1, adjusted=0.12),
-            pair_at("amy", 1, p=0.02, lag=2, adjusted=0.05),
+            pair_at("amy", 0, p=0.04, lag=1),
+            pair_at("amy", 1, p=0.0125, lag=2),
+            pair_at("bea", 0, p=0.9, lag=1),
+            pair_at("bea", 1, p=0.95, lag=1),
         ]
-        m = make_matrix(pairs, alters=["amy"], correction=CORRECTION_BH)
+        m = make_matrix(pairs, alters=["amy", "bea"], correction=CORRECTION_BH)
+        assert m.adjusted_p[("amy", 0)] == pytest.approx(0.08)
+        assert m.adjusted_p[("amy", 1)] == 0.05
         out = tmp_path / "m.csv"
         emit_matrix_csv(m, None, out)
         row = read_csv(out)[1]
+        # Raw p below alpha but adjusted p above it: no marker under BH.
         assert row[2] == "0.040 (1)"
         # Adjusted p equal to alpha counts as significant under BH.
-        assert row[3] == "0.020 (2)*"
+        assert row[3] == "0.013 (2)*"
 
     def test_empty_matrix_raises(self, tmp_path):
         m = make_matrix([], alters=[])
@@ -189,7 +196,7 @@ class TestRunReport:
         return ReportBundle(
             matrix=matrix,
             config={"ego": "ego", "seed": 42, "alpha": 0.05},
-            metrics={"eval": {"weighted_f1": 0.97}, "n_weeks": 30},
+            metrics={"eval": {"weighted_f1": 0.97}},
             grouping={"amy": "work"},
         )
 
@@ -233,11 +240,11 @@ class TestRunReport:
         assert bundle.metrics == {}
         assert bundle.grouping is None
 
-    @pytest.mark.parametrize("version", [1, 2, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, None])
     def test_other_schema_rejected(self, matrix, version):
         d = self.bundle(matrix).to_dict()
         d["schema_version"] = version
-        with pytest.raises(ValueError, match=f"run report schema {version} != 3"):
+        with pytest.raises(ValueError, match=f"run report schema {version} != 4"):
             ReportBundle.from_dict(d)
 
     def test_holds_run_fields_only(self, matrix):

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -308,8 +310,7 @@ def _reference_granger(x, y, lag):
     fit_u = ols(target, np.column_stack([np.ones(n)] + own + cross))
     df2 = n - 2 * lag - 1
     if fit_u.rss == 0.0:
-        return GrangerResult(lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n,
-                             perfect_fit=True)
+        return GrangerResult(lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n)
     f_stat = max(((fit_r.rss - fit_u.rss) / lag) / (fit_u.rss / df2), 0.0)
     return GrangerResult(lag=lag, f_stat=f_stat, p_value=f_sf(f_stat, lag, df2),
                          n_obs_effective=n)
@@ -551,12 +552,10 @@ class TestCausalityScan:
             max_lag=4, correction=CORRECTION_BH,
         )
         tested = [p for p in matrix.pairs if p.best is not None]
-        skipped = [p for p in matrix.pairs if p.best is None]
-        assert all(p.adjusted_p is not None for p in tested)
-        assert all(p.adjusted_p is None for p in skipped)
+        assert len(tested) < len(matrix.pairs)
         expected = bh_adjust([p.best.p_value for p in tested])
-        for p, e in zip(tested, expected):
-            assert p.adjusted_p == pytest.approx(float(e), rel=1e-12)
+        assert matrix.adjusted_p == {(p.alter, p.topic): float(e)
+                                     for p, e in zip(tested, expected)}
 
     def test_significance_rules(self):
         raw = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4,
@@ -566,7 +565,18 @@ class TestCausalityScan:
         p_raw = raw.pair("alt_x", 0)
         assert raw.significant(p_raw) == (p_raw.best.p_value < raw.alpha)
         p_bh = bh.pair("alt_x", 0)
-        assert bh.significant(p_bh) == (p_bh.adjusted_p <= bh.alpha)
+        assert bh.significant(p_bh) == (bh.adjusted_p[("alt_x", 0)] <= bh.alpha)
+
+    def test_bh_significant_exactly_when_adjusted_p_at_most_alpha(self):
+        matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat", "alt_partial"],
+                                max_lag=4, correction=CORRECTION_BH)
+        tested = [p for p in matrix.pairs if p.best is not None]
+        adjusted = bh_adjust([p.best.p_value for p in tested])
+        # Every adjusted value as alpha, so each pair meets the <= boundary once.
+        for alpha in sorted(set(adjusted.tolist())):
+            at_alpha = replace(matrix, alpha=alpha)
+            assert [at_alpha.significant(p) for p in tested] == [a <= alpha for a in adjusted]
+            assert not any(at_alpha.significant(p) for p in matrix.pairs if p.best is None)
 
     def test_best_lag_is_argmin_p_ties_to_smaller(self):
         matrix = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4)
@@ -595,18 +605,53 @@ class TestCausalityScan:
         assert again.pair("alt_x", 0).best.lag == matrix.pair("alt_x", 0).best.lag
         assert again.pair("alt_flat", 0).skip_reason == SKIP_DEGENERATE
 
+    @pytest.mark.parametrize("correction", [CORRECTION_NONE, CORRECTION_BH])
+    @pytest.mark.parametrize("case", ["scan", "ladder", "perfect_fit"])
+    def test_from_dict_restores_every_field(self, case, correction):
+        if case == "ladder":  # pairs at differencing orders 0, 1 and 2
+            matrix = causality_scan(_ladder_series(), "ego", LADDER_ALTERS, max_lag=4,
+                                    correction=correction)
+        else:
+            matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat", "alt_partial"],
+                                    max_lag=4, correction=correction)
+        if case == "perfect_fit":
+            pair = matrix.pair("alt_x", 1)
+            first = pair.results[0]
+            pair.results[0] = GrangerResult(lag=first.lag, f_stat=math.inf, p_value=0.0,
+                                            n_obs_effective=first.n_obs_effective)
+        again = CausalityMatrix.from_dict(json.loads(matrix.to_json()))
+        # Field for field: every pair, and every GrangerResult's lag, F, p and n_obs_effective.
+        assert again == matrix
+        assert [r.perfect_fit for p in again.pairs for r in p.results] == [
+            r.perfect_fit for p in matrix.pairs for r in p.results]
+        assert again.adjusted_p == matrix.adjusted_p
+        assert [again.significant(p) for p in again.pairs] == [
+            matrix.significant(p) for p in matrix.pairs]
+        assert any(r.perfect_fit for p in again.pairs for r in p.results) == (
+            case == "perfect_fit")
+        if case == "ladder":
+            assert {p.diff_order for p in matrix.pairs if p.results} == {0, 1, 2}
 
     def test_matrix_json_holds_no_best_lag(self):
         d = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4).to_dict()
-        assert d["schema_version"] == MATRIX_SCHEMA_VERSION == 2
+        assert d["schema_version"] == MATRIX_SCHEMA_VERSION == 3
         assert "best_lag_rule" not in d
         assert all("best_lag" not in pd for pd in d["pairs"])
 
-    @pytest.mark.parametrize("version", [1, None, 3])
+    def test_matrix_json_holds_no_derived_value(self):
+        matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat"], max_lag=4,
+                                correction=CORRECTION_BH)
+        paths = list(written_keys(json.loads(matrix.to_json())))
+        names = Counter(path[-1] for path in paths)
+        assert not names.keys() & {"adjusted_p", "perfect_fit", "n_obs_effective"}
+        assert paths.count(("n_weeks",)) == names["n_weeks"] == 1
+        assert matrix.n_weeks == 120
+
+    @pytest.mark.parametrize("version", [1, 2, None, 4])
     def test_other_matrix_schema_rejected(self, version):
         d = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4).to_dict()
         d["schema_version"] = version
-        with pytest.raises(ValueError, match=f"matrix schema {version} != 2"):
+        with pytest.raises(ValueError, match=f"matrix schema {version} != 3"):
             CausalityMatrix.from_dict(d)
 
     def test_every_written_key_is_read(self):
@@ -614,11 +659,26 @@ class TestCausalityScan:
                                 max_lag=3, correction=CORRECTION_BH)
         written = json.loads(matrix.to_json())
         paths = list(written_keys(written))
-        assert ("pairs", 0, "results", 0, "perfect_fit") in paths
+        assert ("n_weeks",) in paths and ("pairs", 0, "results", 0, "p_value") in paths
         for path in paths:
             named = "schema None" if path == ("schema_version",) else f"'{path[-1]}'"
             with pytest.raises((KeyError, ValueError), match=named):
                 CausalityMatrix.from_dict(without_key(written, path))
+
+    @pytest.mark.parametrize("short", [("alt_a", 0), ("ego", 1)], ids=["shared", "ego_only"])
+    def test_unequal_lengths_rejected_before_any_test(self, short, monkeypatch):
+        def no_adf(*args, **kwargs):
+            raise AssertionError("a pair was tested")
+
+        monkeypatch.setattr(stats_module, "adf_test", no_adf)
+        rng = np.random.default_rng(4)
+        series = []
+        for account, topic in (("ego", 0), ("ego", 1), ("alt_a", 0)):
+            n = 59 if (account, topic) == short else 60
+            idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=n)
+            series.append(TopicSeries(account, topic, rng.poisson(5.0, size=n), idx))
+        with pytest.raises(ValueError, match=re.escape("series of unequal length: [59, 60] weeks")):
+            causality_scan(series, "ego", ["alt_a"])
 
     @pytest.mark.parametrize("topics", [[0, 2], [-1, 0], [1, 2]],
                              ids=["gap", "negative", "from_one"])

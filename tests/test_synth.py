@@ -1,5 +1,7 @@
 """Synthetic ecosystem generation and detection scoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,12 +165,12 @@ def hand_matrix(cells, correction=CORRECTION_NONE):
             if (alter, topic) in cells:
                 p, lag = cells[(alter, topic)]
                 outcome.results = [GrangerResult(lag=lag, f_stat=5.0, p_value=p,
-                                                 n_obs_effective=90)]
+                                                 n_obs_effective=100 - lag)]
                 outcome.diff_order = 0
             else:
                 outcome.skip_reason = "SHORT"
             pairs.append(outcome)
-    return CausalityMatrix(ego="ego", alters=alters, n_topics=len(topics),
+    return CausalityMatrix(ego="ego", alters=alters, n_topics=len(topics), n_weeks=100,
                            max_lag=8, alpha=0.05, correction=correction, pairs=pairs)
 
 
@@ -207,15 +209,21 @@ class TestScoreDetection:
         assert score.precision_by_convention
 
     def test_adjusted_p_used_when_present(self):
-        matrix = hand_matrix({("a", 0): (1e-6, 2)}, correction=CORRECTION_BH)
-        matrix.pairs[0].adjusted_p = 0.5
+        # Raw p 0.008 < 0.01, but BH over (0.008, 0.9) adjusts it to 0.016.
+        matrix = hand_matrix({("a", 0): (0.008, 2), ("a", 1): (0.9, 1)},
+                             correction=CORRECTION_BH)
+        assert matrix.adjusted_p[("a", 0)] == pytest.approx(0.016)
         score = score_detection(matrix, [("a", 0, 2, 0.8)], alpha=0.01)
         assert score.n_detections == 0
+        raw = score_detection(replace(matrix, correction=CORRECTION_NONE),
+                              [("a", 0, 2, 0.8)], alpha=0.01)
+        assert raw.n_detections == 1
 
     def test_bh_adjusted_p_equal_to_alpha_is_detected(self):
-        # Under BH the rule is adjusted p <= alpha, as CausalityMatrix.significant has it.
-        matrix = hand_matrix({("a", 0): (1e-6, 2)}, correction=CORRECTION_BH)
-        matrix.pairs[0].adjusted_p = 0.01
+        # Under BH the rule is adjusted p <= alpha, as CausalityMatrix.significant
+        # has it; a lone tested pair's adjusted p is its p.
+        matrix = hand_matrix({("a", 0): (0.01, 2)}, correction=CORRECTION_BH)
+        assert matrix.adjusted_p[("a", 0)] == 0.01
         score = score_detection(matrix, [("a", 0, 2, 0.8)], alpha=0.01)
         assert score.n_detections == 1
         assert score.recall == 1.0
@@ -225,8 +233,6 @@ class TestScoreDetection:
                  ("b", 1): (0.2, 1)}
         for correction in (CORRECTION_NONE, CORRECTION_BH):
             matrix = hand_matrix(cells, correction=correction)
-            for pair, adjusted in zip(matrix.pairs, (0.05, 0.2, 0.04, 0.05)):
-                pair.adjusted_p = adjusted
             marked = [(p.alter, p.topic) for p in matrix.pairs if matrix.significant(p)]
             assert marked
             truth = [(a, t, 1, 1.0) for a, t in marked]
