@@ -158,6 +158,10 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
         k_min = k_max = config.k
     else:
         k_min, k_max = config.k_min, min(config.k_max, dm.n - 1)
+        # Name the post count, not the clamped k_max the user never gave.
+        if k_min <= config.k_max and k_min > k_max:
+            raise ValueError(f"k_min {k_min} needs at least {k_min + 1} featurizable "
+                             f"ego posts, have {dm.n}")
     selection = select_k(dm, k_min, k_max, seed=config.seed)
     clustering, silhouette_by_k = selection.best, selection.scores
     summaries = summarize_topics(

@@ -2,7 +2,10 @@
 
 k-medoids is PAM's BUILD followed by the eager swap descent of FasterPAM
 (Schubert & Rousseeuw, "Fast and eager k-medoids clustering", 2021), run
-from several seeded starts.
+from several seeded starts.  No piece of that work is done twice: BUILD is
+greedy, so a k search builds once for its largest k and each k starts from
+a prefix of that order, and the starts of one k share each swap block's
+outcome through a table that lives for that one call.
 """
 
 from __future__ import annotations
@@ -35,12 +38,23 @@ class DistanceMatrix:
 
 
 def cosine_distance_matrix(emb, ids: Sequence[str]) -> DistanceMatrix:
-    """Pairwise 1 - cos(v_i, v_j) over the given ids (order preserved)."""
+    """Pairwise 1 - cos(v_i, v_j) over the given ids (order preserved).
+
+    A row whose norm underflows to 0 or overflows to inf is first divided by
+    its largest |component|, which leaves its direction; every other row is
+    normalised as it is.  An all-zero row has no direction and is refused.
+    """
     rows = np.stack([emb.vectors[i] for i in ids])
-    norms = np.linalg.norm(rows, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm vector for id {ids[zero[0]]!r}")
+    with np.errstate(over="ignore"):  # an inf norm is rescaled below
+        norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
+    if bad.size:
+        scale = np.abs(rows[bad]).max(axis=1)
+        zero = bad[scale == 0.0]
+        if zero.size:
+            raise ValueError(f"zero-norm vector for id {ids[zero[0]]!r}")
+        rows[bad] /= scale[:, None]
+        norms[bad] = np.linalg.norm(rows[bad], axis=1)
     unit = rows / norms[:, None]
     # numpy computes a matrix times its own transpose as one symmetric product
     # (BLAS syrk: one triangle, mirrored), so d is symmetric bit for bit and
@@ -102,17 +116,27 @@ def _serving(D: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarray,
 SWAP_BLOCK = 64
 
 
-def _swap_descent(D: np.ndarray, medoids: list[int]) -> tuple[list[int], float, int]:
+def _swap_descent(D: np.ndarray, medoids: list[int],
+                  table: dict | None = None) -> tuple[list[int], float, int]:
     """Eager SWAP (FasterPAM) until no single swap lowers the total cost.
 
     Candidates are taken SWAP_BLOCK rows at a time, cycling through all n,
     and each block's best improving swap is applied at once.  The descent
     stops once n candidates in a row found no improving swap against an
     unchanged set of medoids, so the result is swap-optimal.
+
+    A block's outcome depends only on the sorted medoids and the block's
+    first row, so `table` maps `(tuple(medoids), start)` to `(candidate,
+    slot, improving)`.  Descents that share a table compute each outcome
+    once; a descent that reaches a known (medoids, block) pair takes the
+    stored outcome and still applies and counts its swap.  The serving
+    state is built only when a block has to be computed.
     """
     n = len(D)
     medoids = sorted(medoids)
-    serves, dnear, dsecond = _serving(D, medoids)
+    if table is None:
+        table = {}
+    state = None  # _serving(D, medoids), built on first need
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[medoids] = True
     n_swaps = 0
@@ -120,33 +144,44 @@ def _swap_descent(D: np.ndarray, medoids: list[int]) -> tuple[list[int], float, 
     unchanged = 0
     while unchanged < n:
         stop = min(start + SWAP_BLOCK, n)
-        rows = D[start:stop]
-        # FastPAM1: the change in cost of swapping slot i for candidate c is
-        # a term shared by every slot plus a term over the points i serves.
-        to_near = np.minimum(rows, dnear)
-        delta = (np.minimum(rows, dsecond) - to_near) @ serves
-        delta += (to_near.sum(axis=1) - dnear.sum())[:, None]
-        delta[is_medoid[start:stop]] = np.inf
-        c, i = np.unravel_index(np.argmin(delta), delta.shape)
-        if delta[c, i] < -SWAP_TOL:
+        key = (tuple(medoids), start)
+        outcome = table.get(key)
+        if outcome is None:
+            if state is None:
+                state = _serving(D, medoids)
+            serves, dnear, dsecond = state
+            rows = D[start:stop]
+            # FastPAM1: the change in cost of swapping slot i for candidate c is
+            # a term shared by every slot plus a term over the points i serves.
+            to_near = np.minimum(rows, dnear)
+            delta = (np.minimum(rows, dsecond) - to_near) @ serves
+            delta += (to_near.sum(axis=1) - dnear.sum())[:, None]
+            delta[is_medoid[start:stop]] = np.inf
+            c, i = np.unravel_index(np.argmin(delta), delta.shape)
+            outcome = table[key] = (start + int(c), int(i), bool(delta[c, i] < -SWAP_TOL))
+        cand, i, improving = outcome
+        if improving:
             is_medoid[medoids[i]] = False
-            medoids[i] = start + int(c)
-            is_medoid[medoids[i]] = True
+            medoids[i] = cand
+            is_medoid[cand] = True
             medoids.sort()
-            serves, dnear, dsecond = _serving(D, medoids)
+            state = None
             n_swaps += 1
             unchanged = 0
         else:
             unchanged += stop - start
         start = 0 if stop == n else stop
-    return medoids, float(dnear.sum()), n_swaps
+    if state is None:
+        state = _serving(D, medoids)
+    return medoids, float(state[1].sum()), n_swaps
 
 
 # Starts per kmedoids call: BUILD plus RESTARTS - 1 seeded random sets.
 RESTARTS = 8
 
 
-def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42) -> Clustering:
+def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
+             build: Sequence[int] | None = None) -> Clustering:
     """k-medoids with deterministic restarts: BUILD plus seeded random starts,
     each refined by the eager swap descent; the cheapest result wins.
 
@@ -156,18 +191,28 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42) -> Clustering:
     exhaustive minimum.  The seed drives the restart starting sets and
     BUILD's exact cost tie-breaks, nothing else.  `n_swaps` counts the
     swaps of the winning start.
+
+    `build`, when given, is BUILD's medoid order for this `dm` and `seed`
+    over at least k medoids (`select_k` builds once for its largest k);
+    BUILD is greedy, so its first k entries are BUILD for k.  The starts
+    share one table of swap-block outcomes (see `_swap_descent`), which
+    lives for this call only.
     """
     n = dm.n
     if not 2 <= k < n:
         raise ValueError(f"k={k} out of range [2, {n - 1}]")
     D = dm.d
     rng = np.random.default_rng(seed)
+    # Drawn even when `build` is given: the restart sets come after it.
     priority = rng.permutation(n)
+    if build is None:
+        build = _build_init(D, k, priority)
 
-    medoids, total, n_swaps = _swap_descent(D, _build_init(D, k, priority))
+    table: dict = {}
+    medoids, total, n_swaps = _swap_descent(D, build[:k], table)
     for _ in range(RESTARTS - 1):
         init = [int(i) for i in rng.choice(n, size=k, replace=False)]
-        cand, cost, swaps = _swap_descent(D, init)
+        cand, cost, swaps = _swap_descent(D, init, table)
         if cost < total - SWAP_TOL:
             medoids, total, n_swaps = cand, cost, swaps
 
@@ -219,15 +264,20 @@ class KSelection:
 
 
 def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSelection:
-    """Run kmedoids + silhouette per k; highest score wins, ties go small."""
+    """Run kmedoids + silhouette per k; highest score wins, ties go small.
+
+    BUILD runs once, for k_max: every kmedoids call draws the same priority
+    first, so each k's BUILD start is a prefix of that order.
+    """
     if k_min > k_max:
         raise ValueError(f"empty k range [{k_min}, {k_max}]")
     if k_min < 2 or k_max > dm.n - 1:
         raise ValueError(f"k range [{k_min}, {k_max}] outside [2, {dm.n - 1}]")
+    build = _build_init(dm.d, k_max, np.random.default_rng(seed).permutation(dm.n))
     scores: dict[int, float] = {}
     best: Clustering | None = None
     for k in range(k_min, k_max + 1):
-        clustering = kmedoids(dm, k, seed=seed)
+        clustering = kmedoids(dm, k, seed=seed, build=build)
         scores[k] = silhouette(dm, clustering)
         logger.info("k=%d silhouette=%.4f cost=%.4f", k, scores[k], clustering.total_cost)
         # Strictly greater: ties keep the smaller k.

@@ -1,6 +1,7 @@
 """Command-line tests: each subcommand driven through main(argv)."""
 
 import csv
+import dataclasses
 import json
 from datetime import date, timedelta
 
@@ -157,6 +158,19 @@ class TestTopics:
         code = main(["topics", str(corpus_jsonl), "--ego", "ghost",
                      "--out", str(tmp_path / "b")])
         assert code == 1
+
+    def test_k_min_above_post_count_names_the_count(self, two_topic_corpus, tmp_path,
+                                                    caplog):
+        ego = [p for p in two_topic_corpus.posts if p.author == "ego"][:6]
+        posts = [p for p in two_topic_corpus.posts if p.author != "ego" or p in ego]
+        path = tmp_path / "six.jsonl"
+        path.write_text(dataclasses.replace(two_topic_corpus, posts=tuple(posts)).to_jsonl(),
+                        encoding="utf-8")
+        code = main(["topics", str(path), "--ego", "ego", "--k-min", "10",
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["k_min 10 needs at least 11 featurizable ego posts, have 6"]
 
     def _config(self, monkeypatch, corpus_jsonl, *flags):
         """The PipelineConfig `topics` hands to fit_topics for these flags."""

@@ -6,11 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from egoflux import pipeline
+from egoflux import pipeline, topics
 from egoflux.corpus import load_corpus
 from egoflux.features import EmbeddingSet, fit_tfidf
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import (
+    RESTARTS,
     SWAP_BLOCK,
     SWAP_TOL,
     Clustering,
@@ -22,6 +23,7 @@ from egoflux.topics import (
     summarize_topics,
     TopicSummary,
     _build_init,
+    _serving,
     _swap_descent,
 )
 
@@ -79,6 +81,22 @@ class TestCosineDistanceMatrix:
         emb = emb_of({"ok": [1, 0], "z1": [0, 0], "z2": [0, 0]})
         with pytest.raises(ValueError, match="'z2'"):
             cosine_distance_matrix(emb, ["ok", "z2", "z1"])
+
+    def test_norm_overflow_keeps_direction(self):
+        emb = emb_of({"huge": [1e200, 1e200], "one": [1, 1], "orth": [1, -1]})
+        dm = cosine_distance_matrix(emb, ["huge", "one", "orth"])
+        assert dm.d[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert dm.d[0, 2] == pytest.approx(1.0, abs=1e-12)
+
+    def test_norm_underflow_keeps_direction(self):
+        emb = emb_of({"tiny": [1e-200, 1e-200], "one": [1, 1], "anti": [-1, -1]})
+        dm = cosine_distance_matrix(emb, ["tiny", "one", "anti"])
+        assert dm.d[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert dm.d[0, 2] == pytest.approx(2.0, abs=1e-12)
+        # A row that is really all zeros is still refused, after a rescaled one.
+        emb = emb_of({"tiny": [1e-200, 1e-200], "huge": [1e200, 0], "empty": [0, 0]})
+        with pytest.raises(ValueError, match="'empty'"):
+            cosine_distance_matrix(emb, ["tiny", "huge", "empty"])
 
     def test_fixture_distances_bit_equal_to_averaged_formula(self, monkeypatch):
         """Without the (d + d.T)/2 step, not one bit of the fixture's distances moves."""
@@ -222,6 +240,14 @@ def blob_dm(seed, n):
     return dm_from_points(centres[rng.integers(8, size=n)] + rng.normal(0, 0.6, size=(n, 4)))
 
 
+def tie_lattice_dm():
+    """Four exact copies of each of ten lattice points: every swap between
+    copies is an exact tie."""
+    pts = np.repeat(np.array([[x, y] for x in range(5) for y in range(2)], dtype=float),
+                    4, axis=0)
+    return dm_from_points(pts)
+
+
 # n > 3 blocks and not a multiple of the block, so descents wrap around and
 # cross block edges; one instance per k.
 LARGE = [(k, blob_dm(100 + k, 3 * SWAP_BLOCK + 17 + 5 * k)) for k in range(2, 11)]
@@ -253,11 +279,7 @@ class TestSwapDescent:
         assert cost == result.total_cost
 
     def test_ties_deterministic(self):
-        # Four exact copies of each of ten lattice points: every swap between
-        # copies is an exact tie.
-        pts = np.repeat(np.array([[x, y] for x in range(5) for y in range(2)], dtype=float),
-                        4, axis=0)
-        dm = dm_from_points(pts)
+        dm = tie_lattice_dm()
         init = [0, 1, 2]
         first = _swap_descent(dm.d, init)
         assert _swap_descent(dm.d, init) == first
@@ -282,6 +304,167 @@ class TestSwapDescent:
             medoids, _, _ = _swap_descent(dm.d, list(range(k)))
             assert_swap_optimal(dm.d, medoids)
             assert_swap_optimal(dm.d, list(kmedoids(dm, k).medoid_indices))
+
+
+def reference_swap_descent(D, medoids):
+    """The descent before outcome sharing: the serving state after every swap
+    and every block computed, for each start on its own."""
+    n = len(D)
+    medoids = sorted(medoids)
+    serves, dnear, dsecond = _serving(D, medoids)
+    is_medoid = np.zeros(n, dtype=bool)
+    is_medoid[medoids] = True
+    n_swaps = 0
+    start = 0
+    unchanged = 0
+    while unchanged < n:
+        stop = min(start + SWAP_BLOCK, n)
+        rows = D[start:stop]
+        to_near = np.minimum(rows, dnear)
+        delta = (np.minimum(rows, dsecond) - to_near) @ serves
+        delta += (to_near.sum(axis=1) - dnear.sum())[:, None]
+        delta[is_medoid[start:stop]] = np.inf
+        c, i = np.unravel_index(np.argmin(delta), delta.shape)
+        if delta[c, i] < -SWAP_TOL:
+            is_medoid[medoids[i]] = False
+            medoids[i] = start + int(c)
+            is_medoid[medoids[i]] = True
+            medoids.sort()
+            serves, dnear, dsecond = _serving(D, medoids)
+            n_swaps += 1
+            unchanged = 0
+        else:
+            unchanged += stop - start
+        start = 0 if stop == n else stop
+    return medoids, float(dnear.sum()), n_swaps
+
+
+def reference_kmedoids(dm, k, seed):
+    """kmedoids before the shared work: BUILD for this k, a fresh descent per start."""
+    n, D = dm.n, dm.d
+    rng = np.random.default_rng(seed)
+    priority = rng.permutation(n)
+    medoids, total, n_swaps = reference_swap_descent(D, _build_init(D, k, priority))
+    for _ in range(RESTARTS - 1):
+        init = [int(i) for i in rng.choice(n, size=k, replace=False)]
+        cand, cost, swaps = reference_swap_descent(D, init)
+        if cost < total - SWAP_TOL:
+            medoids, total, n_swaps = cand, cost, swaps
+    M = np.array(medoids)
+    labels = np.argmin(D[:, M], axis=1)
+    labels[M] = np.arange(k)
+    return Clustering(
+        k=k,
+        medoid_ids=tuple(dm.ids[m] for m in medoids),
+        medoid_indices=tuple(int(m) for m in medoids),
+        assignment={dm.ids[i]: int(labels[i]) for i in range(n)},
+        labels=labels,
+        total_cost=float(D[np.arange(n), M[labels]].sum()),
+        n_swaps=n_swaps,
+    )
+
+
+def assert_same_clustering(got, want):
+    assert got.medoid_indices == want.medoid_indices
+    assert got.medoid_ids == want.medoid_ids
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.assignment == want.assignment
+    assert got.total_cost == want.total_cost
+    assert got.n_swaps == want.n_swaps
+
+
+def assert_select_k_matches_reference(dm, k_min, k_max, seed):
+    sel = select_k(dm, k_min, k_max, seed=seed)
+    ref = {k: reference_kmedoids(dm, k, seed) for k in range(k_min, k_max + 1)}
+    assert sel.scores == {k: silhouette(dm, c) for k, c in ref.items()}
+    assert_same_clustering(sel.best, ref[sel.best.k])
+
+
+@pytest.fixture(scope="module")
+def fixture_ego_dm():
+    """The ego distance matrix fit_topics clusters on the fixture corpus."""
+    captured = []
+
+    def capture(emb, ids):
+        captured.append(cosine_distance_matrix(emb, ids))
+        return captured[-1]
+
+    corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "cosine_distance_matrix", capture)
+        pipeline.fit_topics(corpus, dataclasses.replace(FIXTURE_CONFIG, k=2))
+    [dm] = captured
+    return dm
+
+
+class TestSharedWork:
+    """BUILD once per k search and each swap-block outcome once per kmedoids
+    call, with every result equal to the reference that shares nothing."""
+
+    @pytest.mark.parametrize("k, dm", LARGE, ids=[f"k{k}" for k, _ in LARGE])
+    def test_kmedoids_and_select_k_equal_reference_large(self, k, dm):
+        assert_same_clustering(kmedoids(dm, k, seed=k), reference_kmedoids(dm, k, k))
+        assert_select_k_matches_reference(dm, 2, min(k, 6), seed=k)
+
+    def test_equal_reference_on_tie_lattice(self):
+        dm = tie_lattice_dm()
+        for seed in (5, 6):
+            for k in range(2, 7):
+                assert_same_clustering(kmedoids(dm, k, seed=seed),
+                                       reference_kmedoids(dm, k, seed))
+            assert_select_k_matches_reference(dm, 2, 6, seed=seed)
+
+    def test_equal_reference_on_fixture_ego_matrix(self, fixture_ego_dm):
+        assert fixture_ego_dm.n > 500
+        assert_select_k_matches_reference(fixture_ego_dm, 2, 6, seed=FIXTURE_CONFIG.seed)
+
+    @pytest.mark.parametrize("dm", [dm for _, dm in LARGE[::2]] + [tie_lattice_dm()],
+                             ids=[f"k{k}" for k, _ in LARGE[::2]] + ["ties"])
+    def test_build_is_a_prefix_of_build_for_larger_k(self, dm):
+        priority = np.random.default_rng(dm.n).permutation(dm.n)
+        full = _build_init(dm.d, 10, priority)
+        for k in range(1, 11):
+            assert full[:k] == _build_init(dm.d, k, priority)
+
+    @pytest.mark.parametrize("k, dm", LARGE[::3], ids=[f"k{k}" for k, _ in LARGE[::3]])
+    def test_shared_table_replays_a_descent(self, k, dm):
+        init = [int(i) for i in np.random.default_rng(k).choice(dm.n, size=k, replace=False)]
+        table = {}
+        first = _swap_descent(dm.d, init, table)
+        seen = dict(table)
+        assert _swap_descent(dm.d, init, table) == first
+        assert table == seen
+        assert _swap_descent(dm.d, init) == first == reference_swap_descent(dm.d, init)
+
+    def test_select_k_builds_once(self, monkeypatch):
+        calls = []
+
+        def counting(D, k, priority):
+            calls.append(k)
+            return _build_init(D, k, priority)
+
+        monkeypatch.setattr(topics, "_build_init", counting)
+        select_k(dm_from_points(np.random.default_rng(10).normal(size=(20, 2))), 2, 6)
+        assert calls == [6]
+
+    def test_starts_share_block_outcomes(self, monkeypatch):
+        k, dm = LARGE[4]
+        runs = []
+
+        def recording(D, medoids, table=None):
+            runs.append((list(medoids), table))
+            return _swap_descent(D, medoids, table)
+
+        monkeypatch.setattr(topics, "_swap_descent", recording)
+        kmedoids(dm, k, seed=3)
+        assert len(runs) == RESTARTS and len({id(table) for _, table in runs}) == 1
+        shared = len(runs[0][1])
+        alone = 0
+        for init, _ in runs:
+            table = {}
+            _swap_descent(dm.d, init, table)
+            alone += len(table)
+        assert shared < alone
 
 
 def manual_clustering(dm, labels, medoid_indices):
