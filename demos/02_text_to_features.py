@@ -61,7 +61,8 @@ def main() -> None:
     ]
     model = fit_tfidf(merged_docs, min_df=2)
     print(f"vocabulary size: {model.dim}")
-    row = tfidf_matrix(model, merged_docs)[0]
+    A = tfidf_matrix(model, merged_docs)
+    row = A[0]
     inverse = {i: t for t, i in model.vocabulary.items()}
     weights = sorted(zip(row.indices, row.data), key=lambda p: -p[1])[:5]
     print("top weights in doc 0:")
@@ -69,8 +70,8 @@ def main() -> None:
         print(f"  {inverse[idx]:<16}{val:.4f}")
 
     print("\n== Fallback embeddings ==")
-    emb = FallbackProjector.fit(model, merged_docs, dim=4, seed=42).transform(
-        model, merged_docs)
+    emb = FallbackProjector.fit(A, dim=4, seed=42).transform(
+        A, [d.post_id for d in merged_docs])
     a, b = emb.vectors["d0"], emb.vectors["d1"]   # two market docs
     c = emb.vectors["d6"]                          # a weather doc
     print(f"dim={emb.dim}")

@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from egoflux.corpus import load_corpus
-from egoflux.features import FallbackProjector, fit_tfidf
+from egoflux.features import FallbackProjector, fit_tfidf, tfidf_matrix
 from egoflux.textpipe import build_token_docs, fit_phrase_pipeline
 from egoflux.topics import (
     cosine_distance_matrix,
@@ -33,11 +33,13 @@ def main() -> None:
     phrases = fit_phrase_pipeline(raw_docs)
     docs = build_token_docs(ego_posts, pipeline=phrases)
     tfidf = fit_tfidf(docs, min_df=2)
-    emb = FallbackProjector.fit(tfidf, docs, dim=16, seed=42).transform(tfidf, docs)
+    # One TF-IDF matrix feeds the projector and the topic summaries.
+    A = tfidf_matrix(tfidf, docs)
+    ids = [d.post_id for d in docs]
+    emb = FallbackProjector.fit(A, dim=16, seed=42).transform(A, ids)
 
-    featurized = [d.post_id for d in docs
-                  if d.post_id in emb.vectors and emb.vectors[d.post_id].any()]
-    dm = cosine_distance_matrix(emb, featurized)
+    rows = [i for i, post_id in enumerate(ids) if emb.vectors[post_id].any()]
+    dm = cosine_distance_matrix(emb, [ids[i] for i in rows])
 
     print("\n== Choosing k by silhouette ==")
     selection = select_k(dm, k_min=2, k_max=5, seed=42)
@@ -48,11 +50,8 @@ def main() -> None:
 
     clustering = selection.best
     print("\n== Topic summaries ==")
-    summaries = summarize_topics(
-        clustering, tfidf,
-        [d for d in docs if d.post_id in clustering.assignment],
-        top_n=8,
-    )
+    # Rows in the distance matrix's order, as clustering.labels holds them.
+    summaries = summarize_topics(clustering, tfidf, A[rows], top_n=8)
     for s in summaries:
         words = ", ".join(t for t, _ in s.top_words)
         print(f"{s.label} (n={s.size}): {words}")

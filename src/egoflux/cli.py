@@ -70,8 +70,6 @@ def _cmd_ingest(args) -> int:
     start = parse_timestamp(args.start)
     end = parse_timestamp(args.end)
     result = load_corpus(args.corpus, args.format, (start, end), strict=args.strict)
-    for warning in result.warnings:
-        logger.warning("%s", warning)
     logger.info("kept %d posts; dropped %d (%d window, %d malformed, %d duplicate)",
                 len(result.corpus), result.dropped, result.dropped_out_of_window,
                 result.dropped_malformed, result.dropped_duplicate)
@@ -123,6 +121,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.n_topics is not None and args.n_topics < 1:
+        raise EgofluxError(f"--n-topics must be >= 1, got {args.n_topics}")
     posts: list[Post] = []
     labels: dict[str, int] = {}
     seen_at: dict[str, str] = {}  # post_id -> "<path>:<line>" of its first row
@@ -152,7 +152,7 @@ def _cmd_series(args) -> int:
         raise EgofluxError("no labeled posts given")
     week_index = build_week_index(_window(args, min(p.created_at for p in posts),
                                           max(p.created_at for p in posts)))
-    n_topics = args.n_topics or max(labels.values()) + 1
+    n_topics = args.n_topics if args.n_topics is not None else max(labels.values()) + 1
     for post in posts:
         where = seen_at[post.id]
         if not 0 <= labels[post.id] < n_topics:

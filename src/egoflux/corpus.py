@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -93,7 +93,6 @@ class IngestResult:
     dropped_out_of_window: int = 0
     dropped_malformed: int = 0
     dropped_duplicate: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def dropped(self) -> int:
@@ -225,9 +224,8 @@ def load_corpus(
     posts = tuple(sorted(kept, key=lambda p: (p.created_at, p.id)))
     result.corpus = Corpus(posts=posts, window_start=start, window_end=end)
     if not posts:
-        msg = f"{path}: no posts inside window {start.isoformat()}..{end.isoformat()}"
-        result.warnings.append(msg)
-        logger.warning(msg)
+        logger.warning("%s: no posts inside window %s..%s",
+                       path, start.isoformat(), end.isoformat())
     return result
 
 

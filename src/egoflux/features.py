@@ -1,7 +1,7 @@
 """TF-IDF featurization and dense embeddings (external file or TF-IDF fallback).
 
-TF-IDF rows have one builder, tfidf_matrix, which turns a list of docs into
-one CSR matrix; the fallback projector and the topic summaries both read it.
+TF-IDF rows have one builder, tfidf_matrix.  Each doc set's CSR matrix is built
+once and read by the fallback projector (a linear map on rows) and the summaries.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def _randomized_svd(A: sparse.csr_matrix, n_components: int, seed: int) -> np.nd
 class FallbackProjector:
     """Truncated-SVD projection of TF-IDF rows into a dense space.
 
-    Fitted on the ego corpus once; alter docs reuse the same components so
-    both sides live in one embedding space.
+    Fitted on the ego's TF-IDF matrix once; the alters' rows go through the
+    same components, so both sides live in one embedding space.
     """
 
     components: np.ndarray
@@ -229,18 +229,18 @@ class FallbackProjector:
         return self.components.shape[1]
 
     @classmethod
-    def fit(cls, model: TfidfModel, docs: Sequence[TokenDoc], dim: int,
+    def fit(cls, A: sparse.csr_matrix, dim: int,
             seed: int = DEFAULT_SVD_SEED) -> "FallbackProjector":
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if dim > model.dim:
-            raise ValueError(f"dim {dim} exceeds vocabulary size {model.dim}")
-        A = tfidf_matrix(model, docs)
+        if dim > A.shape[1]:
+            raise ValueError(f"dim {dim} exceeds vocabulary size {A.shape[1]}")
         return cls(components=_randomized_svd(A, dim, seed))
 
-    def transform(self, model: TfidfModel, docs: Sequence[TokenDoc]) -> EmbeddingSet:
-        """Unit-length projections of the docs' TF-IDF rows (zero rows stay zero)."""
-        A = tfidf_matrix(model, docs)
+    def transform(self, A: sparse.csr_matrix, ids: Sequence[str]) -> EmbeddingSet:
+        """Unit-length projections of A's rows, keyed by `ids` (zero rows stay zero)."""
+        if len(ids) != A.shape[0]:
+            raise ValueError(f"{len(ids)} ids for {A.shape[0]} TF-IDF rows")
         rows = np.asarray(A @ self.components)
         # In blocks, so the norm's squares and the rows it divides are
         # temporaries of one block, not copies of every row.
@@ -249,8 +249,7 @@ class FallbackProjector:
             norms = np.linalg.norm(block, axis=1)
             nonzero = norms > 0
             block[nonzero] /= norms[nonzero, None]
-        vectors = {doc.post_id: rows[i] for i, doc in enumerate(docs)}
-        return EmbeddingSet(dim=self.dim, vectors=vectors)
+        return EmbeddingSet(dim=self.dim, vectors=dict(zip(ids, rows)))
 
     def to_dict(self) -> dict:
         return {"components": [[float(v) for v in row] for row in self.components]}

@@ -14,6 +14,7 @@ from .features import (
     FallbackProjector,
     fit_tfidf,
     load_embeddings,
+    tfidf_matrix,
 )
 from .report import ReportBundle
 from .series import TopicSeries, bin_posts, build_week_index
@@ -97,12 +98,6 @@ class TopicFit:
     n_unfeaturized: int
 
 
-def _featurizable_ids(emb: EmbeddingSet, docs: list[TokenDoc]) -> list[str]:
-    """Ids of the docs with a nonzero vector in `emb`, in doc order."""
-    return [d.post_id for d in docs
-            if d.post_id in emb.vectors and emb.vectors[d.post_id].any()]
-
-
 def _alter_posts(corpus: Corpus, ranking: AlterRanking) -> list[Post]:
     """The ranked alters' posts, in corpus order."""
     alters = {handle for handle, _ in ranking.entries}
@@ -132,6 +127,8 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     ego_docs = [TokenDoc(d.post_id, merge_then_drop_stopwords(phrases, d.tokens))
                 for d in raw_ego_docs]
     tfidf = fit_tfidf(ego_docs, min_df=config.min_df)
+    ego_ids = [d.post_id for d in ego_docs]
+    A = tfidf_matrix(tfidf, ego_docs)  # built once: the projector and the summaries read it
 
     projector: FallbackProjector | None = None
     external: EmbeddingSet | None = None
@@ -141,11 +138,14 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
             config.embeddings_path, ids=[p.id for p in ego_posts + alter_posts])
     else:
         dim = min(config.embed_dim, tfidf.dim)
-        projector = FallbackProjector.fit(tfidf, ego_docs, dim, seed=config.seed)
-        ego_emb = projector.transform(tfidf, ego_docs)
+        projector = FallbackProjector.fit(A, dim, seed=config.seed)
+        ego_emb = projector.transform(A, ego_ids)
 
-    cluster_ids = _featurizable_ids(ego_emb, ego_docs)
-    n_unfeaturized = len(ego_docs) - len(cluster_ids)
+    # Every ego id has a vector (the file was checked for them); a zero one
+    # cannot be clustered.
+    cluster_rows = [i for i, post_id in enumerate(ego_ids) if ego_emb.vectors[post_id].any()]
+    cluster_ids = [ego_ids[i] for i in cluster_rows]
+    n_unfeaturized = len(ego_ids) - len(cluster_ids)
     if n_unfeaturized:
         logger.info("%d ego posts have empty feature vectors; excluded from topics",
                     n_unfeaturized)
@@ -164,11 +164,7 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
                              f"ego posts, have {dm.n}")
     selection = select_k(dm, k_min, k_max, seed=config.seed)
     clustering, silhouette_by_k = selection.best, selection.scores
-    summaries = summarize_topics(
-        clustering, tfidf,
-        [d for d in ego_docs if d.post_id in clustering.assignment],
-        top_n=config.top_words,
-    )
+    summaries = summarize_topics(clustering, tfidf, A[cluster_rows], top_n=config.top_words)
 
     classifier, eval_report = clf_mod.train(ego_emb, clustering.assignment, seed=config.seed)
 
@@ -252,10 +248,12 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
     with no vector in `emb`, or a zero one, is left unlabeled.
     """
     docs = build_token_docs(posts, pipeline=bundle.phrases)
+    ids = [d.post_id for d in docs]
     if emb is None:
         if bundle.projector is None:
             raise ValueError(
                 "bundle has no fallback projector; supply an embedding file"
             )
-        emb = bundle.projector.transform(bundle.tfidf, docs)
-    return clf_mod.predict(bundle.classifier, emb, ids=_featurizable_ids(emb, docs))
+        emb = bundle.projector.transform(tfidf_matrix(bundle.tfidf, docs), ids)
+    featurized = [i for i in ids if i in emb.vectors and emb.vectors[i].any()]
+    return clf_mod.predict(bundle.classifier, emb, ids=featurized)

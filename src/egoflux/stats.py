@@ -654,6 +654,10 @@ def causality_scan(
         raise ValueError(f"unknown correction {correction!r}")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if max_diff < 0:
+        raise ValueError(f"max_diff must be >= 0, got {max_diff}")
     repeated = sorted(a for a, n in Counter(alters).items() if n > 1)
     if repeated:
         raise ValueError(f"alters repeated: {repeated}")

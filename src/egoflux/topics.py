@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .features import TfidfModel, tfidf_matrix
-from .textpipe import TokenDoc
+from .features import TfidfModel
 
 logger = logging.getLogger(__name__)
 
@@ -312,16 +312,19 @@ class TopicSummary:
 def summarize_topics(
     clustering: Clustering,
     model: TfidfModel,
-    docs: Sequence[TokenDoc],
+    A: sparse.csr_matrix,
     top_n: int = 50,
 ) -> list[TopicSummary]:
-    """Per cluster, mean of member TF-IDF vectors; top_n tokens descending."""
+    """Per cluster, the mean of its members' TF-IDF rows; top_n tokens descending.
+
+    Row i of `A` belongs to the post that `clustering.labels[i]` labels."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    clusters = clustering.labels
     by_index = sorted(model.vocabulary, key=model.vocabulary.get)
-    A = tfidf_matrix(model, docs)
-    clusters = np.array([clustering.assignment[doc.post_id] for doc in docs], dtype=int)
     sizes = np.bincount(clusters, minlength=clustering.k)
     means = np.zeros((clustering.k, model.dim))
-    # Unbuffered adds in doc order: each sum accumulates as a per-doc loop would.
+    # Unbuffered adds in row order: each sum accumulates as a per-row loop would.
     np.add.at(means, (np.repeat(clusters, np.diff(A.indptr)), A.indices), A.data)
     summaries = []
     for c in range(clustering.k):

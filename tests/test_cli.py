@@ -134,6 +134,17 @@ class TestIngest:
                      *WINDOW_ARGS])
         assert code == 1
 
+    def test_empty_window_warns_once(self, corpus_csv, tmp_path, caplog):
+        out = tmp_path / "out.jsonl"
+        code = main(["ingest", str(corpus_csv), "--format", "csv",
+                     "--start", "1999-01-04T00:00:00+00:00",
+                     "--end", "1999-02-01T00:00:00+00:00", "--out", str(out)])
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == ""
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"{corpus_csv}: no posts inside window "
+                            "1999-01-04T00:00:00+00:00..1999-02-01T00:00:00+00:00"]
+
 
 class TestTopics:
     def test_bundle_directory_loads(self, bundle_dir):
@@ -171,6 +182,16 @@ class TestTopics:
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["k_min 10 needs at least 11 featurizable ego posts, have 6"]
+
+    @pytest.mark.parametrize("top_words", ["0", "-9"])
+    def test_top_words_below_one_exits_one(self, corpus_jsonl, tmp_path, caplog, top_words):
+        out = tmp_path / "b"
+        code = main(["topics", str(corpus_jsonl), "--ego", "ego", "--k", "2",
+                     "--top-words", top_words, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"top_n must be >= 1, got {top_words}"]
 
     def _config(self, monkeypatch, corpus_jsonl, *flags):
         """The PipelineConfig `topics` hands to fit_topics for these flags."""
@@ -325,6 +346,12 @@ class TestSeries:
         rows = out.read_text(encoding="utf-8").splitlines()
         assert sorted({row.split(",")[1] for row in rows[1:]}) == ["ego", "zed"]
 
+    @pytest.mark.parametrize("n_topics", ["0", "-1"])
+    def test_n_topics_below_one_exits_one(self, tmp_path, caplog, n_topics):
+        labels = self._labels(tmp_path, self.GOOD_ROW)
+        message = self._series_error(caplog, [labels], "--n-topics", n_topics)
+        assert message == f"--n-topics must be >= 1, got {n_topics}"
+
     def test_empty_accounts_name_exits_one(self, tmp_path, caplog):
         labels = self._labels(tmp_path, self.GOOD_ROW)
         message = self._series_error(caplog, [labels], "--accounts", "a,,b")
@@ -360,6 +387,22 @@ class TestCausality:
         assert not out.exists()
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["alters repeated: ['alt_a']"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
+        ("--alpha", "-0.1", "alpha must be in (0, 1), got -0.1"),
+        ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
+        ("--max-diff", "-3", "max_diff must be >= 0, got -3"),
+    ])
+    def test_bad_alpha_or_max_diff_exits_one(self, series_csv, tmp_path, caplog,
+                                             flag, value, message):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(series_csv), "--ego", "ego", flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [message]
 
     def test_alters_and_ego_handles_canonicalized(self, matrix_json, series_csv, tmp_path):
         out = tmp_path / "matrix.json"

@@ -290,6 +290,12 @@ class TestEmbeddingIO:
         np.testing.assert_array_equal(loaded.vectors["7"], [1.0, 2.5])
 
 
+def project(model, docs, dim, seed=42):
+    """Fit the projector on the docs' TF-IDF rows and embed those rows."""
+    A = tfidf_matrix(model, docs)
+    return FallbackProjector.fit(A, dim, seed=seed).transform(A, [d.post_id for d in docs])
+
+
 class TestFallbackProjector:
     def _fit_corpus(self, rng, n_docs=40, vocab=12, doc_len=8):
         words = [f"w{i:02d}" for i in range(vocab)]
@@ -302,7 +308,7 @@ class TestFallbackProjector:
         rng = np.random.default_rng(0)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
-        emb = FallbackProjector.fit(model, docs, dim=model.dim).transform(model, docs)
+        emb = project(model, docs, dim=model.dim)
         dense = tfidf_matrix(model, docs).toarray()
         low = emb.matrix([d.post_id for d in docs])
         for i in range(0, 40, 7):
@@ -315,7 +321,7 @@ class TestFallbackProjector:
         rng = np.random.default_rng(1)
         docs = self._fit_corpus(rng, n_docs=60, vocab=20)
         model = fit_tfidf(docs, min_df=1)
-        emb = FallbackProjector.fit(model, docs, dim=10).transform(model, docs)
+        emb = project(model, docs, dim=10)
         dense = tfidf_matrix(model, docs).toarray()
         low = emb.matrix([d.post_id for d in docs])
         full_cos, low_cos = [], []
@@ -330,22 +336,22 @@ class TestFallbackProjector:
         rng = np.random.default_rng(2)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
-        emb = FallbackProjector.fit(model, docs, dim=6).transform(model, docs)
+        emb = project(model, docs, dim=6)
         for vec in emb.vectors.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_doc_stays_zero(self):
         docs = docs_of(["a", "b"], ["a", "c"], [])
         model = fit_tfidf(docs, min_df=1)
-        emb = FallbackProjector.fit(model, docs, dim=2).transform(model, docs)
+        emb = project(model, docs, dim=2)
         assert np.linalg.norm(emb.vectors["d2"]) == 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         docs = self._fit_corpus(rng)
         model = fit_tfidf(docs, min_df=1)
-        a = FallbackProjector.fit(model, docs, dim=5, seed=42).transform(model, docs)
-        b = FallbackProjector.fit(model, docs, dim=5, seed=42).transform(model, docs)
+        a = project(model, docs, dim=5, seed=42)
+        b = project(model, docs, dim=5, seed=42)
         for pid in a.vectors:
             np.testing.assert_array_equal(a.vectors[pid], b.vectors[pid])
 
@@ -353,21 +359,22 @@ class TestFallbackProjector:
         rng = np.random.default_rng(4)
         fit_docs = self._fit_corpus(rng)
         model = fit_tfidf(fit_docs, min_df=1)
-        projector = FallbackProjector.fit(model, fit_docs, dim=5)
+        projector = FallbackProjector.fit(tfidf_matrix(model, fit_docs), dim=5)
         again = FallbackProjector.from_dict(projector.to_dict())
-        new_docs = docs_of(["w00", "w01", "w02"])
-        out1 = projector.transform(model, new_docs)
-        out2 = again.transform(model, new_docs)
+        new_rows = tfidf_matrix(model, docs_of(["w00", "w01", "w02"]))
+        out1 = projector.transform(new_rows, ["d0"])
+        out2 = again.transform(new_rows, ["d0"])
         np.testing.assert_allclose(out1.vectors["d0"], out2.vectors["d0"], atol=1e-12)
 
     def test_rows_bit_equal_one_pass_norm_across_blocks(self):
         rng = np.random.default_rng(6)
         fit_docs = self._fit_corpus(rng)
         model = fit_tfidf(fit_docs, min_df=1)
-        projector = FallbackProjector.fit(model, fit_docs, dim=5)
+        projector = FallbackProjector.fit(tfidf_matrix(model, fit_docs), dim=5)
         docs = self._fit_corpus(rng, n_docs=2 * NORM_BLOCK + 7) + [TokenDoc("empty", [])]
-        emb = projector.transform(model, docs)
-        rows = np.asarray(tfidf_matrix(model, docs) @ projector.components)
+        A = tfidf_matrix(model, docs)
+        emb = projector.transform(A, [d.post_id for d in docs])
+        rows = np.asarray(A @ projector.components)
         norms = np.linalg.norm(rows, axis=1)
         rows[norms > 0] /= norms[norms > 0, None]
         assert all(emb.vectors[d.post_id].tobytes() == rows[i].tobytes()
@@ -377,8 +384,15 @@ class TestFallbackProjector:
     def test_dim_larger_than_vocab_rejected(self):
         docs = docs_of(["a", "b"], ["a", "b"])
         model = fit_tfidf(docs, min_df=1)
-        with pytest.raises(ValueError):
-            FallbackProjector.fit(model, docs, dim=10)
+        with pytest.raises(ValueError, match="dim 10 exceeds vocabulary size 2"):
+            FallbackProjector.fit(tfidf_matrix(model, docs), dim=10)
+
+    def test_ids_must_match_rows(self):
+        docs = docs_of(["a", "b"], ["a", "c"], ["b", "c"])
+        A = tfidf_matrix(fit_tfidf(docs, min_df=1), docs)
+        projector = FallbackProjector.fit(A, dim=2)
+        with pytest.raises(ValueError, match="2 ids for 3 TF-IDF rows"):
+            projector.transform(A, ["d0", "d1"])
 
     def test_disjoint_vocab_near_orthogonal(self):
         rng = np.random.default_rng(5)
@@ -386,7 +400,7 @@ class TestFallbackProjector:
         docs_b = [TokenDoc(f"b{i}", list(rng.choice(["y1", "y2", "y3"], 6))) for i in range(20)]
         docs = docs_a + docs_b
         model = fit_tfidf(docs, min_df=1)
-        emb = FallbackProjector.fit(model, docs, dim=4).transform(model, docs)
+        emb = project(model, docs, dim=4)
         for i in range(0, 20, 5):
             for j in range(0, 20, 5):
                 cos = float(emb.vectors[f"a{i}"] @ emb.vectors[f"b{j}"])

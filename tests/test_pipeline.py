@@ -9,11 +9,11 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from egoflux import pipeline, textpipe
+from egoflux import features, pipeline, textpipe, topics
 from egoflux.bundle import TOPICS_JSON
 from egoflux.corpus import Corpus, Post, load_corpus
 from egoflux.errors import EmbeddingFormatError
-from egoflux.features import load_embeddings, save_embeddings
+from egoflux.features import load_embeddings, save_embeddings, tfidf_matrix
 from egoflux.pipeline import (
     PipelineConfig,
     classify_corpus,
@@ -31,6 +31,36 @@ from conftest import FIXTURE_CORPUS_CSV, make_post, written_keys
 @pytest.fixture(scope="module")
 def topic_fit(two_topic_corpus, pipeline_config):
     return fit_topics(two_topic_corpus, pipeline_config)
+
+
+def count_tfidf_builds(monkeypatch) -> list[int]:
+    """Row counts of every tfidf_matrix call, wherever the name is looked up."""
+    rows: list[int] = []
+
+    def counting(model, docs):
+        rows.append(len(docs))
+        return tfidf_matrix(model, docs)
+
+    for module in (features, topics, pipeline):
+        monkeypatch.setattr(module, "tfidf_matrix", counting, raising=False)
+    return rows
+
+
+class TestTfidfBuiltOncePerDocSet:
+    def test_fit_topics_builds_the_ego_matrix_once(self, monkeypatch, two_topic_corpus,
+                                                   pipeline_config, topic_fit):
+        rows = count_tfidf_builds(monkeypatch)
+        fit = fit_topics(two_topic_corpus, pipeline_config)
+        n_ego = sum(1 for p in two_topic_corpus.posts if p.author == "ego")
+        assert rows == [n_ego]
+        assert fit.bundle.summaries == topic_fit.bundle.summaries
+
+    def test_classify_corpus_builds_once(self, monkeypatch, two_topic_corpus,
+                                         pipeline_result):
+        posts = two_topic_corpus.posts[:50]
+        rows = count_tfidf_builds(monkeypatch)
+        classify_corpus(pipeline_result.bundle, posts)
+        assert rows == [len(posts)]
 
 
 class TestFitTopics:
@@ -249,7 +279,8 @@ class TestClassifyCorpus:
         bundle = pipeline_result.bundle
         posts = two_topic_corpus.posts[:20]
         docs = build_token_docs(posts, pipeline=bundle.phrases)
-        emb = bundle.projector.transform(bundle.tfidf, docs)
+        emb = bundle.projector.transform(tfidf_matrix(bundle.tfidf, docs),
+                                         [d.post_id for d in docs])
         assert classify_corpus(bundle, posts, emb=emb) == \
             classify_corpus(bundle, posts)
 
@@ -268,7 +299,8 @@ class TestExternalEmbeddings:
         bundle = pipeline_result.bundle
         docs = build_token_docs(two_topic_corpus.posts, pipeline=bundle.phrases)
         path = tmp_path_factory.mktemp("emb") / "vectors.jsonl"
-        save_embeddings(bundle.projector.transform(bundle.tfidf, docs), path)
+        save_embeddings(bundle.projector.transform(tfidf_matrix(bundle.tfidf, docs),
+                                                   [d.post_id for d in docs]), path)
         return path
 
     @pytest.fixture(scope="class")
@@ -292,6 +324,14 @@ class TestExternalEmbeddings:
         assert pipeline_result.fit.embeddings is None
         assert external_result.labels == pipeline_result.labels
         assert external_result.matrix.to_json() == pipeline_result.matrix.to_json()
+
+    def test_fit_builds_the_ego_matrix_once_for_the_summaries(
+            self, monkeypatch, two_topic_corpus, pipeline_config, emb_path, pipeline_result):
+        config = dataclasses.replace(pipeline_config, embeddings_path=str(emb_path))
+        rows = count_tfidf_builds(monkeypatch)
+        fit = fit_topics(two_topic_corpus, config)
+        assert rows == [sum(1 for p in two_topic_corpus.posts if p.author == "ego")]
+        assert fit.bundle.summaries == pipeline_result.bundle.summaries
 
     def test_saved_bundle_has_no_projector(self, external_result, tmp_path):
         out = external_result.bundle.save(tmp_path / "bundle")

@@ -597,6 +597,15 @@ class TestCausalityScan:
         with pytest.raises(ValueError):
             causality_scan(_scan_series(), "ego", ["alt_x"], correction="bonferroni")
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
+            causality_scan(_scan_series(), "ego", ["alt_x"], alpha=alpha)
+
+    def test_negative_max_diff_rejected(self):
+        with pytest.raises(ValueError, match="max_diff must be >= 0, got -3"):
+            causality_scan(_scan_series(), "ego", ["alt_x"], max_diff=-3)
+
     def test_roundtrip_dict_and_json(self):
         matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat"],
                                 max_lag=3, correction=CORRECTION_BH)

@@ -8,7 +8,7 @@ import pytest
 
 from egoflux import pipeline, topics
 from egoflux.corpus import load_corpus
-from egoflux.features import EmbeddingSet, fit_tfidf
+from egoflux.features import EmbeddingSet, fit_tfidf, tfidf_matrix
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import (
     RESTARTS,
@@ -578,13 +578,11 @@ class TestSummarizeTopics:
         emb = emb_of({"d0": [1, 0], "d1": [1, 0.1], "d2": [0, 1]})
         dm = cosine_distance_matrix(emb, ["d0", "d1", "d2"])
         clustering = manual_clustering(dm, [0, 0, 1], [0, 2])
-        summaries = summarize_topics(clustering, model, docs, top_n=10)
+        summaries = summarize_topics(clustering, model, tfidf_matrix(model, docs), top_n=10)
 
         assert [s.topic for s in summaries] == [0, 1]
         assert summaries[0].size == 2 and summaries[1].size == 1
         # independent recomputation with dense numpy means
-        from egoflux.features import tfidf_matrix
-
         dense = tfidf_matrix(model, docs).toarray()
         mean0 = dense[[0, 1]].mean(axis=0)
         by_index = sorted(model.vocabulary, key=model.vocabulary.get)
@@ -603,7 +601,7 @@ class TestSummarizeTopics:
         emb = emb_of({f"d{i}": [1, i * 0.1] for i in range(3)})
         dm = cosine_distance_matrix(emb, [f"d{i}" for i in range(3)])
         clustering = manual_clustering(dm, [0, 0, 1], [0, 2])
-        summaries = summarize_topics(clustering, model, docs, top_n=2)
+        summaries = summarize_topics(clustering, model, tfidf_matrix(model, docs), top_n=2)
         for s in summaries:
             assert len(s.top_words) <= 2
             scores = [v for _, v in s.top_words]
@@ -615,8 +613,17 @@ class TestSummarizeTopics:
         dm = dm_from_points([[0.0], [1.0]])
         dm = DistanceMatrix(ids=("d0", "d1"), d=dm.d)
         clustering = manual_clustering(dm, [0, 1], [0, 1])
-        summaries = summarize_topics(clustering, model, docs)
+        summaries = summarize_topics(clustering, model, tfidf_matrix(model, docs))
         assert [s.label for s in summaries] == ["topic_0", "topic_1"]
+
+    @pytest.mark.parametrize("top_n", [0, -9])
+    def test_top_n_below_one_rejected(self, top_n):
+        docs = [TokenDoc("d0", ["x"]), TokenDoc("d1", ["y"])]
+        model = fit_tfidf(docs, min_df=1)
+        dm = DistanceMatrix(ids=("d0", "d1"), d=dm_from_points([[0.0], [1.0]]).d)
+        clustering = manual_clustering(dm, [0, 1], [0, 1])
+        with pytest.raises(ValueError, match=f"top_n must be >= 1, got {top_n}"):
+            summarize_topics(clustering, model, tfidf_matrix(model, docs), top_n=top_n)
 
     def test_roundtrip_dict(self):
         summary = TopicSummary(topic=1, label="topic_1", size=3,
