@@ -79,10 +79,11 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_topics(args) -> int:
-    corpus = _load_windowed(args)
     given = vars(args)
+    # Built first: its settings are refused before the corpus is read.
     config = PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig)
                                if f.name in given})
+    corpus = _load_windowed(args)
     fit = fit_topics(corpus, config)
     fit.bundle.save(args.out)
 

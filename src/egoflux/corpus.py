@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -112,46 +113,73 @@ def record_id(value) -> str:
     return post_id
 
 
-def _post_from_record(record: dict) -> Post:
-    """The post a row holds, its id by `record_id` and its other fields strings;
-    a bad row raises KeyError, TypeError or ValueError."""
-    raw_id, raw_author, raw_created = record["id"], record["author"], record["created_at"]
+class _Memo(dict):
+    """fn's value per distinct argument: each argument is passed to fn once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _post_from_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted,
+                     handle) -> Post:
+    """The post a row's cells hold, its id by `record_id`, its handles by
+    `handle` and its other fields strings; a bad row raises TypeError or
+    ValueError."""
     # A JSON null, or a cell a short CSV row lacks, is missing, not the text "None".
     if raw_id is None or raw_author is None or raw_created is None:
         raise ValueError("missing " + ", ".join(
-            name for name in ("id", "author", "created_at") if record[name] is None))
-    for name in ("author", "created_at", "retweeted_author"):
-        if not isinstance(record.get(name), (str, type(None))):
-            raise TypeError(f"{name} {record[name]!r} is not a string")
+            name for name, cell in (("id", raw_id), ("author", raw_author),
+                                    ("created_at", raw_created)) if cell is None))
+    if not (isinstance(raw_author, str) and isinstance(raw_created, str)
+            and isinstance(raw_retweeted, (str, type(None)))):
+        name, cell = next((name, cell) for name, cell in (
+            ("author", raw_author), ("created_at", raw_created),
+            ("retweeted_author", raw_retweeted)) if not isinstance(cell, (str, type(None))))
+        raise TypeError(f"{name} {cell!r} is not a string")
     post_id = record_id(raw_id)
-    author = canonical_handle(raw_author)
+    author = handle(raw_author)
     created_at = parse_timestamp(raw_created)
-    text = str(record.get("text", "") or "")
+    text = str(raw_text or "")
     if author is None:
         raise ValueError("empty author")
-    retweeted = canonical_handle(record.get("retweeted_author"))
-    return Post(id=post_id, author=author, created_at=created_at, text=text, retweeted_author=retweeted)
+    return Post(id=post_id, author=author, created_at=created_at, text=text,
+                retweeted_author=handle(raw_retweeted))
+
+
+def _record_cells(record: dict | None) -> tuple:
+    """A JSONL record's cells in CSV_COLUMNS order; a missing required key raises KeyError."""
+    if record is None:
+        raise ValueError("not a JSON object")
+    return (record["id"], record["author"], record["created_at"], record.get("text", ""),
+            record.get("retweeted_author"))
 
 
 def _iter_csv(path: Path):
     # Read as csv.DictReader would: blank lines are skipped, a short row's
     # missing fields are None, extra fields are ignored, and of a repeated
-    # header name the last column wins.
+    # header name the last column wins.  Each row yields its CSV_COLUMNS cells.
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not set(CSV_COLUMNS).issubset(header):
             raise CorpusFormatError(f"{path}: CSV header must contain {CSV_COLUMNS}")
         column = {name: i for i, name in enumerate(header)}
-        picks = [(name, column[name]) for name in CSV_COLUMNS]
+        picks = [column[name] for name in CSV_COLUMNS]
+        width = max(picks) + 1
+        pick = operator.itemgetter(*picks)
         for row in reader:
             if not row:
                 continue
-            n = len(row)
-            record = {name: row[i] if i < n else None for name, i in picks}
-            record["retweeted_author"] = record["retweeted_author"] or None
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            raw_id, author, created, text, retweeted = pick(row)
             # line_num: the file line a row ends on, blank lines counted
-            yield reader.line_num, record
+            yield reader.line_num, (raw_id, author, created, text, retweeted or None)
 
 
 def _iter_jsonl(path: Path):
@@ -194,15 +222,16 @@ def load_corpus(
     if not path.exists():
         raise CorpusFormatError(f"{path}: no such file")
 
-    rows = _iter_csv(path) if format == "csv" else _iter_jsonl(path)
+    from_csv = format == "csv"
+    rows = _iter_csv(path) if from_csv else _iter_jsonl(path)
     result = IngestResult(corpus=Corpus(posts=(), window_start=start, window_end=end))
+    # Each distinct author or retweeted_author cell is canonicalised once.
+    handle = _Memo(canonical_handle).__getitem__
     seen_ids: set[str] = set()
     kept: list[Post] = []
-    for lineno, record in rows:
+    for lineno, row in rows:
         try:
-            if record is None:
-                raise ValueError("not a JSON object")
-            post = _post_from_record(record)
+            post = _post_from_cells(*(row if from_csv else _record_cells(row)), handle)
         except (KeyError, TypeError, ValueError) as exc:
             error = CorpusFormatError(f"{path}:{lineno}: {exc}")
             if strict:
@@ -221,7 +250,7 @@ def load_corpus(
             continue
         kept.append(post)
 
-    posts = tuple(sorted(kept, key=lambda p: (p.created_at, p.id)))
+    posts = tuple(sorted(kept, key=operator.attrgetter("created_at", "id")))
     result.corpus = Corpus(posts=posts, window_start=start, window_end=end)
     if not posts:
         logger.warning("%s: no posts inside window %s..%s",
@@ -237,6 +266,12 @@ class AlterRanking:
     excluded: frozenset[str]
 
 
+def check_rank_n(n: int) -> None:
+    """Refuse a ranking length below 1; PipelineConfig checks n_alters here too."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def rank_alters(
     corpus: Corpus,
     ego_handle: str,
@@ -250,8 +285,7 @@ def rank_alters(
     handle.  Returns fewer than n entries when the corpus has fewer distinct
     retweeted authors.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_rank_n(n)
     ego_canon = canonical_handle(ego_handle)
     excluded = frozenset(h for h in (canonical_handle(e) for e in exclude) if h)
 

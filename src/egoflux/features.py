@@ -18,14 +18,15 @@ from scipy import sparse
 
 from .corpus import record_id
 from .errors import EmbeddingFormatError
-from .textpipe import TokenDoc
+from .textpipe import TokenDoc, as_token_docs, kept_offsets
 
 DEFAULT_MIN_DF = 2
 DEFAULT_SVD_SEED = 42
 # Randomized SVD: extra sketch columns and subspace (power) iterations.
 SVD_OVERSAMPLE = 10
 SVD_POWER_ITERS = 4
-# Rows normalised at a time by FallbackProjector.transform.
+# Rows normalised at a time by FallbackProjector.transform, and tested for
+# zero at a time by EmbeddingSet.nonzero.
 NORM_BLOCK = 2048
 
 
@@ -55,17 +56,29 @@ class TfidfModel:
         )
 
 
-def fit_tfidf(docs: Sequence[TokenDoc], min_df: int = DEFAULT_MIN_DF) -> TfidfModel:
-    """Build the vocabulary (document frequency >= min_df) and idf weights."""
+def check_min_df(min_df: int) -> None:
+    """Refuse a document-frequency floor below 1; PipelineConfig checks it here too."""
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
-    n_docs = len(docs)
-    if n_docs == 0 or all(not d.tokens for d in docs):
+
+
+def check_dim(dim: int) -> None:
+    """Refuse an embedding dimension below 1; PipelineConfig checks embed_dim here too."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+
+
+def fit_tfidf(docs: Sequence[TokenDoc], min_df: int = DEFAULT_MIN_DF) -> TfidfModel:
+    """Build the vocabulary (document frequency >= min_df) and idf weights."""
+    check_min_df(min_df)
+    docs = as_token_docs(docs)
+    n_docs, n_names = len(docs), len(docs.names)
+    if n_docs == 0 or len(docs.ids) == 0:
         raise ValueError("need at least one nonempty doc")
-    df: dict[str, int] = {}
-    for doc in docs:
-        for token in set(doc.tokens):
-            df[token] = df.get(token, 0) + 1
+    # Each distinct (doc, token) pair counts once towards the token's df.
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(docs.offsets))
+    in_docs = np.unique(doc_of * n_names + docs.ids) % n_names
+    df = dict(zip(docs.names, np.bincount(in_docs, minlength=n_names).tolist()))
     vocab_tokens = sorted(t for t, c in df.items() if c >= min_df)
     if not vocab_tokens:
         raise ValueError(f"vocabulary is empty after min_df={min_df} filtering")
@@ -81,16 +94,16 @@ def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matr
 
     Each row is raw term counts times idf, L2-normalized, with column indices
     sorted; OOV tokens are ignored.  A doc with no in-vocabulary tokens yields
-    an all-zero row (exempt from the unit-norm invariant).
+    an all-zero row (exempt from the unit-norm invariant).  Columns are read
+    off the doc set's id array through one lookup per distinct token.
     """
+    docs = as_token_docs(docs)
     vocabulary = model.vocabulary
-    term_ids: list[int] = []
-    indptr = [0]
-    for doc in docs:
-        term_ids.extend(j for j in map(vocabulary.get, doc.tokens) if j is not None)
-        indptr.append(len(term_ids))
+    column_of = np.array([vocabulary.get(name, -1) for name in docs.names], dtype=np.int32)
+    columns = column_of[docs.ids]
+    in_vocab = columns >= 0
     A = sparse.csr_matrix(
-        (np.ones(len(term_ids)), np.asarray(term_ids, dtype=int), np.asarray(indptr, dtype=int)),
+        (np.ones(int(in_vocab.sum())), columns[in_vocab], kept_offsets(in_vocab, docs.offsets)),
         shape=(len(docs), model.dim),
     )
     A.sum_duplicates()
@@ -115,6 +128,18 @@ class EmbeddingSet:
 
     def matrix(self, ids: Sequence[str]) -> np.ndarray:
         return np.stack([self.vectors[i] for i in ids])
+
+    def nonzero(self, ids: Sequence[str]) -> np.ndarray:
+        """Mask of the `ids` that have a vector here, and not an all-zero one.
+
+        Tested NORM_BLOCK vectors at a time, so the stacked copy is one block."""
+        vectors = self.vectors
+        present = [i for i, post_id in enumerate(ids) if post_id in vectors]
+        mask = np.zeros(len(ids), dtype=bool)
+        for start in range(0, len(present), NORM_BLOCK):
+            rows = present[start:start + NORM_BLOCK]
+            mask[rows] = np.stack([vectors[ids[i]] for i in rows]).any(axis=1)
+        return mask
 
 
 def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
@@ -231,8 +256,7 @@ class FallbackProjector:
     @classmethod
     def fit(cls, A: sparse.csr_matrix, dim: int,
             seed: int = DEFAULT_SVD_SEED) -> "FallbackProjector":
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_dim(dim)
         if dim > A.shape[1]:
             raise ValueError(f"dim {dim} exceeds vocabulary size {A.shape[1]}")
         return cls(components=_randomized_svd(A, dim, seed))

@@ -5,13 +5,18 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import compress
+
+import numpy as np
 
 from . import classifier as clf_mod
 from .bundle import ModelBundle
-from .corpus import AlterRanking, Corpus, Post, canonical_handle, rank_alters
+from .corpus import AlterRanking, Corpus, Post, canonical_handle, check_rank_n, rank_alters
 from .features import (
     EmbeddingSet,
     FallbackProjector,
+    check_dim,
+    check_min_df,
     fit_tfidf,
     load_embeddings,
     tfidf_matrix,
@@ -25,17 +30,19 @@ from .stats import (
     DEFAULT_MAX_LAG,
     CausalityMatrix,
     causality_scan,
+    check_scan_settings,
 )
 from .textpipe import (
     DEFAULT_MIN_COUNT,
     DEFAULT_THRESHOLD,
-    TokenDoc,
     build_token_docs,
+    check_phrase_settings,
     fit_phrase_pipeline,
     merge_then_drop_stopwords,
 )
 from .topics import (
     Clustering,
+    check_top_n,
     cosine_distance_matrix,
     select_k,
     summarize_topics,
@@ -74,6 +81,17 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     correction: str = CORRECTION_NONE
     max_diff: int = DEFAULT_MAX_DIFF
+
+    def __post_init__(self) -> None:
+        # Each range rule is checked by its one owner, which the stage that
+        # uses the value calls as well; rules that depend on the data (the k
+        # range, a dimension above the vocabulary) are left to those stages.
+        check_rank_n(self.n_alters)
+        check_phrase_settings(self.phrase_min_count, self.phrase_threshold)
+        check_min_df(self.min_df)
+        check_dim(self.embed_dim)
+        check_top_n(self.top_words)
+        check_scan_settings(self.max_lag, self.alpha, self.correction, self.max_diff)
 
     def to_dict(self) -> dict:
         # A list, as JSON reads it back, so a reloaded report's config is equal.
@@ -124,10 +142,9 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     )
     # Each ego post is cleaned and tokenized once; its tokens then take the
     # step build_token_docs gives a pipeline's docs.
-    ego_docs = [TokenDoc(d.post_id, merge_then_drop_stopwords(phrases, d.tokens))
-                for d in raw_ego_docs]
+    ego_docs = merge_then_drop_stopwords(phrases, raw_ego_docs)
     tfidf = fit_tfidf(ego_docs, min_df=config.min_df)
-    ego_ids = [d.post_id for d in ego_docs]
+    ego_ids = ego_docs.post_ids
     A = tfidf_matrix(tfidf, ego_docs)  # built once: the projector and the summaries read it
 
     projector: FallbackProjector | None = None
@@ -143,8 +160,8 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
 
     # Every ego id has a vector (the file was checked for them); a zero one
     # cannot be clustered.
-    cluster_rows = [i for i, post_id in enumerate(ego_ids) if ego_emb.vectors[post_id].any()]
-    cluster_ids = [ego_ids[i] for i in cluster_rows]
+    cluster_rows = np.flatnonzero(ego_emb.nonzero(ego_ids))
+    cluster_ids = [ego_ids[i] for i in cluster_rows.tolist()]
     n_unfeaturized = len(ego_ids) - len(cluster_ids)
     if n_unfeaturized:
         logger.info("%d ego posts have empty feature vectors; excluded from topics",
@@ -248,12 +265,12 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
     with no vector in `emb`, or a zero one, is left unlabeled.
     """
     docs = build_token_docs(posts, pipeline=bundle.phrases)
-    ids = [d.post_id for d in docs]
+    ids = docs.post_ids
     if emb is None:
         if bundle.projector is None:
             raise ValueError(
                 "bundle has no fallback projector; supply an embedding file"
             )
         emb = bundle.projector.transform(tfidf_matrix(bundle.tfidf, docs), ids)
-    featurized = [i for i in ids if i in emb.vectors and emb.vectors[i].any()]
+    featurized = list(compress(ids, emb.nonzero(ids)))
     return clf_mod.predict(bundle.classifier, emb, ids=featurized)

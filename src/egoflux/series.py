@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -65,6 +65,18 @@ class TopicSeries:
             raise ValueError("counts length must equal the week index length")
 
 
+def _refuse_post(post: Post, labels: Mapping[str, int], week_index: WeekIndex,
+                 n_topics: int) -> None:
+    """Raise bin_posts' error for a post it cannot count."""
+    try:
+        topic = labels[post.id]
+    except KeyError:
+        raise ValueError(f"post {post.id!r} has no topic label") from None
+    if not 0 <= topic < n_topics:
+        raise ValueError(f"label {topic} for post {post.id!r} outside 0..{n_topics - 1}")
+    week_index.bin_of(post.created_at)
+
+
 def bin_posts(
     posts: Iterable[Post],
     labels: Mapping[str, int],
@@ -75,29 +87,33 @@ def bin_posts(
     """Count labeled posts per (account, topic, week).
 
     Every post must fall inside the index span and carry a label in
-    0..n_topics-1.  Accounts (or topics) with zero posts still yield all-zero
-    series; pass `accounts` to force series for accounts absent from `posts`.
+    0..n_topics-1; the first post that does not is named.  Accounts (or
+    topics) with zero posts still yield all-zero series; pass `accounts` to
+    force series for accounts absent from `posts`.
     """
-    grids: dict[str, np.ndarray] = {}
-    for account in accounts or ():
-        grids[account] = np.zeros((n_topics, week_index.n_weeks), dtype=int)
-
-    for post in posts:
-        try:
-            topic = labels[post.id]
-        except KeyError:
-            raise ValueError(f"post {post.id!r} has no topic label") from None
-        if not 0 <= topic < n_topics:
-            raise ValueError(f"label {topic} for post {post.id!r} outside 0..{n_topics - 1}")
-        week = week_index.bin_of(post.created_at)
-        grid = grids.get(post.author)
-        if grid is None:
-            grid = grids[post.author] = np.zeros((n_topics, week_index.n_weeks), dtype=int)
-        grid[topic, week] += 1
-
+    posts = list(posts)
+    n, n_weeks = len(posts), week_index.n_weeks
+    names = sorted({*(accounts or ()), *(p.author for p in posts)})
+    slot = {name: i for i, name in enumerate(names)}
+    # A missing label reads as -1, which is out of range like any bad label.
+    topics = np.fromiter((labels.get(p.id, -1) for p in posts), dtype=np.int64, count=n)
+    # Days since the first Monday, as WeekIndex.bin_of counts them.
+    origin = datetime.combine(week_index.epoch_week_start, time(), tzinfo=timezone.utc)
+    naive_origin = origin.replace(tzinfo=None)
+    days = np.fromiter(
+        ((ts - (naive_origin if ts.tzinfo is None else origin)).days
+         for ts in (p.created_at for p in posts)), dtype=np.int64, count=n)
+    weeks = days // 7
+    bad = np.flatnonzero((topics < 0) | (topics >= n_topics) | (days < 0) | (weeks >= n_weeks))
+    if len(bad):
+        _refuse_post(posts[bad[0]], labels, week_index, n_topics)
+    slots = np.fromiter((slot[p.author] for p in posts), dtype=np.int64, count=n)
+    grids = np.bincount((slots * n_topics + topics) * n_weeks + weeks,
+                        minlength=len(names) * n_topics * n_weeks)
+    grids = grids.reshape(len(names), n_topics, n_weeks)
     return [
-        TopicSeries(account=account, topic=topic, counts=grids[account][topic], week_index=week_index)
-        for account in sorted(grids)
+        TopicSeries(account=account, topic=topic, counts=grids[i, topic], week_index=week_index)
+        for i, account in enumerate(names)
         for topic in range(n_topics)
     ]
 

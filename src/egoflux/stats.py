@@ -629,6 +629,18 @@ def _scan_group(outcomes: list[PairOutcome], xs: np.ndarray, y: np.ndarray, max_
             outcome.diff_order = None
 
 
+def check_scan_settings(max_lag: int, alpha: float, correction: str, max_diff: int) -> None:
+    """Refuse causality_scan settings out of range; PipelineConfig checks them here too."""
+    if correction not in (CORRECTION_NONE, CORRECTION_BH):
+        raise ValueError(f"unknown correction {correction!r}")
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if max_diff < 0:
+        raise ValueError(f"max_diff must be >= 0, got {max_diff}")
+
+
 def causality_scan(
     series: list[TopicSeries],
     ego: str,
@@ -650,14 +662,7 @@ def causality_scan(
     are not 0..n-1, since the matrix names topics by index, and series of
     unequal length, since the matrix holds one `n_weeks`.
     """
-    if correction not in (CORRECTION_NONE, CORRECTION_BH):
-        raise ValueError(f"unknown correction {correction!r}")
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if max_diff < 0:
-        raise ValueError(f"max_diff must be >= 0, got {max_diff}")
+    check_scan_settings(max_lag, alpha, correction, max_diff)
     repeated = sorted(a for a, n in Counter(alters).items() if n > 1)
     if repeated:
         raise ValueError(f"alters repeated: {repeated}")

@@ -309,6 +309,12 @@ class TopicSummary:
                    top_words=[(t, float(s)) for t, s in d["top_words"]])
 
 
+def check_top_n(top_n: int) -> None:
+    """Refuse a summary length below 1; PipelineConfig checks top_words here too."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+
+
 def summarize_topics(
     clustering: Clustering,
     model: TfidfModel,
@@ -318,8 +324,7 @@ def summarize_topics(
     """Per cluster, the mean of its members' TF-IDF rows; top_n tokens descending.
 
     Row i of `A` belongs to the post that `clustering.labels[i]` labels."""
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    check_top_n(top_n)
     clusters = clustering.labels
     by_index = sorted(model.vocabulary, key=model.vocabulary.get)
     sizes = np.bincount(clusters, minlength=clustering.k)

@@ -193,6 +193,19 @@ class TestTopics:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"top_n must be >= 1, got {top_words}"]
 
+    def test_top_words_refused_before_the_corpus_is_read(self, monkeypatch, corpus_jsonl,
+                                                        tmp_path, caplog):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "_load_windowed", must_not_run)
+        monkeypatch.setattr(cli, "fit_topics", must_not_run)
+        code = main(["topics", str(corpus_jsonl), "--ego", "ego", "--top-words", "0",
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["top_n must be >= 1, got 0"]
+
     def _config(self, monkeypatch, corpus_jsonl, *flags):
         """The PipelineConfig `topics` hands to fit_topics for these flags."""
         seen = []

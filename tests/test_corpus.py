@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from egoflux import corpus as corpus_mod
 from egoflux.corpus import (
     Corpus,
     canonical_handle,
@@ -138,6 +139,51 @@ class TestLoadCsv:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises((CorpusFormatError, OSError)):
             load_corpus(tmp_path / "nope.csv", format="csv", window=WINDOW)
+
+
+class TestHandleCells:
+    """Each distinct author or retweeted_author cell is canonicalised once per load."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(handle):
+            calls.append(handle)
+            return canonical_handle(handle)
+
+        monkeypatch.setattr(corpus_mod, "canonical_handle", counting)
+        return calls
+
+    def test_csv_cells_canonicalised_once_per_load(self, tmp_path, calls):
+        path = tmp_path / "posts.csv"
+        write_csv(path, [
+            "a, @Alter,2020-03-01T10:00:00Z,one,\n",
+            "b,alter,2020-03-01T11:00:00Z,two,@Ego\n",
+            "c,Ego,2020-03-01T12:00:00Z,RT,alter\n",
+            "d,Ego,2020-03-01T13:00:00Z,RT, @Alter\n",
+            "e,alter,2020-03-01T14:00:00Z,three,\n",
+            "f, @Alter,2020-03-01T15:00:00Z,four,@Ego\n",
+        ])
+        posts = load_corpus(path, format="csv", window=WINDOW).corpus.posts
+        cells = [" @Alter", "alter", "@Ego", "Ego", None]
+        assert sorted(calls, key=repr) == sorted(cells, key=repr)
+        assert [(p.author, p.retweeted_author) for p in posts] == [
+            ("alter", None), ("alter", "ego"), ("ego", "alter"), ("ego", "alter"),
+            ("alter", None), ("alter", "ego")]
+        calls.clear()
+        load_corpus(path, format="csv", window=WINDOW)
+        assert sorted(calls, key=repr) == sorted(cells, key=repr)
+
+    def test_jsonl_cells_canonicalised_once(self, tmp_path, calls):
+        path = tmp_path / "posts.jsonl"
+        base = {"created_at": "2020-03-01T10:00:00Z", "text": "x"}
+        write_jsonl(path, [{**base, "id": "a", "author": " @Alter"},
+                           {**base, "id": "b", "author": "alter", "retweeted_author": " @Alter"},
+                           {**base, "id": "c", "author": "alter", "retweeted_author": None}])
+        posts = load_corpus(path, format="jsonl", window=WINDOW).corpus.posts
+        assert sorted(calls, key=repr) == sorted([" @Alter", "alter", None], key=repr)
+        assert {p.author for p in posts} == {"alter"}
 
 
 class TestCsvRowRules:

@@ -415,3 +415,24 @@ class TestEmbeddingSet:
         )
         mat = emb.matrix(["b", "a"])
         np.testing.assert_allclose(mat, [[3.0, 4.0], [1.0, 2.0]])
+
+    def test_nonzero_matches_a_per_id_test_across_blocks(self):
+        rng = np.random.default_rng(5)
+        ids = [f"p{i}" for i in range(2 * NORM_BLOCK + 300)]
+        vectors = {}
+        for post_id in ids:
+            draw = rng.random()
+            if draw < 0.1:
+                continue  # no vector
+            vec = rng.standard_normal(3)
+            if draw < 0.3:
+                vec[:] = 0.0
+            elif draw < 0.35:
+                vec[:2] = 0.0  # one nonzero component left
+            vectors[post_id] = vec
+        emb = EmbeddingSet(dim=3, vectors=vectors)
+        queried = ids[::-1] + ["absent", ids[7]]
+        expected = [i in vectors and bool(vectors[i].any()) for i in queried]
+        mask = emb.nonzero(queried)
+        assert mask.dtype == bool and mask.tolist() == expected
+        assert emb.nonzero([]).tolist() == []

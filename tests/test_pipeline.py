@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from egoflux import features, pipeline, textpipe, topics
+from egoflux import features, pipeline, stats, textpipe, topics
 from egoflux.bundle import TOPICS_JSON
 from egoflux.corpus import Corpus, Post, load_corpus
 from egoflux.errors import EmbeddingFormatError
@@ -256,6 +256,43 @@ class TestRunPipeline:
         assert report.matrix.n_topics == pipeline_result.bundle.k
         assert not hasattr(report, "topics")
         assert report.grouping is None
+
+
+class TestConfigCheckedWhenBuilt:
+    """A config value out of range is refused when the config is built."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", 0, r"alpha must be in \(0, 1\), got 0$"),
+        ("alpha", 1.0, r"alpha must be in \(0, 1\), got 1.0$"),
+        ("max_lag", 0, "max_lag must be >= 1$"),
+        ("max_diff", -1, "max_diff must be >= 0, got -1$"),
+        ("correction", "holm", "unknown correction 'holm'$"),
+        ("top_words", 0, "top_n must be >= 1, got 0$"),
+        ("phrase_min_count", 0, "min_count must be >= 1$"),
+        ("phrase_threshold", 0.0, "threshold must be positive$"),
+        ("min_df", 0, "min_df must be >= 1$"),
+        ("embed_dim", 0, "dim must be >= 1$"),
+        ("n_alters", 0, "n must be >= 1$"),
+    ])
+    def test_refused_before_any_fitting(self, monkeypatch, two_topic_corpus, pipeline_config,
+                                        field, value, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("fitting started")
+
+        monkeypatch.setattr(pipeline, "select_k", must_not_run)
+        monkeypatch.setattr(pipeline, "build_token_docs", must_not_run)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(two_topic_corpus, PipelineConfig(ego="ego", **{field: value}))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(pipeline_config, **{field: value})
+
+    def test_same_rule_guards_the_stage(self, pipeline_result):
+        series = pipeline_result.series
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0$"):
+            stats.causality_scan(series, "ego", ["alt_a"], alpha=0)
+        with pytest.raises(ValueError, match="top_n must be >= 1, got 0$"):
+            topics.summarize_topics(pipeline_result.fit.clustering, pipeline_result.bundle.tfidf,
+                                    None, top_n=0)
 
 
 class TestClassifyCorpus:

@@ -5,6 +5,7 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from egoflux.corpus import Post
 from egoflux.series import (
     TopicSeries,
     WeekIndex,
@@ -267,3 +268,74 @@ class TestSeriesCsv:
         idx = WeekIndex(epoch_week_start=date(2020, 1, 6), n_weeks=3)
         with pytest.raises(ValueError):
             TopicSeries("ego", 0, np.array([1, 2]), idx)
+
+
+def _reference_bin_posts(posts, labels, week_index, n_topics, accounts=None):
+    """The per-post counting loop the array count replaces, kept as a reference."""
+    grids = {a: np.zeros((n_topics, week_index.n_weeks), dtype=int) for a in accounts or ()}
+    for post in posts:
+        try:
+            topic = labels[post.id]
+        except KeyError:
+            raise ValueError(f"post {post.id!r} has no topic label") from None
+        if not 0 <= topic < n_topics:
+            raise ValueError(f"label {topic} for post {post.id!r} outside 0..{n_topics - 1}")
+        week = week_index.bin_of(post.created_at)
+        grid = grids.setdefault(post.author, np.zeros((n_topics, week_index.n_weeks), dtype=int))
+        grid[topic, week] += 1
+    return [(a, t, grids[a][t].tolist()) for a in sorted(grids) for t in range(n_topics)]
+
+
+class TestBinPostsMatchesPerPost:
+    ZONES = [timezone.utc, timezone(timedelta(hours=-11)), timezone(timedelta(hours=13)), None]
+
+    def _random_posts(self, rng, n, idx):
+        origin = datetime.combine(idx.epoch_week_start, datetime.min.time())
+        posts = []
+        for i in range(n):
+            zone = self.ZONES[int(rng.integers(0, len(self.ZONES)))]
+            local = origin + timedelta(seconds=int(rng.integers(-3 * 86400, 7 * 86400 * 11)))
+            posts.append(Post(id=f"p{i}", author=f"acc{int(rng.integers(0, 4))}",
+                              created_at=local.replace(tzinfo=zone), text=""))
+        return posts
+
+    @staticmethod
+    def _outcome(fn, *args, **kwargs):
+        try:
+            return [(s.account, s.topic, s.counts.tolist()) if hasattr(s, "account") else s
+                    for s in fn(*args, **kwargs)]
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_posts(self, seed):
+        rng = np.random.default_rng(seed)
+        idx = build_week_index(window("2020-01-08T00:00:00", "2020-03-20T00:00:00"))
+        posts = self._random_posts(rng, 300, idx)
+        in_span = []
+        for p in posts:
+            try:
+                idx.bin_of(p.created_at)
+                in_span.append(p)
+            except ValueError:
+                pass
+        labels = {p.id: int(rng.integers(0, 3)) for p in posts}
+        accounts = ["acc1", "zed"]
+        # Every post counted, then posts with a missing label, a bad label and
+        # a time outside the span mixed in: the first bad post is named.
+        cases = [(in_span, labels)]
+        for _ in range(6):
+            bad = dict(labels)
+            for i in rng.choice(len(posts), size=3, replace=False).tolist():
+                kind = int(rng.integers(0, 3))
+                if kind == 0:
+                    del bad[posts[i].id]
+                elif kind == 1:
+                    bad[posts[i].id] = int(rng.choice([-1, 3, 7]))
+            cases.append((posts, bad))
+        for case_posts, case_labels in cases:
+            got = self._outcome(bin_posts, case_posts, case_labels, idx, 3, accounts=accounts)
+            want = self._outcome(_reference_bin_posts, case_posts, case_labels, idx, 3,
+                                 accounts=accounts)
+            assert got == want
+        assert isinstance(self._outcome(bin_posts, posts, labels, idx, 3), str)

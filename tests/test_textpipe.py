@@ -8,11 +8,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from egoflux.features import fit_tfidf, tfidf_matrix
 from egoflux.textpipe import (
     _ALNUM_RUN,
     PhrasePipeline,
+    TokenDoc,
+    TokenDocs,
     apply_phrases,
+    as_token_docs,
     build_token_docs,
     clean,
     english_stopwords,
@@ -163,6 +168,30 @@ def _reference_merge_stages(docs, min_count, threshold):
     return stages, current
 
 
+def _reference_apply(merges, tokens):
+    """The per-list greedy merging pass the array merge replaces, kept as a reference."""
+    out, i = [], 0
+    while i < len(tokens):
+        if i + 1 < len(tokens) and (tokens[i], tokens[i + 1]) in merges:
+            out.append(tokens[i] + "_" + tokens[i + 1])
+            i += 2
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out
+
+
+def _reference_remove_stopwords(tokens):
+    stop = english_stopwords()
+    return [t for t in tokens if t not in stop]
+
+
+def _reference_pipeline(stages, tokens):
+    for stage in stages:
+        tokens = _reference_apply(stage, tokens)
+    return tokens
+
+
 # (stock, market) scores (10 - 2) * 50 / (10 * 10) = 4.0 exactly.
 STOCK_MARKET_DOCS = [["stock", "market"]] * 10 + [[f"filler{i}"] for i in range(30)]
 
@@ -305,7 +334,7 @@ def _reference_docs(posts, pipeline=None):
     for post in posts:
         tokens = tokenize(clean(post.text))
         if pipeline is not None:
-            tokens = remove_stopwords(pipeline.apply(tokens))
+            tokens = _reference_remove_stopwords(_reference_pipeline(pipeline.stages, tokens))
         docs.append((post.id, tokens))
     return docs
 
@@ -350,3 +379,152 @@ class TestBuildTokenDocsEquivalence:
         assert phrases.stages[0]
         docs = build_token_docs(posts, phrases)
         assert [(d.post_id, d.tokens) for d in docs] == _reference_docs(posts, phrases)
+
+
+class TestArrayMergeMatchesPerList:
+    """TokenDocs.merge and without_stopwords against the per-list forms."""
+
+    @staticmethod
+    def _check(token_lists, stages):
+        merged = PhrasePipeline(stages=stages).merge(as_token_docs(token_lists))
+        expected = [_reference_pipeline(stages, tokens) for tokens in token_lists]
+        assert [d.tokens for d in merged] == expected
+        assert ([d.tokens for d in merged.without_stopwords()]
+                == [_reference_remove_stopwords(tokens) for tokens in expected])
+        assert [apply_phrases(stages[0], t) for t in token_lists] == [
+            _reference_apply(stages[0], t) for t in token_lists]
+
+    def test_runs_of_one_repeated_token(self):
+        # a a a -> a_a a: the walk merges the 1st and 3rd position of a run.
+        docs = [["a"] * n for n in range(8)] + [["b", "a", "a", "a", "b", "a", "a"]]
+        self._check(docs, [frozenset({("a", "a")})])
+        assert apply_phrases(frozenset({("a", "a")}), ["a"] * 5) == ["a_a", "a_a", "a"]
+
+    def test_pairs_across_doc_boundaries_never_merge(self):
+        docs = [["x", "a"], ["b", "y"], ["a"], ["b"], [], ["a"], [], ["b", "a"], ["b"]]
+        self._check(docs, [frozenset({("a", "b")})])
+        merged = as_token_docs([["a"], ["b"]]).merge(frozenset({("a", "b")}))
+        assert [d.tokens for d in merged] == [["a"], ["b"]]
+
+    def test_second_stage_trigrams_over_first_stage_merges(self):
+        stages = [frozenset({("new", "york"), ("york", "city"), ("city", "hall")}),
+                  frozenset({("new_york", "city"), ("new_york", "city_hall"),
+                             ("city_hall", "new_york")})]
+        docs = [["new", "york", "city", "hall"], ["city", "hall", "new", "york", "city"],
+                ["new", "york", "city", "new", "york"], ["new_york", "city"], ["york", "city"]]
+        self._check(docs, stages)
+        merged = PhrasePipeline(stages=stages).merge(as_token_docs(docs))
+        assert merged[0].tokens == ["new_york_city_hall"]
+        # A raw token spelled like a merged one is the same token.
+        assert merged[3].tokens == ["new_york_city"]
+
+    def test_empty_docs_and_empty_stages(self):
+        self._check([[], ["a", "b"], [], [], ["b"], []],
+                    [frozenset(), frozenset({("a", "b")}), frozenset()])
+        self._check([[], []], [frozenset({("a", "b")})])
+        self._check([["a", "b"]], [frozenset()])
+        assert len(PhrasePipeline(stages=[frozenset({("a", "b")})]).merge(as_token_docs([]))) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = ["a", "b", "c", "d", "the", "of", "a_b"]
+        docs = [rng.choice(vocab, size=int(rng.integers(0, 14))).tolist() for _ in range(300)]
+        pairs = [(x, y) for x in vocab for y in vocab]
+        first = frozenset(pairs[i] for i in rng.choice(len(pairs), size=10, replace=False))
+        names = vocab + sorted({a + "_" + b for a, b in first})
+        pairs = [(x, y) for x in names for y in names]
+        second = frozenset(pairs[i] for i in rng.choice(len(pairs), size=30, replace=False))
+        self._check(docs, [first, second])
+        self._check(docs, [second, first])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_random_fit(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        vocab = ["a", "b", "c", "d", "e", "the"]
+        docs = [rng.choice(vocab, size=int(rng.integers(0, 10)), p=[.3, .3, .1, .1, .1, .1]
+                           ).tolist() for _ in range(400)]
+        expected_stages, expected_docs = _reference_merge_stages(docs, 3, 0.5)
+        pipeline = fit_phrase_pipeline(docs, min_count=3, threshold=0.5)
+        assert pipeline.stages == expected_stages
+        assert expected_stages[0] and expected_stages[1]
+        assert [d.tokens for d in pipeline.merge(as_token_docs(docs))] == expected_docs
+
+
+class TestTokenDocs:
+    def test_reads_like_a_list_of_token_docs(self):
+        docs = build_token_docs(_posts(["Garden soil", "", "soil garden soil"]))
+        assert isinstance(docs, TokenDocs)
+        assert len(docs) == 3
+        assert docs[-1] == docs[2] == TokenDoc("p2", ["soil", "garden", "soil"])
+        assert list(docs) == [docs[0], docs[1], docs[2]]
+        assert docs == [TokenDoc("p0", ["garden", "soil"]), TokenDoc("p1", []), docs[2]]
+        assert docs.names == ["garden", "soil"] and docs.ids.dtype == np.int32
+        assert docs.offsets.tolist() == [0, 2, 2, 5]
+        with pytest.raises(IndexError):
+            docs[3]
+
+
+def _reference_tfidf(model, docs):
+    """TF-IDF rows built by looking up each doc's token strings, kept as a reference."""
+    term_ids, indptr = [], [0]
+    for doc in docs:
+        term_ids.extend(j for j in map(model.vocabulary.get, doc.tokens) if j is not None)
+        indptr.append(len(term_ids))
+    A = sparse.csr_matrix(
+        (np.ones(len(term_ids)), np.asarray(term_ids, dtype=int), np.asarray(indptr, dtype=int)),
+        shape=(len(docs), model.dim))
+    A.sum_duplicates()
+    A.data *= model.idf[A.indices]
+    for start, stop in zip(A.indptr[:-1].tolist(), A.indptr[1:].tolist()):
+        if stop > start:
+            row = A.data[start:stop]
+            row /= math.sqrt(row.dot(row))
+    return A
+
+
+def _reference_fit_tfidf(docs, min_df):
+    df = {}
+    for doc in docs:
+        for token in set(doc.tokens):
+            df[token] = df.get(token, 0) + 1
+    vocab = sorted(t for t, c in df.items() if c >= min_df)
+    return vocab, [math.log((1 + len(docs)) / (1 + df[t])) + 1.0 for t in vocab]
+
+
+class TestTfidfFromIdArrays:
+    """TF-IDF models and rows read off the id array equal the string-built ones."""
+
+    @staticmethod
+    def _assert_bit_equal(A, B):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert A.shape == B.shape
+
+    def test_fixture_corpus(self):
+        posts = [SimpleNamespace(id=r["id"], text=r["text"], author=r["author"])
+                 for r in _fixture_rows()]
+        ego = [p for p in posts if p.author == "ego"]
+        phrases = fit_phrase_pipeline(build_token_docs(ego))
+        ego_docs = build_token_docs(ego, phrases)
+        model = fit_tfidf(ego_docs)
+        vocab, idf = _reference_fit_tfidf(list(ego_docs), min_df=2)
+        assert list(model.vocabulary) == vocab and model.idf.tolist() == idf
+        alter_docs = build_token_docs([p for p in posts if p.author != "ego"], phrases)
+        for docs in (ego_docs, alter_docs):
+            expected = _reference_tfidf(model, list(docs))
+            self._assert_bit_equal(tfidf_matrix(model, docs), expected)
+            self._assert_bit_equal(tfidf_matrix(model, list(docs)), expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_random_docs(self, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(60)]
+        docs = [TokenDoc(f"d{i}", rng.choice(words, size=int(rng.integers(0, 40))).tolist())
+                for i in range(300)]
+        model = fit_tfidf(docs[:150], min_df=3)
+        vocab, idf = _reference_fit_tfidf(docs[:150], min_df=3)
+        assert list(model.vocabulary) == vocab and model.idf.tolist() == idf
+        self._assert_bit_equal(tfidf_matrix(model, as_token_docs(docs)),
+                               _reference_tfidf(model, docs))
