@@ -105,9 +105,9 @@ def emit_heatmap_data(matrix: CausalityMatrix, path) -> None:
 
 
 def emit_run_report(bundle: ReportBundle, path) -> None:
-    """One JSON artifact: configuration, per-stage metrics, the full matrix."""
+    """One JSON artifact on one line: configuration, per-stage metrics, the full matrix."""
     Path(path).write_text(
-        json.dumps(bundle.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+        json.dumps(bundle.to_dict(), sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
 

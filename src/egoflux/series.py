@@ -11,6 +11,8 @@ import numpy as np
 
 from .corpus import Post, canonical_handle
 
+_COUNT_MAX = np.iinfo(int).max  # the largest count a TopicSeries can hold (int64)
+
 
 def _utc_date(ts: datetime) -> date:
     if ts.tzinfo is None:
@@ -142,8 +144,9 @@ def read_series_csv(path) -> list[TopicSeries]:
     Raises ValueError naming the CSV line of a short row, a cell that does not
     parse (week_start as an ISO date, topic and count as integers), an empty
     account, a repeated (account, topic, week_start) row (after
-    canonicalising the account), a negative count, or a week_start that is
-    not a whole number of weeks after the earliest one.
+    canonicalising the account), a negative count, a count above the int64
+    range, or a week_start that is not a whole number of weeks after the
+    earliest one.
     """
     cells: dict[tuple[str, int], dict[date, int]] = {}
     weeks: dict[str, date] = {}  # each distinct week_start cell, parsed once
@@ -180,6 +183,8 @@ def read_series_csv(path) -> list[TopicSeries]:
                 raise ValueError(f"{path}:{lineno}: empty account")
             if count < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
+            if count > _COUNT_MAX:
+                raise ValueError(f"{path}:{lineno}: count {count} out of range")
             key = (account, topic)
             by_week = cells.setdefault(key, {})
             if week in by_week:

@@ -6,13 +6,20 @@ Dickey-Fuller unit-root test with MacKinnon approximate p-values, and the
 per-(alter, topic) causality scan over lags 1..max_lag, which tests each
 series for stationarity at most once per differencing order.
 
-Each statistic has one factorisation.  An ADF lag search is one QR of its
-largest design: the candidate designs are nested, so every candidate's RSS
-is read off that one factor.  A Granger test factors the ego's restricted
-design [1, y lags] once and tests every alter sharing it (same topic and
-differencing order) against that factor, by residualising their x-lag
-blocks on it (Frisch-Waugh-Lovell) and factoring the residuals in one
-stacked QR; `granger_test` is the one-alter call of the same function.
+Each statistic has one factorisation, and the scan computes them in stacks.
+An ADF lag search is one QR of its largest design: the candidate designs
+are nested, so every candidate's RSS is read off that one factor.  Before
+its pair loop the scan ADF-tests every series a pair needs at order 0 in
+stacked blocks of ADF_BLOCK series: one QR of the block's stacked search
+designs, then one stacked QR per distinct chosen lag for the refits;
+`adf_test` is the one-series call of the same function.  A Granger test
+factors the ego's restricted design [1, y lags] once and tests every alter
+sharing it (same topic and differencing order) against that factor, by
+residualising their x-lag blocks on it (Frisch-Waugh-Lovell) and factoring
+the residuals in one stacked QR, and it takes the batch's F tails in one
+call; `granger_test` is the one-alter call of the same function.  Every
+stacked slice is computed on its own, so a stack gives each series the same
+bits as a stack of one.
 
 Each rule of the decision has one owner: a pair's best lag is
 `PairOutcome.best` (argmin p over its per-lag results, ties to the smaller
@@ -90,8 +97,7 @@ class OlsFit:
     @property
     def std_errors(self) -> np.ndarray:
         """sqrt(diag(s^2 (X'X)^-1)) with s^2 = rss / df_resid, from the R factor."""
-        r_inv = np.linalg.solve(self.r_factor, np.eye(self.n_params))
-        return np.sqrt(self.rss / self.df_resid * np.diag(r_inv @ r_inv.T))
+        return _std_errors(self.rss / self.df_resid, self.r_factor)
 
 
 _RANK_DEFICIENT = "design matrix is rank deficient"
@@ -103,12 +109,40 @@ def _rank_deficient(rdiag: np.ndarray):
     return (top == 0.0) | (rdiag.min(axis=-1) < 1e-10 * top)
 
 
+def _fit_stack(targets: np.ndarray, X: np.ndarray):
+    """QR fits of each targets[i] on X[i]: one stacked QR, one stacked solve.
+
+    Returns the full-rank mask over the slices and, for the full-rank slices
+    only, their coordinates Q'target, coefficients, RSS and R factors.  Rank
+    deficiency follows the R diagonal at 1e-10 relative tolerance.  Deficient
+    slices are dropped before the solve, since one exactly singular R makes
+    the whole stacked solve raise.  Each RSS is a per-slice r @ r product,
+    the same sum a single fit takes.
+    """
+    Q, R = np.linalg.qr(X)
+    full = ~_rank_deficient(np.abs(np.diagonal(R, axis1=1, axis2=2)))
+    if not full.all():
+        Q, R, X, targets = Q[full], R[full], X[full], targets[full]
+    coords = np.swapaxes(Q, 1, 2) @ targets[..., None]
+    beta = np.linalg.solve(R, coords)
+    residuals = targets - (X @ beta)[..., 0]
+    rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
+    return full, coords[..., 0], beta[..., 0], rss, R
+
+
+def _std_errors(scale, r_factor: np.ndarray) -> np.ndarray:
+    """sqrt(diag(scale (R'R)^-1)) of an R factor, or of a stack of them along the first axis."""
+    r_inv = np.linalg.solve(r_factor, np.eye(r_factor.shape[-1]))
+    return np.sqrt(scale * np.diagonal(r_inv @ np.swapaxes(r_inv, -1, -2), axis1=-2, axis2=-1))
+
+
 def ols(y, X) -> OlsFit:
     """Fit y = X beta + eps by QR decomposition.
 
     The fit keeps the R factor; standard errors are computed from it only
     when read.  Rank deficiency is detected from the R diagonal at 1e-10
-    relative tolerance and raises SingularDesignError.
+    relative tolerance and raises SingularDesignError.  This is the
+    one-slice call of the stacked fit the ADF test uses.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -120,13 +154,10 @@ def ols(y, X) -> OlsFit:
     if n <= p:
         raise InsufficientDataError(f"need more rows ({n}) than columns ({p})")
 
-    Q, R = np.linalg.qr(X)
-    if _rank_deficient(np.abs(np.diag(R))):
+    full, _, beta, rss, R = _fit_stack(y[None], X[None])
+    if not full[0]:
         raise SingularDesignError(_RANK_DEFICIENT)
-
-    beta = np.linalg.solve(R, Q.T @ y)
-    residuals = y - X @ beta
-    return OlsFit(beta, float(residuals @ residuals), n, p, R)
+    return OlsFit(beta[0], float(rss[0]), n, p, R[0])
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +225,99 @@ class AdfResult:
     n_obs: int
 
 
-def _adf_design(y: np.ndarray, n_lags: int, trim: int):
-    """Build (target, X) for the ADF regression with `trim` rows cut from the front.
+# Series per stacked ADF block.  At 260 weeks a block's stacked search
+# designs take about 1 MB and their Q as much again; one stack of all 606
+# series of the `scan` workload would hold about 40 MB more at once.
+# Blocks of 32 and 48 tested those series about 20% faster than blocks of 64
+# (2-vCPU Xeon, 2 MB L2 per core, one BLAS thread).
+ADF_BLOCK = 32
+
+
+def _adf_design(ys: np.ndarray, n_lags: int, trim: int):
+    """Stacked (targets, X) of each row's ADF regression, `trim` rows cut from the front.
 
     Target is dy_t for t = trim+1..T-1 (level indexing); regressors are a
     constant, the lagged level y_{t-1}, and dy_{t-1}..dy_{t-n_lags}.
     """
-    dy = np.diff(y)
-    n = len(dy) - trim
-    target = dy[trim:]
-    cols = [np.ones(n), y[trim : len(y) - 1]]
-    for j in range(1, n_lags + 1):
-        cols.append(dy[trim - j : len(dy) - j])
-    return target, np.column_stack(cols)
+    dy = np.diff(ys, axis=1)
+    m = dy.shape[1]
+    cols = [np.ones((len(ys), m - trim)), ys[:, trim:-1]]
+    cols += [dy[:, trim - j : m - j] for j in range(1, n_lags + 1)]
+    return dy[:, trim:], np.stack(cols, axis=-1)
 
 
 def _aic(rss: float, n: int, k: int) -> float:
     return n * math.log(rss / n) + 2 * k
+
+
+def _adf_block(ys: np.ndarray, max_lag: int,
+               alpha: float) -> list[AdfResult | SingularDesignError]:
+    """ADF tests of a stack of non-constant series of one length (at least 13).
+
+    The lag search is one QR of each series' max_lag design X = QR, all
+    stacked in one call.  Candidate p uses the first p+2 columns of X, so its
+    RSS is the full RSS plus the squares of Q'target from entry p+2 on.  A
+    rank-deficient candidate makes X rank deficient too, so one rank check
+    on R gives the whole search its SingularDesignError.  The series that
+    chose the same lag are refit together, in one stacked QR.
+    """
+    outcomes: list[AdfResult | SingularDesignError | None] = [None] * len(ys)
+    target, X = _adf_design(ys, max_lag, trim=max_lag)
+    full, coords, _, rss_full, _ = _fit_stack(target, X)
+    n = target.shape[1]
+    # dropped[:, k]: what leaving out columns k.. of X adds to the full RSS.
+    dropped = np.cumsum(coords[:, ::-1] ** 2, axis=1)[:, ::-1]
+    by_lag: dict[int, list[int]] = {}
+    for row, rss, drop in zip(np.flatnonzero(full).tolist(), rss_full.tolist(), dropped.tolist()):
+        drop.append(0.0)
+        best_lag, best_aic = 0, math.inf
+        for p in range(0, max_lag + 1):
+            crit = _aic(rss + drop[p + 2], n, p + 2)
+            if crit < best_aic:
+                best_aic, best_lag = crit, p
+        by_lag.setdefault(best_lag, []).append(row)
+
+    for lag, rows in by_lag.items():
+        target, X = _adf_design(ys[rows], lag, trim=lag)
+        full, _, beta, rss, R = _fit_stack(target, X)
+        n_obs = target.shape[1]
+        se = _std_errors((rss / (n_obs - lag - 2))[:, None], R)
+        for row, stat in zip(np.asarray(rows)[full].tolist(), (beta[:, 1] / se[:, 1]).tolist()):
+            p_value = mackinnon_pvalue(stat)
+            outcomes[row] = AdfResult(stat, p_value, lag, p_value < alpha, n_obs)
+    return [SingularDesignError(_RANK_DEFICIENT) if o is None else o for o in outcomes]
+
+
+def _adf_batch(ys, max_lag: int | None = None,
+               alpha: float = DEFAULT_ALPHA) -> list[AdfResult | Exception]:
+    """ADF-test each row of ys (series of one length) in stacked blocks of ADF_BLOCK rows.
+
+    Returns each row's AdfResult, or the DegenerateSeriesError,
+    InsufficientDataError or SingularDesignError that `adf_test` raises for
+    that series alone; no row affects another.  See `adf_test` for the test.
+    """
+    ys = np.asarray(ys, dtype=float)
+    n_series, T = ys.shape
+    constant = (np.ptp(ys, axis=1) == 0.0 if T else np.zeros(n_series, dtype=bool)).tolist()
+    outcomes: list[AdfResult | Exception | None] = [
+        DegenerateSeriesError("series is constant") if c else None for c in constant]
+    if T - 1 < 12:
+        return [o or InsufficientDataError(f"need at least 13 observations, got {T}")
+                for o in outcomes]
+    if max_lag is None:
+        max_lag = int(math.floor(12.0 * (T / 100.0) ** 0.25))
+    if max_lag < 0 and not all(constant):
+        raise ValueError("max_lag must be nonnegative")
+    # Feasibility caps: the common AIC sample must keep >= 12 rows and the
+    # largest candidate model must keep positive residual df.
+    max_lag = min(max_lag, T - 13, (T - 4) // 2)
+
+    live = np.flatnonzero(np.logical_not(constant))
+    for start in range(0, len(live), ADF_BLOCK):
+        rows = live[start : start + ADF_BLOCK]
+        for row, outcome in zip(rows.tolist(), _adf_block(ys[rows], max_lag, alpha)):
+            outcomes[row] = outcome
+    return outcomes
 
 
 def adf_test(y, max_lag: int | None = None, alpha: float = DEFAULT_ALPHA) -> AdfResult:
@@ -222,58 +329,19 @@ def adf_test(y, max_lag: int | None = None, alpha: float = DEFAULT_ALPHA) -> Adf
     a refit on the full usable sample at the chosen order.  max_lag defaults
     to floor(12 * (T/100)^0.25), capped so at least 12 observations remain.
 
-    The lag search is one QR of the max_lag design X = QR.  Candidate p uses
-    the first p+2 columns of X, so its RSS is the full RSS plus the squares
-    of Q'target from entry p+2 on.  A rank-deficient candidate makes X rank
-    deficient too, so one rank check on R raises SingularDesignError for
-    the whole search.
+    This is the one-series call of the scan's stacked test (`_adf_batch`,
+    one QR for the lag search and one for the refit; see `_adf_block`).
+    Raises DegenerateSeriesError for a constant series,
+    InsufficientDataError below 13 observations, and SingularDesignError
+    for a rank-deficient design.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be one-dimensional")
-    T = len(y)
-    if T >= 1 and np.ptp(y) == 0.0:
-        raise DegenerateSeriesError("series is constant")
-    if T - 1 < 12:
-        raise InsufficientDataError(f"need at least 13 observations, got {T}")
-
-    # Feasibility caps: the common AIC sample must keep >= 12 rows and the
-    # largest candidate model must keep positive residual df.
-    hard_cap = min(T - 13, (T - 4) // 2)
-    if max_lag is None:
-        max_lag = int(math.floor(12.0 * (T / 100.0) ** 0.25))
-    if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
-    max_lag = min(max_lag, hard_cap)
-    if max_lag < 0:
-        raise InsufficientDataError(f"series of length {T} too short for lag search")
-
-    target, X = _adf_design(y, max_lag, trim=max_lag)
-    Q, R = np.linalg.qr(X)
-    if _rank_deficient(np.abs(np.diag(R))):
-        raise SingularDesignError(_RANK_DEFICIENT)
-    coords = Q.T @ target
-    residuals = target - X @ np.linalg.solve(R, coords)
-    rss_full = float(residuals @ residuals)
-    # dropped[k]: what leaving out columns k.. of X adds to the full RSS.
-    dropped = np.append(np.cumsum(coords[::-1] ** 2)[::-1], 0.0).tolist()
-    best_lag, best_aic = 0, math.inf
-    for p in range(0, max_lag + 1):
-        crit = _aic(rss_full + dropped[p + 2], len(target), p + 2)
-        if crit < best_aic:
-            best_aic, best_lag = crit, p
-
-    target, X = _adf_design(y, best_lag, trim=best_lag)
-    fit = ols(target, X)
-    stat = float(fit.coefficients[1] / fit.std_errors[1])
-    p_value = mackinnon_pvalue(stat)
-    return AdfResult(
-        statistic=stat,
-        p_value=p_value,
-        lags_used=best_lag,
-        is_stationary=p_value < alpha,
-        n_obs=fit.n_obs,
-    )
+    (result,) = _adf_batch(y[None, :], max_lag, alpha)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +362,8 @@ class _Ladder:
     A verdict is True/False for stationary or not at `alpha`, or the
     DegenerateSeriesError / InsufficientDataError / SingularDesignError the
     ADF stage raised, which is raised again on every later request for that
-    order.
+    order.  A verdict is computed when first requested unless it was
+    recorded before, as the scan records every order-0 verdict.
     """
 
     def __init__(self, y, alpha: float):
@@ -307,12 +376,17 @@ class _Ladder:
             self._levels.append(difference(self._levels[-1]))
         return self._levels[order]
 
+    def record(self, order: int, outcome: AdfResult | Exception) -> None:
+        """Keep the verdict of an ADF outcome of the series at `order`."""
+        self._verdicts[order] = (
+            outcome.is_stationary if isinstance(outcome, AdfResult) else outcome)
+
     def stationary(self, order: int) -> bool:
         if order not in self._verdicts:
             try:
-                self._verdicts[order] = adf_test(self.at(order), alpha=self._alpha).is_stationary
+                self.record(order, adf_test(self.at(order), alpha=self._alpha))
             except (DegenerateSeriesError, InsufficientDataError, SingularDesignError) as exc:
-                self._verdicts[order] = exc
+                self.record(order, exc)
         verdict = self._verdicts[order]
         if isinstance(verdict, Exception):
             raise verdict.with_traceback(None)
@@ -399,7 +473,8 @@ def _granger_batch(xs: np.ndarray, y: np.ndarray, lag: int) -> list[GrangerResul
     residual e_r is the unrestricted fit: RSS_u = |e_r - Q_z Q_z'e_r|^2 and
     RSS_r - RSS_u = |Q_z'e_r|^2.  The unrestricted R factor has the diagonal
     of R_r and R_z, so an alter whose union fails the rank rule of `ols` is
-    rank deficient; its entry is None and the others are unaffected.
+    rank deficient; its entry is None and the others are unaffected.  The
+    batch's F tails are taken in one `fdtrc` call.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -422,21 +497,27 @@ def _granger_batch(xs: np.ndarray, y: np.ndarray, lag: int) -> list[GrangerResul
         axis=1,
     )
 
+    deficient = _rank_deficient(rdiag)
+    rss_u = np.sum(resid_u * resid_u, axis=1)
+    # RSS_u 0 is a perfect fit (F inf, p 0); every other F is finite.
+    finite = ~deficient & (rss_u != 0.0)
+    f_stats = (np.sum(coords * coords, axis=1)[finite] / lag) / (rss_u[finite] / df2)
+    if np.isnan(f_stats).any():
+        raise ValueError("F statistic is NaN: the series hold NaN or inf")
+    # Imported here, as in f_sf, to keep scipy.special out of `import egoflux`.
+    from scipy.special import fdtrc
+
+    tails = zip(f_stats.tolist(), fdtrc(lag, df2, f_stats).tolist())
     results: list[GrangerResult | None] = []
-    for deficient, rss_u, gain in zip(
-        _rank_deficient(rdiag).tolist(),
-        np.sum(resid_u * resid_u, axis=1).tolist(),
-        np.sum(coords * coords, axis=1).tolist(),
-    ):
-        if deficient:
+    for is_deficient, is_finite in zip(deficient.tolist(), finite.tolist()):
+        if is_deficient:
             results.append(None)
-        elif rss_u == 0.0:
-            results.append(GrangerResult(lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n))
+        elif is_finite:
+            f_stat, p_value = next(tails)
+            results.append(GrangerResult(lag=lag, f_stat=f_stat, p_value=p_value,
+                                         n_obs_effective=n))
         else:
-            f_stat = (gain / lag) / (rss_u / df2)
-            results.append(GrangerResult(
-                lag=lag, f_stat=f_stat, p_value=f_sf(f_stat, lag, df2), n_obs_effective=n
-            ))
+            results.append(GrangerResult(lag=lag, f_stat=math.inf, p_value=0.0, n_obs_effective=n))
     return results
 
 
@@ -602,7 +683,8 @@ class CausalityMatrix:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """One line of JSON, sorted keys (no indent, so the C encoder writes it)."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _scan_group(outcomes: list[PairOutcome], xs: np.ndarray, y: np.ndarray, max_lag: int) -> None:
@@ -677,6 +759,19 @@ def causality_scan(
     if len(lengths) > 1:
         raise ValueError(f"series of unequal length: {lengths} weeks")
     n_weeks = lengths[0]
+
+    # Every series a pair needs is ADF-tested at order 0 here, in stacked
+    # blocks; the higher orders that few pairs reach are tested when asked.
+    needed = list(dict.fromkeys(
+        ladders[key]
+        for alter in alters for topic in topics
+        if (alter, topic) in ladders and (ego, topic) in ladders
+        for key in ((alter, topic), (ego, topic))
+    ))
+    if needed:
+        outcomes = _adf_batch(np.stack([ladder.at(0) for ladder in needed]), alpha=alpha)
+        for ladder, outcome in zip(needed, outcomes):
+            ladder.record(0, outcome)
 
     pairs: list[PairOutcome] = []
     # Tested pairs by (topic, diff order): each group shares the ego's series.

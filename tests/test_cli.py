@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from egoflux.errors import EgofluxError
 from egoflux.pipeline import PipelineConfig
 from egoflux.report import ReportBundle, emit_report_bundle
 from egoflux.series import read_series_csv
-from egoflux.stats import CausalityMatrix
+from egoflux.stats import CausalityMatrix, causality_scan
 from egoflux.synth import AlterSpec, Coupling, SynthSpec
 
 WINDOW_ARGS = ["--start", "2020-01-06T00:00:00+00:00",
@@ -462,6 +463,19 @@ class TestCausality:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"series topics {list(topics)} are not 0..1"]
 
+    def test_count_out_of_range_exits_one_naming_line(self, tmp_path, caplog):
+        bad = tmp_path / "series.csv"
+        bad.write_text("week_start,account,topic,count\n2020-01-06,ego,0,3\n"
+                       "2020-01-13,ego,0,100000000000000000000\n", encoding="utf-8")
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(bad), "--ego", "ego", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert [r.getMessage() for r in errors] == [
+            f"{bad}:3: count 100000000000000000000 out of range"]
+        assert errors[0].exc_info is None
+
     def test_short_series_row_exits_one_naming_line(self, tmp_path, caplog):
         bad = tmp_path / "series.csv"
         bad.write_text("week_start,account,topic,count\n2020-01-06,ego,0,3\n2020-01-13,ego\n",
@@ -554,6 +568,46 @@ class TestSimulate:
         code = main(["simulate", "--spec", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "sim")])
         assert code == 1
+
+
+INDENTED = Path(__file__).resolve().parent / "data" / "indented_json"
+
+
+class TestIndentedJsonStillReads:
+    """tests/data/indented_json holds a series CSV (`egoflux simulate`, 60 weeks,
+    2 topics, alter a1 planted on topic 0 at lag 1) and the matrix.json
+    (`egoflux causality --ego ego --max-lag 3`) and report (`egoflux report
+    --matrix`) written from it when both JSON files were pretty-printed
+    with indent=2.  Keys, values and schema numbers are unchanged since."""
+
+    def test_matrix_reads_and_to_json_parses_equal(self):
+        text = (INDENTED / "matrix.json").read_text(encoding="utf-8")
+        assert text.startswith('{\n  "alpha"')
+        old = json.loads(text)
+        matrix = CausalityMatrix.from_dict(old)
+        again = causality_scan(read_series_csv(INDENTED / "series.csv"), "ego", ["a1", "a2"],
+                               max_lag=3)
+        assert again == matrix
+        assert json.loads(again.to_json()) == old
+        assert "\n" not in again.to_json()
+
+    def test_causality_writes_one_line(self, tmp_path):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(INDENTED / "series.csv"), "--ego", "ego",
+                     "--max-lag", "3", "--out", str(out)])
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text) == json.loads((INDENTED / "matrix.json").read_text("utf-8"))
+
+    @pytest.mark.parametrize("name", ["matrix.json", "run_report.json"])
+    def test_report_renders_it(self, tmp_path, name):
+        code = main(["report", "--matrix", str(INDENTED / name), "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "matrix.csv").read_bytes() == (INDENTED / "matrix.csv").read_bytes()
+        text = (tmp_path / "run_report.json").read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text) == json.loads((INDENTED / "run_report.json").read_text("utf-8"))
 
 
 class TestReport:

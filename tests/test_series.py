@@ -201,6 +201,18 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=r"rows\.csv:3: negative count"):
             read_series_csv(path)
 
+    def test_count_above_int64_rejected(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,9223372036854775807",
+                                           "2020-01-13,ego,0,9223372036854775808"])
+        with pytest.raises(ValueError,
+                           match=r"rows\.csv:3: count 9223372036854775808 out of range"):
+            read_series_csv(path)
+
+    def test_count_at_int64_max_kept(self, tmp_path):
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,9223372036854775807"])
+        (s,) = read_series_csv(path)
+        assert s.counts.tolist() == [9223372036854775807]
+
     def test_short_row_rejected(self, tmp_path):
         path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", "2020-01-13,ego"])
         with pytest.raises(ValueError, match=r"rows\.csv:3: row has too few cells"):

@@ -31,6 +31,7 @@ from egoflux.stats import (
     SKIP_NONSTATIONARY,
     SKIP_SINGULAR,
     SKIP_TOO_SHORT,
+    AdfResult,
     CausalityMatrix,
     GrangerResult,
     adf_test,
@@ -192,12 +193,12 @@ def _reference_adf(y, max_lag=None, alpha=0.05):
         raise InsufficientDataError(f"series of length {T} too short for lag search")
     best_lag, best_aic = 0, math.inf
     for p in range(0, max_lag + 1):
-        target, X = stats_module._adf_design(y, p, trim=max_lag)
+        target, X = (a[0] for a in stats_module._adf_design(y[None], p, trim=max_lag))
         fit = ols(target, X)
         crit = fit.n_obs * math.log(fit.rss / fit.n_obs) + 2 * fit.n_params
         if crit < best_aic:
             best_aic, best_lag = crit, p
-    target, X = stats_module._adf_design(y, best_lag, trim=best_lag)
+    target, X = (a[0] for a in stats_module._adf_design(y[None], best_lag, trim=best_lag))
     fit = ols(target, X)
     stat = float(fit.coefficients[1] / fit.std_errors[1])
     return best_lag, stat, fit.n_obs
@@ -255,8 +256,79 @@ class TestAdfAgainstPerCandidateFits:
         monkeypatch.setattr(stats_module.np.linalg, "qr", counting_qr)
         y = np.cumsum(np.random.default_rng(42).standard_normal(260))
         result = adf_test(y)
-        # max_lag 15: one QR of the 244 x 17 search design, one of the refit.
-        assert shapes == [(244, 17), (259 - result.lags_used, result.lags_used + 2)]
+        # max_lag 15: one QR of the 244 x 17 search design, one of the refit,
+        # each a stack of one.
+        assert shapes == [(1, 244, 17), (1, 259 - result.lags_used, result.lags_used + 2)]
+
+
+def _adf_block_rows(n):
+    """Count series filling several ADF blocks, with white noise, a random walk,
+    a constant series and the rank-deficient shapes inside the first block and
+    again after it."""
+    rng = np.random.default_rng(43)
+    special = [rng.standard_normal(n), np.cumsum(rng.standard_normal(n)), np.full(n, 4.0)]
+    special += [counts.astype(float) for counts in _adf_singular_series(n).values()]
+    rows = [rng.poisson(3.0, size=n).astype(float) for _ in range(stats_module.ADF_BLOCK + 90)]
+    for i, y in enumerate(special):
+        rows.insert(1 + 5 * i, y)
+        rows.insert(stats_module.ADF_BLOCK + 2 + 5 * i, y.copy())
+    return rows
+
+
+class TestAdfBatch:
+    """`_adf_batch` tests many series of one length in stacked blocks."""
+
+    @pytest.mark.parametrize("max_lag", [None, 0, 3])
+    @pytest.mark.parametrize("n", [10, 52, 260])
+    def test_each_series_gets_what_adf_test_gives_it_alone(self, n, max_lag):
+        rows = _adf_block_rows(n)
+        assert len(rows) > 2 * stats_module.ADF_BLOCK
+        batch = stats_module._adf_batch(np.stack(rows), max_lag)
+        assert len(batch) == len(rows)
+        kinds = Counter()
+        for i, (y, got) in enumerate(zip(rows, batch)):
+            try:
+                expected = adf_test(y, max_lag)
+            except (DegenerateSeriesError, InsufficientDataError, SingularDesignError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc), i
+                kinds[type(exc).__name__] += 1
+                continue
+            assert got == expected, i
+            assert got.statistic.hex() == expected.statistic.hex(), i
+            kinds["ok"] += 1
+        if n == 10:
+            assert kinds == {"DegenerateSeriesError": 2,
+                             "InsufficientDataError": len(rows) - 2}
+        else:
+            # Without lags, only the alternation's design is rank deficient.
+            singular = 2 if max_lag == 0 else 6
+            assert kinds == {"DegenerateSeriesError": 2, "SingularDesignError": singular,
+                             "ok": len(rows) - 2 - singular}
+
+    def test_one_search_factorisation_per_block(self, monkeypatch):
+        shapes = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module.np.linalg, "qr", counting_qr)
+        rows = _adf_block_rows(260)
+        batch = stats_module._adf_batch(np.stack(rows))
+        # The constant series are refused before any block; the rest go in
+        # blocks of ADF_BLOCK, each one search QR, then one refit QR per
+        # distinct chosen lag.
+        live = [got for got in batch if not isinstance(got, DegenerateSeriesError)]
+        blocks = [live[i : i + stats_module.ADF_BLOCK]
+                  for i in range(0, len(live), stats_module.ADF_BLOCK)]
+        expected = []
+        for block in blocks:
+            expected.append((len(block), 244, 17))
+            lags = Counter(got.lags_used for got in block if isinstance(got, AdfResult))
+            expected += [(count, 259 - lag, lag + 2) for lag, count in lags.items()]
+        assert len(blocks) >= 3
+        assert shapes == expected
 
 
 class TestDifferencing:
@@ -418,6 +490,15 @@ class TestGranger:
         y[0] = 5.0
         assert granger_test(x, y, lag=1) == _reference_granger(x, y, lag=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_non_finite_series_refused(self, bad, which):
+        rng = np.random.default_rng(27)
+        series = {"x": rng.standard_normal(60), "y": rng.standard_normal(60)}
+        series[which][5] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            granger_test(series["x"], series["y"], lag=2)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             granger_test(np.ones(50), np.ones(50), lag=0)
@@ -457,6 +538,26 @@ class TestGrangerBatch:
         assert batch[:2] + batch[3:] == stats_module._granger_batch(xs, y, lag)
         with pytest.raises(SingularDesignError, match="design matrix is rank deficient"):
             granger_test(y, y, lag)
+
+    def test_f_tails_one_call_per_batch(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        real_fdtrc = scipy.special.fdtrc
+
+        def counting_fdtrc(d1, d2, x):
+            calls.append(np.shape(x))
+            return real_fdtrc(d1, d2, x)
+
+        monkeypatch.setattr(scipy.special, "fdtrc", counting_fdtrc)
+        xs, y = self._draw(52, n_alters=12)
+        batch = stats_module._granger_batch(np.insert(xs, 4, y, axis=0), y, 3)
+        assert calls == [(12,)]
+        assert batch[4] is None
+        monkeypatch.undo()
+        for result in batch[:4] + batch[5:]:
+            df2 = result.n_obs_effective - 2 * 3 - 1
+            assert result.p_value == f_sf(result.f_stat, 3, df2)
 
     def test_singular_restricted_block_fails_every_alter(self):
         xs, _ = self._draw(51, n_alters=4, n=60)
@@ -679,7 +780,7 @@ class TestCausalityScan:
         def no_adf(*args, **kwargs):
             raise AssertionError("a pair was tested")
 
-        monkeypatch.setattr(stats_module, "adf_test", no_adf)
+        monkeypatch.setattr(stats_module, "_adf_batch", no_adf)
         rng = np.random.default_rng(4)
         series = []
         for account, topic in (("ego", 0), ("ego", 1), ("alt_a", 0)):
@@ -732,13 +833,13 @@ class TestAdfSingular:
         series += [TopicSeries(f"alt_{i}", 0, rng.poisson(5.0, size=n), idx)
                    for i in range(3)]
         calls = []
-        real_adf = stats_module.adf_test
+        real_adf = stats_module._adf_batch
 
-        def counting_adf(y, *args, **kwargs):
-            calls.append(np.asarray(y, dtype=float).tobytes())
-            return real_adf(y, *args, **kwargs)
+        def counting_adf(ys, *args, **kwargs):
+            calls.extend(row.tobytes() for row in np.asarray(ys, dtype=float))
+            return real_adf(ys, *args, **kwargs)
 
-        monkeypatch.setattr(stats_module, "adf_test", counting_adf)
+        monkeypatch.setattr(stats_module, "_adf_batch", counting_adf)
         matrix = causality_scan(series, "ego", ["alt_0", "alt_1", "alt_2"])
         assert [p.skip_reason for p in matrix.pairs] == [SKIP_SINGULAR] * 3
         assert calls.count(ego.astype(float).tobytes()) == 1
@@ -777,13 +878,13 @@ LADDER_ALTERS = ["alt_i0", "alt_i2", "alt_walk", "alt_missing"]
 class TestScanDifferencing:
     def test_adf_runs_once_per_series_and_order(self, monkeypatch):
         calls = []
-        real_adf = stats_module.adf_test
+        real_adf = stats_module._adf_batch
 
-        def counting_adf(y, *args, **kwargs):
-            calls.append(np.asarray(y, dtype=float).tobytes())
-            return real_adf(y, *args, **kwargs)
+        def counting_adf(ys, *args, **kwargs):
+            calls.extend(row.tobytes() for row in np.asarray(ys, dtype=float))
+            return real_adf(ys, *args, **kwargs)
 
-        monkeypatch.setattr(stats_module, "adf_test", counting_adf)
+        monkeypatch.setattr(stats_module, "_adf_batch", counting_adf)
         series = _ladder_series()
         causality_scan(series, "ego", LADDER_ALTERS, max_lag=3, max_diff=1)
 
