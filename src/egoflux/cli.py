@@ -143,12 +143,14 @@ def _cmd_series(args) -> int:
                     topic = int(row["topic"])
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
+                author = canonical_handle(row["author"])
+                if author is None:
+                    raise ValueError(f"{where}: empty author")
                 if post_id in seen_at:
                     raise ValueError(f"{where}: post_id {post_id!r} repeats {seen_at[post_id]}")
                 labels[post_id] = topic
                 seen_at[post_id] = where
-                posts.append(Post(id=post_id, author=row["author"],
-                                  created_at=created_at, text=""))
+                posts.append(Post(id=post_id, author=author, created_at=created_at, text=""))
     if not posts:
         raise EgofluxError("no labeled posts given")
     week_index = build_week_index(_window(args, min(p.created_at for p in posts),

@@ -136,15 +136,16 @@ def _post_from_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted,
             name for name, cell in (("id", raw_id), ("author", raw_author),
                                     ("created_at", raw_created)) if cell is None))
     if not (isinstance(raw_author, str) and isinstance(raw_created, str)
+            and isinstance(raw_text, (str, type(None)))
             and isinstance(raw_retweeted, (str, type(None)))):
         name, cell = next((name, cell) for name, cell in (
-            ("author", raw_author), ("created_at", raw_created),
+            ("author", raw_author), ("created_at", raw_created), ("text", raw_text),
             ("retweeted_author", raw_retweeted)) if not isinstance(cell, (str, type(None))))
         raise TypeError(f"{name} {cell!r} is not a string")
     post_id = record_id(raw_id)
     author = handle(raw_author)
     created_at = parse_timestamp(raw_created)
-    text = str(raw_text or "")
+    text = raw_text or ""
     if author is None:
         raise ValueError("empty author")
     return Post(id=post_id, author=author, created_at=created_at, text=text,

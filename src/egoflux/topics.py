@@ -6,6 +6,12 @@ from several seeded starts.  No piece of that work is done twice: BUILD is
 greedy, so a k search builds once for its largest k and each k starts from
 a prefix of that order, and the starts of one k share each swap block's
 outcome through a table that lives for that one call.
+
+The n x n distance matrix is the only quadratic object the stage holds.
+BUILD's gains, the swap descent and the silhouette scan it a block of
+columns or rows at a time, so their working memory grows as n times a
+block, and BUILD and the silhouette sum in the order a whole-matrix
+reduction would, so their results are the same bits.
 """
 
 from __future__ import annotations
@@ -86,12 +92,42 @@ def _pick(costs: np.ndarray, priority: np.ndarray) -> int:
     return int(cand[np.argmin(priority[cand])])
 
 
+# Columns of D per step of BUILD's gain scan, and rows per step of silhouette.
+BLOCK = 64
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of the BLOCK-wide steps over n columns (or rows).
+
+    numpy sums each column (BUILD) or row (silhouette) of a block at least
+    two wide one element after another, as it does over the whole matrix,
+    so the blocked sums are the same bits.  A block one wide is summed
+    pairwise instead, so a 1-wide tail takes one from the block before it.
+    """
+    starts = list(range(0, n, BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts[-1] -= 1
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _build_init(D: np.ndarray, k: int, priority: np.ndarray) -> list[int]:
-    """Greedy BUILD: most-central point first, then max-cost-reduction adds."""
+    """Greedy BUILD: most-central point first, then max-cost-reduction adds.
+
+    A candidate's gain is the sum down its column of max(dnear - D, 0),
+    computed a block of columns at a time through one reused n x BLOCK buffer.
+    """
+    n = len(D)
     medoids = [_pick(D.sum(axis=1), priority)]
     dnear = D[:, medoids[0]].copy()
+    buf = np.empty((n, min(n, BLOCK)))
+    gains = np.empty(n)
     while len(medoids) < k:
-        costs = dnear.sum() - np.maximum(dnear[:, None] - D, 0.0).sum(axis=0)
+        for lo, hi in _blocks(n):
+            block = buf[:, :hi - lo]
+            np.subtract(dnear[:, None], D[:, lo:hi], out=block)
+            np.maximum(block, 0.0, out=block)
+            block.sum(axis=0, out=gains[lo:hi])
+        costs = dnear.sum() - gains
         costs[medoids] = np.inf
         h = _pick(costs, priority)
         medoids.append(h)
@@ -241,9 +277,13 @@ def silhouette(dm: DistanceMatrix, clustering: Clustering) -> float:
     counts = np.bincount(labels, minlength=k)
     if (counts == 0).any():
         raise ValueError("silhouette needs every cluster nonempty")
+    # Per point, its summed distance to each cluster, a block of rows at a time.
+    masks = [labels == c for c in range(k)]
     sums = np.zeros((n, k))
-    for c in range(k):
-        sums[:, c] = dm.d[:, labels == c].sum(axis=1)
+    for lo, hi in _blocks(n):
+        rows = dm.d[lo:hi]
+        for c in range(k):
+            sums[lo:hi, c] = rows[:, masks[c]].sum(axis=1)
     own = counts[labels]
     a = np.where(own > 1, sums[np.arange(n), labels] / np.maximum(own - 1, 1), 0.0)
     means = sums / counts[None, :]

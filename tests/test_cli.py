@@ -353,6 +353,27 @@ class TestSeries:
                                      "--end", "2020-02-01T00:00:00+00:00")
         assert message.startswith(f"{bad}:2: ")
 
+    @pytest.mark.parametrize("author", ['""', '" "', '"@"'], ids=["empty", "blank", "bare-at"])
+    def test_empty_author_names_line(self, tmp_path, caplog, author):
+        bad = self._labels(tmp_path, self.GOOD_ROW, f"p2,{author},2020-01-07T10:00:00+00:00,0\n")
+        assert self._series_error(caplog, [bad]) == f"{bad}:3: empty author"
+
+    def test_authors_canonicalised_and_read_by_causality(self, tmp_path):
+        labels = self._labels(tmp_path, *(
+            f"p{i}{j},{author},{day.isoformat()}T10:00:00+00:00,{(i + j) % 2}\n"
+            for i, day in enumerate(date(2020, 1, 6) + timedelta(weeks=w) for w in range(20))
+            for j, author in enumerate(("ego", "@Alt_A", "alt_a", " ALT_A"))))
+        series = tmp_path / "series.csv"
+        assert main(["series", str(labels), "--out", str(series)]) == 0
+        assert {s.account for s in read_series_csv(series)} == {"ego", "alt_a"}
+        assert sum(int(c) for s in read_series_csv(series) if s.account == "alt_a"
+                   for c in s.counts) == 60
+        out = tmp_path / "matrix.json"
+        assert main(["causality", str(series), "--ego", "ego", "--max-lag", "2",
+                     "--out", str(out)]) == 0
+        matrix = CausalityMatrix.from_dict(json.loads(out.read_text(encoding="utf-8")))
+        assert matrix.alters == ["alt_a"]
+
     def test_accounts_canonicalised(self, tmp_path):
         labels = self._labels(tmp_path, self.GOOD_ROW)
         out = tmp_path / "series.csv"

@@ -284,7 +284,8 @@ class TestCsvRowRules:
 
 
 class TestFieldTypes:
-    """An id is a string or a JSON integer; author and created_at are strings."""
+    """An id is a string or a JSON integer; author and created_at are strings;
+    text and retweeted_author are strings or null."""
 
     GOOD = {"id": "a", "author": "x", "created_at": "2020-03-01T10:00:00Z", "text": "one"}
 
@@ -309,9 +310,15 @@ class TestFieldTypes:
         ("author", {"a": 1}, r"author \{'a': 1\} is not a string"),
         ("author", 5, "author 5 is not a string"),
         ("created_at", 1583056800, "created_at 1583056800 is not a string"),
+        ("text", ["storm", "flood"], r"text \['storm', 'flood'\] is not a string"),
+        ("text", {"x": 1}, r"text \{'x': 1\} is not a string"),
+        ("text", 0, "text 0 is not a string"),
+        ("text", False, "text False is not a string"),
         ("retweeted_author", ["y"], r"retweeted_author \['y'\] is not a string"),
+        ("retweeted_author", 5, "retweeted_author 5 is not a string"),
     ], ids=["id_bool", "id_float", "id_list", "author_object", "author_number",
-            "created_at_number", "retweeted_author_list"])
+            "created_at_number", "text_list", "text_object", "text_zero", "text_false",
+            "retweeted_author_list", "retweeted_author_number"])
     def test_wrong_json_type(self, tmp_path, field, value, message):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [self.GOOD, {**self.GOOD, "id": "b", field: value}])
@@ -320,6 +327,15 @@ class TestFieldTypes:
         assert result.dropped_malformed == 1
         with pytest.raises(CorpusFormatError, match=rf"posts\.jsonl:2: {message}$"):
             load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+
+    def test_missing_or_null_text_is_empty(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        no_text = {k: v for k, v in self.GOOD.items() if k != "text"}
+        write_jsonl(path, [no_text, {**self.GOOD, "id": "b", "text": None},
+                           {**self.GOOD, "id": "c", "text": ""}])
+        result = load_corpus(path, format="jsonl", window=WINDOW, strict=True)
+        assert [(p.id, p.text) for p in result.corpus.posts] == [("a", ""), ("b", ""), ("c", "")]
+        assert result.dropped_malformed == 0
 
     def test_integer_id_is_its_decimal_text(self, tmp_path):
         path = tmp_path / "posts.jsonl"

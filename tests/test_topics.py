@@ -1,6 +1,7 @@
 """Distance matrices, PAM clustering, silhouette, k selection, topic summaries."""
 
 import dataclasses
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from egoflux.corpus import load_corpus
 from egoflux.features import EmbeddingSet, fit_tfidf, tfidf_matrix
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import (
+    BLOCK,
     RESTARTS,
     SWAP_BLOCK,
     SWAP_TOL,
@@ -339,12 +341,43 @@ def reference_swap_descent(D, medoids):
     return medoids, float(dnear.sum()), n_swaps
 
 
+def reference_build_init(D, k, priority):
+    """BUILD over the whole matrix: each step's gains from one n x n temporary."""
+    medoids = [topics._pick(D.sum(axis=1), priority)]
+    dnear = D[:, medoids[0]].copy()
+    while len(medoids) < k:
+        costs = dnear.sum() - np.maximum(dnear[:, None] - D, 0.0).sum(axis=0)
+        costs[medoids] = np.inf
+        h = topics._pick(costs, priority)
+        medoids.append(h)
+        dnear = np.minimum(dnear, D[:, h])
+    return medoids
+
+
+def reference_silhouette(dm, clustering):
+    """silhouette over the whole matrix: each cluster's n x |c| columns copied at once."""
+    labels, k, n = clustering.labels, clustering.k, dm.n
+    counts = np.bincount(labels, minlength=k)
+    sums = np.zeros((n, k))
+    for c in range(k):
+        sums[:, c] = dm.d[:, labels == c].sum(axis=1)
+    own = counts[labels]
+    a = np.where(own > 1, sums[np.arange(n), labels] / np.maximum(own - 1, 1), 0.0)
+    means = sums / counts[None, :]
+    means[np.arange(n), labels] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    s = np.where(own == 1, 0.0, s)
+    return float(s.mean())
+
+
 def reference_kmedoids(dm, k, seed):
     """kmedoids before the shared work: BUILD for this k, a fresh descent per start."""
     n, D = dm.n, dm.d
     rng = np.random.default_rng(seed)
     priority = rng.permutation(n)
-    medoids, total, n_swaps = reference_swap_descent(D, _build_init(D, k, priority))
+    medoids, total, n_swaps = reference_swap_descent(D, reference_build_init(D, k, priority))
     for _ in range(RESTARTS - 1):
         init = [int(i) for i in rng.choice(n, size=k, replace=False)]
         cand, cost, swaps = reference_swap_descent(D, init)
@@ -376,7 +409,7 @@ def assert_same_clustering(got, want):
 def assert_select_k_matches_reference(dm, k_min, k_max, seed):
     sel = select_k(dm, k_min, k_max, seed=seed)
     ref = {k: reference_kmedoids(dm, k, seed) for k in range(k_min, k_max + 1)}
-    assert sel.scores == {k: silhouette(dm, c) for k, c in ref.items()}
+    assert sel.scores == {k: reference_silhouette(dm, c) for k, c in ref.items()}
     assert_same_clustering(sel.best, ref[sel.best.k])
 
 
@@ -465,6 +498,76 @@ class TestSharedWork:
             _swap_descent(dm.d, init, table)
             alone += len(table)
         assert shared < alone
+
+
+def cosine_dm(seed, n, dim=8):
+    rng = np.random.default_rng(seed)
+    return cosine_distance_matrix(
+        emb_of({f"p{i}": v for i, v in enumerate(rng.normal(size=(n, dim)))}),
+        [f"p{i}" for i in range(n)])
+
+
+# Tiny n, n inside one block, and n whose last block would be one wide.
+BLOCKED_N = [3, 37, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK + 1, 3 * BLOCK + 17]
+
+
+class TestBlockedScans:
+    """BUILD's gains and silhouette's per-cluster sums are taken a block of the
+    distance matrix at a time, and give the bits the whole-matrix forms give."""
+
+    @pytest.mark.parametrize("n", BLOCKED_N)
+    def test_blocks_cover_n_and_none_is_one_wide(self, n):
+        bounds = topics._blocks(n)
+        assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+        assert bounds[-1][1] == n
+        assert all(2 <= b - a <= BLOCK for a, b in bounds)
+
+    @pytest.mark.parametrize("n", BLOCKED_N)
+    @pytest.mark.parametrize("make", [cosine_dm, blob_dm], ids=["cosine", "blobs"])
+    def test_build_costs_equal_whole_matrix_bits(self, monkeypatch, make, n):
+        dm = make(n, n)
+        k = min(12, n - 1)
+        priority = np.random.default_rng(n).permutation(n)
+        seen = []
+        real_pick = topics._pick
+
+        def recording(costs, priority):
+            seen.append(costs.tobytes())
+            return real_pick(costs, priority)
+
+        monkeypatch.setattr(topics, "_pick", recording)
+        got = _build_init(dm.d, k, priority)
+        got_costs = list(seen)
+        seen.clear()
+        assert got == reference_build_init(dm.d, k, priority)
+        assert got_costs == seen and len(seen) == k
+
+    @pytest.mark.parametrize("n", BLOCKED_N)
+    @pytest.mark.parametrize("make", [cosine_dm, blob_dm], ids=["cosine", "blobs"])
+    def test_silhouette_equals_whole_matrix_bits(self, make, n):
+        dm = make(n, n)
+        rng = np.random.default_rng(n)
+        for k in range(2, min(7, n)):
+            labels = rng.integers(k, size=n)
+            labels[rng.choice(n, size=k, replace=False)] = np.arange(k)
+            clustering = manual_clustering(dm, labels, [int(np.flatnonzero(labels == c)[0])
+                                                         for c in range(k)])
+            want = reference_silhouette(dm, clustering)
+            assert np.float64(silhouette(dm, clustering)).tobytes() == np.float64(want).tobytes()
+
+    def test_select_k_holds_one_matrix(self):
+        """select_k allocates well under one more n x n matrix beyond the one it reads
+        (the whole-matrix BUILD allocated two)."""
+        n = 1000
+        dm = cosine_dm(0, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            select_k(dm, 2, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.5 * n * n * 8
 
 
 def manual_clustering(dm, labels, medoid_indices):
