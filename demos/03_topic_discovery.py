@@ -9,6 +9,8 @@ TF-IDF inside it.
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from egoflux.corpus import load_corpus
 from egoflux.features import FallbackProjector, fit_tfidf, tfidf_matrix
 from egoflux.textpipe import build_token_docs, fit_phrase_pipeline
@@ -38,8 +40,9 @@ def main() -> None:
     ids = [d.post_id for d in docs]
     emb = FallbackProjector.fit(A, dim=16, seed=42).transform(A, ids)
 
-    rows = [i for i, post_id in enumerate(ids) if emb.vectors[post_id].any()]
-    dm = cosine_distance_matrix(emb, [ids[i] for i in rows])
+    # Row i of emb.rows is post ids[i]; a zero row has no direction to cluster.
+    rows = np.flatnonzero(emb.rows.any(axis=1))
+    dm = cosine_distance_matrix(emb, rows)
 
     print("\n== Choosing k by silhouette ==")
     selection = select_k(dm, k_min=2, k_max=5, seed=42)

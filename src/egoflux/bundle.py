@@ -48,7 +48,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:  # as are json.JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+    return data
 
 
 @dataclass

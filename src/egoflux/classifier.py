@@ -1,10 +1,10 @@
-"""Linear one-vs-rest hinge-loss classifier over post embeddings."""
+"""Linear one-vs-rest hinge-loss classifier over post embeddings, read by row position."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -136,9 +136,10 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
     training set.  A stratified seeded split holds out VAL_FRACTION of each
     class; the returned EvalReport is computed on that split.
     """
+    index = emb.index
     ids_by_class: dict[int, list[str]] = {}
     for pid in sorted(labels):
-        if pid not in emb.vectors:
+        if pid not in index:
             raise ValueError(f"labeled id {pid!r} has no embedding")
         ids_by_class.setdefault(labels[pid], []).append(pid)
     if len(ids_by_class) < 2:
@@ -152,7 +153,7 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
     rng = np.random.default_rng(seed)
     train_ids, val_ids = _stratified_split(ids_by_class, VAL_FRACTION, rng)
     classes = sorted(ids_by_class)
-    X = emb.matrix(train_ids)
+    X = emb.rows[[index[pid] for pid in train_ids]]
     n_train, dim = X.shape
     y = np.array([labels[pid] for pid in train_ids])
     # {-1,+1} target per class column
@@ -169,7 +170,7 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
         b += (eta / n_train) * hit_y.sum(axis=0)
 
     clf = LinearClassifier(weights=W, biases=b, classes=classes)
-    report = evaluate(predict(clf, emb, ids=val_ids),
+    report = evaluate(predict(clf, emb, [index[pid] for pid in val_ids]),
                       {pid: labels[pid] for pid in val_ids})
     logger.info("validation weighted F1 = %.4f on %d held-out posts",
                 report.weighted_f1, len(val_ids))
@@ -177,20 +178,20 @@ def train(emb: EmbeddingSet, labels: Mapping[str, int],
 
 
 def predict(clf: LinearClassifier, emb: EmbeddingSet,
-            ids: list[str] | None = None) -> dict[str, int]:
-    """Argmax class score per post; exact ties go to the lowest class index.
+            positions: Sequence[int] | np.ndarray) -> dict[str, int]:
+    """Argmax class of the posts at rows `positions` of `emb`, keyed by post id
+    in that order; exact ties go to the lowest class index.
 
-    Scores are one matrix product per block of at most PREDICT_BLOCK posts,
+    Scores are one matrix product per block of at most PREDICT_BLOCK rows,
     so no more than one block of embedding rows is copied at a time.
     """
     if emb.dim != clf.dim:
         raise ValueError(f"embedding dim {emb.dim} != classifier dim {clf.dim}")
-    if ids is None:
-        ids = sorted(emb.vectors)
-    classes = np.asarray(clf.classes)
+    positions = np.asarray(positions, dtype=np.intp)
+    ids, classes = emb.ids, np.asarray(clf.classes)
     out: dict[str, int] = {}
-    for start in range(0, len(ids), PREDICT_BLOCK):
-        block = ids[start:start + PREDICT_BLOCK]
-        best = np.argmax(emb.matrix(block) @ clf.weights.T + clf.biases, axis=1)
-        out.update(zip(block, classes[best].tolist()))
+    for start in range(0, len(positions), PREDICT_BLOCK):
+        block = positions[start:start + PREDICT_BLOCK]
+        best = np.argmax(emb.rows[block] @ clf.weights.T + clf.biases, axis=1)
+        out.update(zip([ids[i] for i in block.tolist()], classes[best].tolist()))
     return out

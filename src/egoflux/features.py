@@ -2,6 +2,7 @@
 
 TF-IDF rows have one builder, tfidf_matrix.  Each doc set's CSR matrix is built
 once and read by the fallback projector (a linear map on rows) and the summaries.
+Embeddings are one matrix as well (EmbeddingSet: ids plus rows, read by position).
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -25,8 +28,7 @@ DEFAULT_SVD_SEED = 42
 # Randomized SVD: extra sketch columns and subspace (power) iterations.
 SVD_OVERSAMPLE = 10
 SVD_POWER_ITERS = 4
-# Rows normalised at a time by FallbackProjector.transform, and tested for
-# zero at a time by EmbeddingSet.nonzero.
+# Rows normalised at a time by FallbackProjector.transform.
 NORM_BLOCK = 2048
 
 
@@ -119,27 +121,35 @@ def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matr
     return A
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """Dense vectors keyed by post id, all sharing one dimension."""
+    """Post embeddings as one matrix: row i of `rows` is the vector of post `ids[i]`.
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    Readers take rows by position; the lookups by id, `index` (id -> row) and
+    the read-only `vectors` (id -> row view), are built on first use only.
+    """
 
-    def matrix(self, ids: Sequence[str]) -> np.ndarray:
-        return np.stack([self.vectors[i] for i in ids])
+    ids: Sequence[str]
+    rows: np.ndarray
 
-    def nonzero(self, ids: Sequence[str]) -> np.ndarray:
-        """Mask of the `ids` that have a vector here, and not an all-zero one.
+    def __post_init__(self) -> None:
+        if self.rows.ndim != 2 or len(self.ids) != len(self.rows):
+            raise ValueError(f"{len(self.ids)} ids for rows of shape {self.rows.shape}")
 
-        Tested NORM_BLOCK vectors at a time, so the stacked copy is one block."""
-        vectors = self.vectors
-        present = [i for i, post_id in enumerate(ids) if post_id in vectors]
-        mask = np.zeros(len(ids), dtype=bool)
-        for start in range(0, len(present), NORM_BLOCK):
-            rows = present[start:start + NORM_BLOCK]
-            mask[rows] = np.stack([vectors[ids[i]] for i in rows]).any(axis=1)
-        return mask
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        index = {post_id: i for i, post_id in enumerate(self.ids)}
+        if len(index) != len(self.ids):
+            raise ValueError("embedding ids are not distinct")
+        return index
+
+    @cached_property
+    def vectors(self) -> Mapping[str, np.ndarray]:
+        return MappingProxyType({post_id: self.rows[i] for post_id, i in self.index.items()})
 
 
 def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
@@ -153,11 +163,9 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
     if not path.exists():
         raise EmbeddingFormatError(f"{path}: no such file")
     vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
 
     def add(lineno: int, raw_id, values: Sequence[float]) -> None:
         # record_id's TypeError or ValueError is named by the caller's handler.
-        nonlocal dim
         where = f"{path}:{lineno}"
         post_id = record_id(raw_id)
         if post_id in vectors:
@@ -167,12 +175,10 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
             raise EmbeddingFormatError(f"{where}: id {post_id!r} has no vector")
         if not np.all(np.isfinite(vec)):
             raise EmbeddingFormatError(f"{where}: id {post_id!r} has NaN/Inf components")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
+        dim = len(next(iter(vectors.values()), vec))
+        if len(vec) != dim:
             raise EmbeddingFormatError(
-                f"{where}: id {post_id!r} has dim {len(vec)}, expected {dim}"
-            )
+                f"{where}: id {post_id!r} has dim {len(vec)}, expected {dim}")
         vectors[post_id] = vec
 
     if path.suffix.lower() == ".csv":
@@ -203,14 +209,14 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
                 except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
                     raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
 
-    if dim is None:
+    if not vectors:
         raise EmbeddingFormatError(f"{path}: file contains no vectors")
     if ids is not None:
         missing = [i for i in ids if i not in vectors]
         if missing:
             raise EmbeddingFormatError(
                 f"{path}: {len(missing)} ids missing from embedding file: {missing[:10]}")
-    return EmbeddingSet(dim=dim, vectors=vectors)
+    return EmbeddingSet(ids=list(vectors), rows=np.stack(list(vectors.values())))
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
@@ -262,7 +268,7 @@ class FallbackProjector:
         return cls(components=_randomized_svd(A, dim, seed))
 
     def transform(self, A: sparse.csr_matrix, ids: Sequence[str]) -> EmbeddingSet:
-        """Unit-length projections of A's rows, keyed by `ids` (zero rows stay zero)."""
+        """Unit-length projections of A's rows, as the rows of `ids` (zero rows stay zero)."""
         if len(ids) != A.shape[0]:
             raise ValueError(f"{len(ids)} ids for {A.shape[0]} TF-IDF rows")
         rows = np.asarray(A @ self.components)
@@ -273,7 +279,7 @@ class FallbackProjector:
             norms = np.linalg.norm(block, axis=1)
             nonzero = norms > 0
             block[nonzero] /= norms[nonzero, None]
-        return EmbeddingSet(dim=self.dim, vectors=dict(zip(ids, rows)))
+        return EmbeddingSet(ids=ids, rows=rows)
 
     def to_dict(self) -> dict:
         return {"components": [[float(v) for v in row] for row in self.components]}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -151,25 +150,24 @@ def fit_topics(corpus: Corpus, config: PipelineConfig) -> TopicFit:
     external: EmbeddingSet | None = None
     if config.embeddings_path:
         # Read once for the fit and the alters' labels, so both sides' ids are checked.
-        ego_emb = external = load_embeddings(
+        external = load_embeddings(
             config.embeddings_path, ids=[p.id for p in ego_posts + alter_posts])
+        ego_emb = EmbeddingSet(ego_ids, external.rows[[external.index[i] for i in ego_ids]])
     else:
         dim = min(config.embed_dim, tfidf.dim)
         projector = FallbackProjector.fit(A, dim, seed=config.seed)
         ego_emb = projector.transform(A, ego_ids)
 
-    # Every ego id has a vector (the file was checked for them); a zero one
-    # cannot be clustered.
-    cluster_rows = np.flatnonzero(ego_emb.nonzero(ego_ids))
-    cluster_ids = [ego_ids[i] for i in cluster_rows.tolist()]
-    n_unfeaturized = len(ego_ids) - len(cluster_ids)
+    # Row i of ego_emb is ego doc i, as row i of A is; a zero row cannot be clustered.
+    cluster_rows = np.flatnonzero(ego_emb.rows.any(axis=1))
+    n_unfeaturized = len(ego_ids) - len(cluster_rows)
     if n_unfeaturized:
         logger.info("%d ego posts have empty feature vectors; excluded from topics",
                     n_unfeaturized)
-    if len(cluster_ids) < 3:
+    if len(cluster_rows) < 3:
         raise ValueError("too few featurizable ego posts to cluster")
 
-    dm = cosine_distance_matrix(ego_emb, cluster_ids)
+    dm = cosine_distance_matrix(ego_emb, cluster_rows)
     # A fixed k is a search over the one k.
     if config.k is not None:
         k_min = k_max = config.k
@@ -261,8 +259,8 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
                     ) -> dict[str, int]:
     """Label posts with a saved bundle, rebuilding features the same way.
 
-    When `emb` is None the bundle must carry the fallback projector; a post
-    with no vector in `emb`, or a zero one, is left unlabeled.
+    When `emb` is None the bundle must carry the fallback projector, whose rows
+    are labeled by position; a post with no row in `emb`, or a zero one, is left unlabeled.
     """
     docs = build_token_docs(posts, pipeline=bundle.phrases)
     ids = docs.post_ids
@@ -272,5 +270,7 @@ def classify_corpus(bundle: ModelBundle, posts, emb: EmbeddingSet | None = None
                 "bundle has no fallback projector; supply an embedding file"
             )
         emb = bundle.projector.transform(tfidf_matrix(bundle.tfidf, docs), ids)
-    featurized = list(compress(ids, emb.nonzero(ids)))
-    return clf_mod.predict(bundle.classifier, emb, ids=featurized)
+        at = np.arange(len(ids))
+    else:
+        at = np.array([emb.index[i] for i in ids if i in emb.index], dtype=np.intp)
+    return clf_mod.predict(bundle.classifier, emb, at[emb.rows.any(axis=1)[at]])

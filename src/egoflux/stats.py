@@ -648,7 +648,7 @@ class CausalityMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalityMatrix":
-        """Inverse of to_dict; a matrix of another schema is refused by its version."""
+        """Inverse of to_dict; refuses another schema version, and pairs off the grid."""
         if d.get("schema_version") != MATRIX_SCHEMA_VERSION:
             raise ValueError(
                 f"matrix schema {d.get('schema_version')} != {MATRIX_SCHEMA_VERSION}")
@@ -671,6 +671,7 @@ class CausalityMatrix:
             )
             for pd in d["pairs"]
         ]
+        _check_pair_grid(d["alters"], d["n_topics"], pairs)
         return cls(
             ego=d["ego"],
             alters=list(d["alters"]),
@@ -685,6 +686,23 @@ class CausalityMatrix:
     def to_json(self) -> str:
         """One line of JSON, sorted keys (no indent, so the C encoder writes it)."""
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _check_pair_grid(alters: list[str], n_topics: int, pairs: list[PairOutcome]) -> None:
+    """Refuse pairs that are not alters x 0..n_topics-1, each once, naming the first bad pair."""
+    grid = [(alter, topic) for alter in alters for topic in range(n_topics)]
+    allowed, seen = set(grid), set()
+    if len(allowed) < len(grid):
+        raise ValueError(f"alters {alters} repeat a handle")
+    for pair in ((p.alter, p.topic) for p in pairs):
+        if type(pair[1]) is not int or pair not in allowed:  # type(): a JSON 1.0 is no index
+            raise ValueError(f"pair {pair} is not an alter of {alters} and a topic "
+                             f"in 0..{n_topics - 1}")
+        if pair in seen:
+            raise ValueError(f"pair {pair} appears twice")
+        seen.add(pair)
+    if len(seen) < len(grid):
+        raise ValueError(f"pair {next(pair for pair in grid if pair not in seen)} is missing")
 
 
 def _scan_group(outcomes: list[PairOutcome], xs: np.ndarray, y: np.ndarray, max_lag: int) -> None:

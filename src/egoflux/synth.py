@@ -133,7 +133,16 @@ class SynthSpec:
 
     @classmethod
     def load_json(cls, path) -> "SynthSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a spec file; one that is not a spec object is a ValueError naming the file."""
+        try:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(d, dict):
+                raise TypeError("spec is not a JSON object")
+            return cls.from_dict(d)
+        except KeyError as exc:
+            raise ValueError(f"{path}: spec has no key {exc}") from None
+        except (TypeError, AttributeError, ValueError) as exc:  # AttributeError: a non-str handle
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

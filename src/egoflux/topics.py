@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import TfidfModel
+from .features import EmbeddingSet, TfidfModel
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +43,15 @@ class DistanceMatrix:
         return len(self.ids)
 
 
-def cosine_distance_matrix(emb, ids: Sequence[str]) -> DistanceMatrix:
-    """Pairwise 1 - cos(v_i, v_j) over the given ids (order preserved).
+def cosine_distance_matrix(emb: EmbeddingSet, positions: Sequence[int]) -> DistanceMatrix:
+    """Pairwise 1 - cos(v_i, v_j) over the rows of `emb` at `positions`, in that order.
 
     A row whose norm underflows to 0 or overflows to inf is first divided by
     its largest |component|, which leaves its direction; every other row is
     normalised as it is.  An all-zero row has no direction and is refused.
     """
-    rows = np.stack([emb.vectors[i] for i in ids])
+    ids = tuple(emb.ids[i] for i in positions)
+    rows = emb.rows[np.asarray(positions, dtype=np.intp)]  # a copy, which the rescaling writes
     with np.errstate(over="ignore"):  # an inf norm is rescaled below
         norms = np.linalg.norm(rows, axis=1)
     bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
@@ -69,7 +70,7 @@ def cosine_distance_matrix(emb, ids: Sequence[str]) -> DistanceMatrix:
     np.subtract(1.0, d, out=d)
     np.clip(d, 0.0, 2.0, out=d)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(ids=tuple(ids), d=d)
+    return DistanceMatrix(ids=ids, d=d)
 
 
 @dataclass(frozen=True)

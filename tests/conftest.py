@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from egoflux.corpus import Corpus, Post
+from egoflux.features import EmbeddingSet
 from egoflux.pipeline import PipelineConfig, run_pipeline
 from egoflux.stats import CORRECTION_BH
 
@@ -22,6 +23,12 @@ FIXTURE_WINDOW = (datetime(2021, 1, 4, tzinfo=timezone.utc),
 FIXTURE_CONFIG = PipelineConfig(ego="ego", k_min=2, k_max=4, embed_dim=16,
                                 seed=42, max_lag=4, alpha=0.01,
                                 correction=CORRECTION_BH)
+
+
+def embedding_set(vectors) -> EmbeddingSet:
+    """The EmbeddingSet of a {post id: vector} mapping, rows in its order."""
+    return EmbeddingSet(ids=list(vectors),
+                        rows=np.stack([np.asarray(v, dtype=float) for v in vectors.values()]))
 
 
 def written_keys(node, maps=("silhouette_by_k",)):

@@ -34,7 +34,7 @@ from egoflux.synth import AlterSpec, Coupling, SynthSpec, generate_series, score
 from egoflux.textpipe import TokenDoc
 from egoflux.topics import cosine_distance_matrix, kmedoids
 
-from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW, embedding_set
 
 
 @pytest.fixture()
@@ -230,9 +230,8 @@ def test_05_pam_optimality(announce):
         k = int(rng.integers(2, min(3, n - 1) + 1))
         vecs = rng.standard_normal((n, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        emb = EmbeddingSet(vectors={f"p{j}": vecs[j] for j in range(n)},
-                           dim=3)
-        dm = cosine_distance_matrix(emb, [f"p{j}" for j in range(n)])
+        emb = EmbeddingSet(ids=[f"p{j}" for j in range(n)], rows=vecs)
+        dm = cosine_distance_matrix(emb, range(n))
         clustering = kmedoids(dm, k, seed=int(rng.integers(1 << 30)))
         if abs(clustering.total_cost - brute_force(dm.d, k)) > 1e-9:
             failures += 1
@@ -272,7 +271,7 @@ def _blobs(data_seed: int, centers, per_class: int = 50, spread: float = 0.15):
             vectors[pid] = np.asarray(center) + spread * rng.standard_normal(
                 len(center))
             labels[pid] = cls
-    emb = EmbeddingSet(vectors=vectors, dim=len(centers[0]))
+    emb = embedding_set(vectors)
     return emb, labels
 
 

@@ -17,6 +17,7 @@ from egoflux.bundle import (
     ModelBundle,
 )
 from egoflux.classifier import LinearClassifier
+from egoflux.cli import main
 from egoflux.features import fit_tfidf
 from egoflux.textpipe import TokenDoc, fit_phrase_pipeline
 from egoflux.topics import TopicSummary
@@ -173,6 +174,32 @@ class TestMalformedParts:
         (out / name).write_text(json.dumps({**written, key: value}), encoding="utf-8")
         with pytest.raises(ValueError, match=r"bundle: malformed entry: "):
             ModelBundle.load(out)
+
+
+    @pytest.mark.parametrize("name", [MANIFEST_JSON, PHRASES_JSON, TFIDF_JSON, TOPICS_JSON,
+                                      PROJECTOR_JSON, CLASSIFIER_JSON])
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "not a JSON object"),
+        ('"x"', "not a JSON object"),
+        ("null", "not a JSON object"),
+        ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2"),
+    ])
+    def test_part_not_an_object_named(self, pipeline_result, tmp_path, name, text, message):
+        out = pipeline_result.bundle.save(tmp_path / "bundle")
+        (out / name).write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{out / name}: {message}")):
+            ModelBundle.load(out)
+
+    def test_classify_with_a_list_manifest_exits_one(self, pipeline_result, tmp_path, caplog):
+        out = pipeline_result.bundle.save(tmp_path / "bundle")
+        (out / MANIFEST_JSON).write_text("[1]", encoding="utf-8")
+        corpus = tmp_path / "posts.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        code = main(["classify", str(corpus), "--model", str(out),
+                     "--out", str(tmp_path / "labels.csv")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{out / MANIFEST_JSON}: not a JSON object"]
 
 
 class TestEveryWrittenKeyIsRead:

@@ -22,7 +22,7 @@ from egoflux.corpus import load_corpus
 from egoflux.features import EmbeddingSet
 from egoflux.pipeline import run_pipeline
 
-from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW, embedding_set
 
 
 def blob_data(rng, centers, per_class=30, spread=0.15):
@@ -33,8 +33,7 @@ def blob_data(rng, centers, per_class=30, spread=0.15):
             pid = f"c{c}_{i}"
             vectors[pid] = rng.normal(center, spread, size=dim)
             labels[pid] = c
-    emb = EmbeddingSet(dim=dim, vectors=vectors)
-    return emb, labels
+    return embedding_set(vectors), labels
 
 
 class TestEvaluate:
@@ -90,7 +89,7 @@ class TestTrain:
         emb, labels = blob_data(rng, [[0, 0, 3], [3, 0, 0], [0, 3, 0]])
         clf, report = train(emb, labels)
         assert report.weighted_f1 >= 0.99
-        pred = predict(clf, emb, ids=sorted(labels))
+        pred = predict(clf, emb, [emb.index[i] for i in sorted(labels)])
         full = evaluate(pred, labels)
         assert full.weighted_f1 >= 0.99
 
@@ -113,7 +112,7 @@ class TestTrain:
         rng = np.random.default_rng(15)
         emb, labels = blob_data(rng, [[0, 2], [2, 0]], per_class=6)
         labels["solo"] = 2
-        emb.vectors["solo"] = np.array([5.0, 5.0])
+        emb = embedding_set({**emb.vectors, "solo": [5.0, 5.0]})
         with pytest.raises(ValueError, match="single member"):
             train(emb, labels)
 
@@ -149,27 +148,25 @@ class TestPredict:
 
     def test_argmax(self):
         clf = self._fixed_clf([[1, 0], [0, 1]], [0, 0])
-        emb = EmbeddingSet(dim=2, vectors={"p": np.array([0.2, 0.9])})
-        assert predict(clf, emb)["p"] == 1
+        emb = embedding_set({"p": [0.2, 0.9]})
+        assert predict(clf, emb, [0])["p"] == 1
 
     def test_exact_tie_lowest_class(self):
         clf = self._fixed_clf([[1, 0], [1, 0], [0, 1]], [0, 0, 0])
-        emb = EmbeddingSet(dim=2, vectors={"p": np.array([1.0, 0.0])})
-        assert predict(clf, emb)["p"] == 0
+        emb = embedding_set({"p": [1.0, 0.0]})
+        assert predict(clf, emb, [0])["p"] == 0
 
     def test_dim_mismatch_rejected(self):
         clf = self._fixed_clf([[1, 0], [0, 1]], [0, 0])
-        emb = EmbeddingSet(dim=3, vectors={"p": np.zeros(3)})
+        emb = embedding_set({"p": np.zeros(3)})
         with pytest.raises(ValueError):
-            predict(clf, emb)
+            predict(clf, emb, [0])
 
-    def test_default_ids_sorted(self):
+    def test_labels_follow_positions(self):
         clf = self._fixed_clf([[1, 0], [0, 1]], [0, 0])
-        emb = EmbeddingSet(
-            dim=2,
-            vectors={"z": np.array([1.0, 0.0]), "a": np.array([0.0, 1.0])},
-        )
-        assert list(predict(clf, emb)) == ["a", "z"]
+        emb = embedding_set({"z": [1.0, 0.0], "a": [0.0, 1.0]})
+        assert list(predict(clf, emb, [1, 0])) == ["a", "z"]
+        assert predict(clf, emb, [0, 1]) == {"z": 0, "a": 1}
 
 
 class TestSerialization:
@@ -181,7 +178,8 @@ class TestSerialization:
         np.testing.assert_allclose(again.weights, clf.weights)
         np.testing.assert_allclose(again.biases, clf.biases)
         assert again.classes == clf.classes
-        assert predict(again, emb) == predict(clf, emb)
+        every = range(len(emb.ids))
+        assert predict(again, emb, every) == predict(clf, emb, every)
 
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -194,14 +192,15 @@ class TestSerialization:
 
 def reference_train(emb, labels, seed):
     """The per-sample Pegasos loop (200 epochs, shuffled order) that full-batch
-    training replaced, kept as the reference.  Returns (clf, train_ids, val_ids)."""
+    training replaced, kept as the reference with its per-id stacked rows.
+    Returns (clf, train_ids, val_ids)."""
     ids_by_class = {}
     for pid in sorted(labels):
         ids_by_class.setdefault(labels[pid], []).append(pid)
     rng = np.random.default_rng(seed)
     train_ids, val_ids = _stratified_split(ids_by_class, VAL_FRACTION, rng)
     classes = sorted(ids_by_class)
-    X = emb.matrix(train_ids)
+    X = np.stack([emb.vectors[pid] for pid in train_ids])
     n_train, dim = X.shape
     y = np.array([labels[pid] for pid in train_ids])
     Y = np.where(y[:, None] == np.array(classes)[None, :], 1.0, -1.0)
@@ -232,7 +231,7 @@ def reference_predict(clf, emb, ids):
 
 def pegasos_objective(clf, emb, labels, train_ids):
     """Per-class lam/2 |w_c|^2 + mean hinge loss on the training set."""
-    X = emb.matrix(train_ids)
+    X = np.stack([emb.vectors[pid] for pid in train_ids])
     y = np.array([labels[pid] for pid in train_ids])
     Y = np.where(y[:, None] == np.array(clf.classes)[None, :], 1.0, -1.0)
     lam = 1.0 / (C * len(train_ids))
@@ -253,9 +252,9 @@ def fixture_case():
         train_calls.append((emb, dict(labels), seed))
         return real_train(emb, labels, seed=seed)
 
-    def recording_predict(clf, emb, ids=None):
-        predict_calls.append((emb, list(ids)))
-        return real_predict(clf, emb, ids=ids)
+    def recording_predict(clf, emb, positions):
+        predict_calls.append((emb, [emb.ids[i] for i in np.asarray(positions).tolist()]))
+        return real_predict(clf, emb, positions)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clf_mod, "train", recording_train)
@@ -300,21 +299,22 @@ class TestBlockPredict:
         rng = np.random.default_rng(21)
         clf = LinearClassifier(weights=rng.normal(size=(3, 8)), biases=rng.normal(size=3),
                                classes=[2, 5, 7])
-        emb = EmbeddingSet(dim=8,
-                           vectors={f"p{i:05d}": rng.normal(size=8) for i in range(self.N)})
+        emb = embedding_set({f"p{i:05d}": rng.normal(size=8) for i in range(self.N)})
         return clf, emb
 
-    def test_matrix_called_per_block(self, monkeypatch):
+    def test_matrix_called_per_block(self):
         clf, emb = self._random_case()
         sizes = []
-        real_matrix = EmbeddingSet.matrix
 
-        def recording_matrix(self, ids):
-            sizes.append(len(ids))
-            return real_matrix(self, ids)
+        class RecordingRows(np.ndarray):
+            """Rows that record the length of every block read from them."""
 
-        monkeypatch.setattr(EmbeddingSet, "matrix", recording_matrix)
-        predict(clf, emb)
+            def __getitem__(self, key):
+                sizes.append(len(key))
+                return np.asarray(super().__getitem__(key))
+
+        predict(clf, EmbeddingSet(ids=emb.ids, rows=emb.rows.view(RecordingRows)),
+                range(self.N))
         assert len(sizes) == math.ceil(self.N / PREDICT_BLOCK)
         assert max(sizes) <= PREDICT_BLOCK
         assert sum(sizes) == self.N
@@ -322,11 +322,11 @@ class TestBlockPredict:
     def test_matches_per_post_argmax_across_blocks(self):
         clf, emb = self._random_case()
         ids = sorted(emb.vectors, reverse=True)
-        pred = predict(clf, emb, ids=ids)
+        pred = predict(clf, emb, [emb.index[i] for i in ids])
         assert list(pred) == ids
         assert pred == reference_predict(clf, emb, ids)
         assert set(pred.values()) == {2, 5, 7}
 
     def test_empty_ids(self):
         clf, emb = self._random_case()
-        assert predict(clf, emb, ids=[]) == {}
+        assert predict(clf, emb, []) == {}

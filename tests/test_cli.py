@@ -585,6 +585,23 @@ class TestSimulate:
         assert len(errors) == 1 and "'Alt_A' is not canonical" in errors[0]
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ([1], "spec is not a JSON object"),
+        ({"n_topics": 2, "seed": 9}, "spec has no key 'n_weeks'"),
+        ({"n_weeks": 30, "n_topics": 2, "seed": 9, "alters": [{"couplings": []}]},
+         "spec has no key 'handle'"),
+        ({"n_weeks": 30, "n_topics": 2, "seed": 9, "alters": ["a1"]},
+         "string indices must be integers, not 'str'"),
+    ], ids=["not_an_object", "no_n_weeks", "alter_without_handle", "alter_not_an_object"])
+    def test_unreadable_spec_named_and_exits_one(self, tmp_path, caplog, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{path}: {message}"]
+        assert not (tmp_path / "sim").exists()
+
     def test_missing_spec_exits_one(self, tmp_path):
         code = main(["simulate", "--spec", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "sim")])
@@ -741,6 +758,30 @@ class TestReport:
     def test_unreadable_input_named_and_exits_one(self, tmp_path, caplog, text, message):
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
+        code = main(["report", "--matrix", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{path}: {message}"]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda pairs: pairs.pop(), "pair ('a2', 1) is missing"),
+        (lambda pairs: pairs[0].update(alter="zz"),
+         "pair ('zz', 0) is not an alter of ['a1', 'a2'] and a topic in 0..1"),
+        (lambda pairs: pairs[1].update(topic=2),
+         "pair ('a1', 2) is not an alter of ['a1', 'a2'] and a topic in 0..1"),
+        (lambda pairs: pairs[1].update(topic=1.0),
+         "pair ('a1', 1.0) is not an alter of ['a1', 'a2'] and a topic in 0..1"),
+        (lambda pairs: pairs.append(dict(pairs[0])), "pair ('a1', 0) appears twice"),
+    ], ids=["missing_pair", "unknown_alter", "topic_out_of_range", "float_topic",
+            "repeated_pair"])
+    @pytest.mark.parametrize("name", ["matrix.json", "run_report.json"])
+    def test_pairs_off_the_alter_topic_grid_exit_one(self, tmp_path, caplog, edit, message,
+                                                     name):
+        data = json.loads((INDENTED / name).read_text(encoding="utf-8"))
+        edit((data["matrix"] if name == "run_report.json" else data)["pairs"])
+        path = tmp_path / name
+        path.write_text(json.dumps(data), encoding="utf-8")
         code = main(["report", "--matrix", str(path), "--out", str(tmp_path / "r")])
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

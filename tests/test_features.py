@@ -22,7 +22,7 @@ from egoflux.features import (
 )
 from egoflux.textpipe import TokenDoc, build_token_docs, fit_phrase_pipeline
 
-from conftest import FIXTURE_CORPUS_CSV
+from conftest import FIXTURE_CORPUS_CSV, embedding_set
 
 
 def docs_of(*token_lists):
@@ -168,10 +168,7 @@ class TestTransformTfidf:
 
 class TestEmbeddingIO:
     def _emb(self):
-        return EmbeddingSet(
-            dim=2,
-            vectors={"p1": np.array([1.0, 0.0]), "p2": np.array([0.5, 0.5])},
-        )
+        return embedding_set({"p1": [1.0, 0.0], "p2": [0.5, 0.5]})
 
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -310,7 +307,7 @@ class TestFallbackProjector:
         model = fit_tfidf(docs, min_df=1)
         emb = project(model, docs, dim=model.dim)
         dense = tfidf_matrix(model, docs).toarray()
-        low = emb.matrix([d.post_id for d in docs])
+        low = emb.rows  # row i is doc i
         for i in range(0, 40, 7):
             for j in range(1, 40, 11):
                 expected = float(dense[i] @ dense[j])
@@ -323,7 +320,7 @@ class TestFallbackProjector:
         model = fit_tfidf(docs, min_df=1)
         emb = project(model, docs, dim=10)
         dense = tfidf_matrix(model, docs).toarray()
-        low = emb.matrix([d.post_id for d in docs])
+        low = emb.rows
         full_cos, low_cos = [], []
         for i in range(60):
             for j in range(i + 1, 60):
@@ -377,6 +374,8 @@ class TestFallbackProjector:
         rows = np.asarray(A @ projector.components)
         norms = np.linalg.norm(rows, axis=1)
         rows[norms > 0] /= norms[norms > 0, None]
+        assert emb.rows.tobytes() == rows.tobytes()
+        assert list(emb.ids) == [d.post_id for d in docs]
         assert all(emb.vectors[d.post_id].tobytes() == rows[i].tobytes()
                    for i, d in enumerate(docs))
         assert not emb.vectors["empty"].any()
@@ -409,30 +408,30 @@ class TestFallbackProjector:
 
 class TestEmbeddingSet:
     def test_matrix_orders_rows_by_ids(self):
-        emb = EmbeddingSet(
-            dim=2,
-            vectors={"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])},
-        )
-        mat = emb.matrix(["b", "a"])
+        emb = embedding_set({"a": [1.0, 2.0], "b": [3.0, 4.0]})
+        mat = emb.rows[[emb.index[i] for i in ["b", "a"]]]
         np.testing.assert_allclose(mat, [[3.0, 4.0], [1.0, 2.0]])
 
-    def test_nonzero_matches_a_per_id_test_across_blocks(self):
-        rng = np.random.default_rng(5)
-        ids = [f"p{i}" for i in range(2 * NORM_BLOCK + 300)]
-        vectors = {}
-        for post_id in ids:
-            draw = rng.random()
-            if draw < 0.1:
-                continue  # no vector
-            vec = rng.standard_normal(3)
-            if draw < 0.3:
-                vec[:] = 0.0
-            elif draw < 0.35:
-                vec[:2] = 0.0  # one nonzero component left
-            vectors[post_id] = vec
-        emb = EmbeddingSet(dim=3, vectors=vectors)
-        queried = ids[::-1] + ["absent", ids[7]]
-        expected = [i in vectors and bool(vectors[i].any()) for i in queried]
-        mask = emb.nonzero(queried)
-        assert mask.dtype == bool and mask.tolist() == expected
-        assert emb.nonzero([]).tolist() == []
+    def test_dim_is_the_row_width(self):
+        emb = EmbeddingSet(ids=["a", "b"], rows=np.zeros((2, 5)))
+        assert emb.dim == 5
+        assert EmbeddingSet(ids=[], rows=np.zeros((0, 3))).dim == 3
+
+    @pytest.mark.parametrize("rows", [np.zeros((3, 2)), np.zeros(2)])
+    def test_ids_and_rows_must_line_up(self, rows):
+        with pytest.raises(ValueError, match=r"2 ids for rows of shape"):
+            EmbeddingSet(ids=["a", "b"], rows=rows)
+
+    def test_lookups_by_id_are_built_on_first_use(self):
+        emb = EmbeddingSet(ids=["b", "a"], rows=np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert "index" not in vars(emb) and "vectors" not in vars(emb)
+        assert emb.index == {"b": 0, "a": 1}
+        assert emb.vectors["a"].tolist() == [0.0, 2.0]
+        assert np.shares_memory(emb.vectors["a"], emb.rows)
+        with pytest.raises(TypeError):
+            emb.vectors["c"] = np.zeros(2)
+
+    def test_repeated_id_refused_on_lookup(self):
+        emb = EmbeddingSet(ids=["a", "a"], rows=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not distinct"):
+            emb.index

@@ -9,11 +9,12 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from egoflux import classifier as clf_mod
 from egoflux import features, pipeline, stats, textpipe, topics
 from egoflux.bundle import TOPICS_JSON
 from egoflux.corpus import Corpus, Post, load_corpus
 from egoflux.errors import EmbeddingFormatError
-from egoflux.features import load_embeddings, save_embeddings, tfidf_matrix
+from egoflux.features import EmbeddingSet, load_embeddings, save_embeddings, tfidf_matrix
 from egoflux.pipeline import (
     PipelineConfig,
     classify_corpus,
@@ -25,7 +26,7 @@ from egoflux.stats import CORRECTION_BH
 from egoflux.textpipe import build_token_docs, english_stopwords
 from egoflux.topics import kmedoids, silhouette
 
-from conftest import FIXTURE_CORPUS_CSV, make_post, written_keys
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, make_post, written_keys
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +135,8 @@ class TestFitTopics:
         captured = []
         real_distances = pipeline.cosine_distance_matrix
 
-        def capture(emb, ids):
-            captured.append(real_distances(emb, ids))
+        def capture(emb, positions):
+            captured.append(real_distances(emb, positions))
             return captured[-1]
 
         monkeypatch.setattr(pipeline, "cosine_distance_matrix", capture)
@@ -321,6 +322,30 @@ class TestClassifyCorpus:
         assert classify_corpus(bundle, posts, emb=emb) == \
             classify_corpus(bundle, posts)
 
+    def test_external_posts_missing_or_zero_stay_unlabeled(self, pipeline_result,
+                                                          two_topic_corpus):
+        """With an embedding set, a post it has no row for, or a zero row, gets
+        no label; every other post gets the label of its own row, wherever
+        that row sits in the set."""
+        bundle, posts = pipeline_result.bundle, two_topic_corpus.posts
+        docs = build_token_docs(posts, pipeline=bundle.phrases)
+        projected = bundle.projector.transform(tfidf_matrix(bundle.tfidf, docs),
+                                               docs.post_ids)
+        rng = np.random.default_rng(5)
+        draw = rng.random(len(posts))
+        kept = rng.permutation(np.flatnonzero(draw >= 0.1))  # the rest have no row
+        rows = projected.rows[kept]
+        rows[draw[kept] < 0.3] = 0.0
+        emb = EmbeddingSet(ids=[docs.post_ids[i] for i in kept.tolist()], rows=rows)
+
+        labels = classify_corpus(bundle, posts, emb)
+        nonzero = {pid for pid, row in zip(emb.ids, rows) if row.any()}
+        assert 0 < len(nonzero) < len(kept) < len(posts)
+        projector_labels = classify_corpus(bundle, posts)
+        assert labels == {pid: projector_labels[pid] for pid in docs.post_ids
+                          if pid in nonzero}
+        assert list(labels) == [p.id for p in posts if p.id in nonzero]
+
     def test_bundle_without_projector_needs_embeddings(self, pipeline_result,
                                                        two_topic_corpus):
         bundle = dataclasses.replace(pipeline_result.bundle, projector=None)
@@ -428,3 +453,109 @@ class TestBundledFixtureCorpus:
         vocab = set(fixture_result.bundle.tfidf.vocabulary)
         assert vocab.isdisjoint(english_stopwords())
         assert len(vocab) > 0
+
+
+def stacked_distances(emb, ids):
+    """Cosine distances over rows stacked one id at a time, the form that
+    reading rows by position replaced, kept as the reference."""
+    rows = np.stack([emb.vectors[i] for i in ids])
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    d = unit @ unit.T
+    np.subtract(1.0, d, out=d)
+    np.clip(d, 0.0, 2.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def stacked_train(emb, labels, seed):
+    """Full-batch Pegasos over rows stacked one training id at a time."""
+    ids_by_class = {}
+    for pid in sorted(labels):
+        ids_by_class.setdefault(labels[pid], []).append(pid)
+    train_ids, _ = clf_mod._stratified_split(ids_by_class, clf_mod.VAL_FRACTION,
+                                             np.random.default_rng(seed))
+    classes = sorted(ids_by_class)
+    X = np.stack([emb.vectors[pid] for pid in train_ids])
+    y = np.array([labels[pid] for pid in train_ids])
+    Y = np.where(y[:, None] == np.array(classes)[None, :], 1.0, -1.0)
+    n_train = len(train_ids)
+    lam = 1.0 / (clf_mod.C * n_train)
+    W = np.zeros((len(classes), X.shape[1]))
+    b = np.zeros(len(classes))
+    for t in range(1, clf_mod.ITERATIONS + 1):
+        eta = 1.0 / (lam * t)
+        hit_y = Y * (Y * (X @ W.T + b) < 1.0)
+        W *= 1.0 - eta * lam
+        W += (eta / n_train) * (hit_y.T @ X)
+        b += (eta / n_train) * hit_y.sum(axis=0)
+    return W, b
+
+
+def stacked_predict(clf, emb):
+    """Labels of the ids with a nonzero vector, their rows stacked one id at a
+    time in blocks of PREDICT_BLOCK ids."""
+    featurized = [pid for pid in emb.ids if emb.vectors[pid].any()]
+    out = {}
+    for start in range(0, len(featurized), clf_mod.PREDICT_BLOCK):
+        block = featurized[start:start + clf_mod.PREDICT_BLOCK]
+        scores = np.stack([emb.vectors[pid] for pid in block]) @ clf.weights.T + clf.biases
+        out.update(zip(block, np.asarray(clf.classes)[np.argmax(scores, axis=1)].tolist()))
+    return out
+
+
+class TestRowsByPositionMatchPerIdStacking:
+    """The fixture run reads embedding rows by position; its ego distances,
+    classifier weights and alter labels are the bits of per-id stacking."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
+        seen = {"predict": []}
+        real_distances, real_train = pipeline.cosine_distance_matrix, clf_mod.train
+        real_predict = clf_mod.predict
+
+        def distances(emb, positions):
+            seen["distances"] = (emb, real_distances(emb, positions))
+            return seen["distances"][1]
+
+        def train(emb, labels, seed=clf_mod.DEFAULT_SEED):
+            seen["train"] = (emb, dict(labels), seed)
+            return real_train(emb, labels, seed)
+
+        def predict(clf, emb, positions):
+            seen["predict"].append(emb)
+            return real_predict(clf, emb, positions)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "cosine_distance_matrix", distances)
+            mp.setattr(clf_mod, "train", train)
+            mp.setattr(clf_mod, "predict", predict)
+            result = run_pipeline(corpus, FIXTURE_CONFIG)
+        alter_emb = seen["predict"][-1]
+        # Before any reference below reads the alter set by id.
+        seen["alter_lookups"] = [name for name in ("index", "vectors") if name in vars(alter_emb)]
+        return result, seen
+
+    def test_ego_distances(self, run):
+        _, seen = run
+        emb, dm = seen["distances"]
+        ids = [pid for pid in emb.ids if emb.vectors[pid].any()]
+        assert dm.ids == tuple(ids) and len(ids) > 500
+        assert dm.d.tobytes() == stacked_distances(emb, ids).tobytes()
+
+    def test_classifier_weights(self, run):
+        result, seen = run
+        W, b = stacked_train(*seen["train"])
+        assert result.bundle.classifier.weights.tobytes() == W.tobytes()
+        assert result.bundle.classifier.biases.tobytes() == b.tobytes()
+
+    def test_alter_labels(self, run):
+        result, seen = run
+        alter_labels = {pid: t for pid, t in result.labels.items()
+                        if pid not in result.fit.clustering.assignment}
+        assert len(alter_labels) > 1000
+        assert alter_labels == stacked_predict(result.bundle.classifier, seen["predict"][-1])
+
+    def test_alter_path_builds_no_lookup_by_id(self, run):
+        _, seen = run
+        assert seen["alter_lookups"] == []

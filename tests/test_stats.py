@@ -764,6 +764,12 @@ class TestCausalityScan:
         with pytest.raises(ValueError, match=f"matrix schema {version} != 3"):
             CausalityMatrix.from_dict(d)
 
+    def test_repeated_alter_rejected(self):
+        d = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4).to_dict()
+        d["alters"] = ["alt_x", "alt_x"]
+        with pytest.raises(ValueError, match=re.escape("alters ['alt_x', 'alt_x'] repeat")):
+            CausalityMatrix.from_dict(d)
+
     def test_every_written_key_is_read(self):
         matrix = causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat"],
                                 max_lag=3, correction=CORRECTION_BH)

@@ -29,14 +29,7 @@ from egoflux.topics import (
     _swap_descent,
 )
 
-from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW
-
-
-def emb_of(vectors):
-    return EmbeddingSet(
-        dim=len(next(iter(vectors.values()))),
-        vectors={k: np.asarray(v, dtype=float) for k, v in vectors.items()},
-    )
+from conftest import FIXTURE_CONFIG, FIXTURE_CORPUS_CSV, FIXTURE_WINDOW, embedding_set
 
 
 def dm_from_points(points):
@@ -60,8 +53,8 @@ def two_cloud_dm(rng, per_cloud=10):
 
 class TestCosineDistanceMatrix:
     def test_reference_angles(self):
-        emb = emb_of({"same1": [1, 0], "same2": [2, 0], "orth": [0, 1], "anti": [-1, 0]})
-        dm = cosine_distance_matrix(emb, ["same1", "same2", "orth", "anti"])
+        emb = embedding_set({"same1": [1, 0], "same2": [2, 0], "orth": [0, 1], "anti": [-1, 0]})
+        dm = cosine_distance_matrix(emb, range(4))
         i = {pid: j for j, pid in enumerate(dm.ids)}
         assert dm.d[i["same1"], i["same2"]] == pytest.approx(0.0, abs=1e-12)
         assert dm.d[i["same1"], i["orth"]] == pytest.approx(1.0, abs=1e-12)
@@ -69,57 +62,58 @@ class TestCosineDistanceMatrix:
 
     def test_symmetric_zero_diagonal_bounded(self):
         rng = np.random.default_rng(0)
-        emb = emb_of({f"p{i}": rng.normal(size=5) for i in range(12)})
-        dm = cosine_distance_matrix(emb, [f"p{i}" for i in range(12)])
+        emb = embedding_set({f"p{i}": rng.normal(size=5) for i in range(12)})
+        dm = cosine_distance_matrix(emb, range(12))
         np.testing.assert_allclose(dm.d, dm.d.T)
         np.testing.assert_allclose(np.diag(dm.d), 0.0)
         assert dm.d.min() >= 0.0 and dm.d.max() <= 2.0
 
     def test_zero_norm_error_names_id(self):
-        emb = emb_of({"ok": [1, 0], "empty": [0, 0]})
+        emb = embedding_set({"ok": [1, 0], "empty": [0, 0]})
         with pytest.raises(ValueError, match="empty"):
-            cosine_distance_matrix(emb, ["ok", "empty"])
-        # With several, the first in id order is named.
-        emb = emb_of({"ok": [1, 0], "z1": [0, 0], "z2": [0, 0]})
+            cosine_distance_matrix(emb, range(2))
+        # With several, the first in the order asked for is named.
+        emb = embedding_set({"ok": [1, 0], "z1": [0, 0], "z2": [0, 0]})
         with pytest.raises(ValueError, match="'z2'"):
-            cosine_distance_matrix(emb, ["ok", "z2", "z1"])
+            cosine_distance_matrix(emb, [0, 2, 1])
 
     def test_norm_overflow_keeps_direction(self):
-        emb = emb_of({"huge": [1e200, 1e200], "one": [1, 1], "orth": [1, -1]})
-        dm = cosine_distance_matrix(emb, ["huge", "one", "orth"])
+        emb = embedding_set({"huge": [1e200, 1e200], "one": [1, 1], "orth": [1, -1]})
+        dm = cosine_distance_matrix(emb, range(3))
         assert dm.d[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert dm.d[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_underflow_keeps_direction(self):
-        emb = emb_of({"tiny": [1e-200, 1e-200], "one": [1, 1], "anti": [-1, -1]})
-        dm = cosine_distance_matrix(emb, ["tiny", "one", "anti"])
+        emb = embedding_set({"tiny": [1e-200, 1e-200], "one": [1, 1], "anti": [-1, -1]})
+        dm = cosine_distance_matrix(emb, range(3))
         assert dm.d[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert dm.d[0, 2] == pytest.approx(2.0, abs=1e-12)
         # A row that is really all zeros is still refused, after a rescaled one.
-        emb = emb_of({"tiny": [1e-200, 1e-200], "huge": [1e200, 0], "empty": [0, 0]})
+        emb = embedding_set({"tiny": [1e-200, 1e-200], "huge": [1e200, 0], "empty": [0, 0]})
         with pytest.raises(ValueError, match="'empty'"):
-            cosine_distance_matrix(emb, ["tiny", "huge", "empty"])
+            cosine_distance_matrix(emb, range(3))
 
     def test_fixture_distances_bit_equal_to_averaged_formula(self, monkeypatch):
         """Without the (d + d.T)/2 step, not one bit of the fixture's distances moves."""
         captured = []
 
-        def capture(emb, ids):
-            captured.append((emb, ids))
-            return cosine_distance_matrix(emb, ids)
+        def capture(emb, positions):
+            captured.append((emb, positions))
+            return cosine_distance_matrix(emb, positions)
 
         corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
         monkeypatch.setattr(pipeline, "cosine_distance_matrix", capture)
         pipeline.fit_topics(corpus, dataclasses.replace(FIXTURE_CONFIG, k=3))
-        [(emb, ids)] = captured
+        [(emb, positions)] = captured
 
+        new = cosine_distance_matrix(emb, positions).d
+        ids = [emb.ids[i] for i in positions]
         rows = np.stack([emb.vectors[i] for i in ids])
         unit = rows / np.linalg.norm(rows, axis=1)[:, None]
         d = 1.0 - unit @ unit.T
         old = np.clip((d + d.T) / 2.0, 0.0, 2.0)
         np.fill_diagonal(old, 0.0)
 
-        new = cosine_distance_matrix(emb, ids).d
         assert new.shape == (len(ids), len(ids)) and len(ids) > 500
         assert new.tobytes() == old.tobytes()
         assert (new == new.T).all()
@@ -418,8 +412,8 @@ def fixture_ego_dm():
     """The ego distance matrix fit_topics clusters on the fixture corpus."""
     captured = []
 
-    def capture(emb, ids):
-        captured.append(cosine_distance_matrix(emb, ids))
+    def capture(emb, positions):
+        captured.append(cosine_distance_matrix(emb, positions))
         return captured[-1]
 
     corpus = load_corpus(FIXTURE_CORPUS_CSV, format="csv", window=FIXTURE_WINDOW).corpus
@@ -503,8 +497,8 @@ class TestSharedWork:
 def cosine_dm(seed, n, dim=8):
     rng = np.random.default_rng(seed)
     return cosine_distance_matrix(
-        emb_of({f"p{i}": v for i, v in enumerate(rng.normal(size=(n, dim)))}),
-        [f"p{i}" for i in range(n)])
+        EmbeddingSet(ids=[f"p{i}" for i in range(n)], rows=rng.normal(size=(n, dim))),
+        range(n))
 
 
 # Tiny n, n inside one block, and n whose last block would be one wide.
@@ -678,8 +672,8 @@ class TestSummarizeTopics:
             TokenDoc("d2", ["stone", "stone"]),
         ]
         model = fit_tfidf(docs, min_df=1)
-        emb = emb_of({"d0": [1, 0], "d1": [1, 0.1], "d2": [0, 1]})
-        dm = cosine_distance_matrix(emb, ["d0", "d1", "d2"])
+        emb = embedding_set({"d0": [1, 0], "d1": [1, 0.1], "d2": [0, 1]})
+        dm = cosine_distance_matrix(emb, range(3))
         clustering = manual_clustering(dm, [0, 0, 1], [0, 2])
         summaries = summarize_topics(clustering, model, tfidf_matrix(model, docs), top_n=10)
 
@@ -701,8 +695,8 @@ class TestSummarizeTopics:
     def test_scores_descending_and_top_n(self):
         docs = [TokenDoc(f"d{i}", ["a", "b", "c", "d", "e"][: i + 2]) for i in range(3)]
         model = fit_tfidf(docs, min_df=1)
-        emb = emb_of({f"d{i}": [1, i * 0.1] for i in range(3)})
-        dm = cosine_distance_matrix(emb, [f"d{i}" for i in range(3)])
+        emb = embedding_set({f"d{i}": [1, i * 0.1] for i in range(3)})
+        dm = cosine_distance_matrix(emb, range(3))
         clustering = manual_clustering(dm, [0, 0, 1], [0, 2])
         summaries = summarize_topics(clustering, model, tfidf_matrix(model, docs), top_n=2)
         for s in summaries:
