@@ -758,21 +758,29 @@ def causality_scan(
     (DEGEN), no stationary order within max_diff (NONSTAT), too few weeks
     (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Under
     the Benjamini-Hochberg correction the matrix derives each tested pair's
-    adjusted p.  Repeated alters are refused, and so are series whose topics
-    are not 0..n-1, since the matrix names topics by index, and series of
-    unequal length, since the matrix holds one `n_weeks`.
+    adjusted p.  Repeated alters are refused, and so are the ego listed as an
+    alter, an alter with no series at all (one missing only some topics is
+    SHORT there), series whose topics are not 0..n-1, since the matrix names
+    topics by index, and series of unequal length, since the matrix holds
+    one `n_weeks`.
     """
     check_scan_settings(max_lag, alpha, correction, max_diff)
     repeated = sorted(a for a, n in Counter(alters).items() if n > 1)
     if repeated:
         raise ValueError(f"alters repeated: {repeated}")
+    if ego in alters:
+        raise ValueError(f"ego account {ego!r} listed as an alter")
     # One ladder per series: the ego's ADF verdicts are shared by every alter.
     ladders = {(s.account, s.topic): _Ladder(s.counts, alpha) for s in series}
     topics = sorted({t for (_, t) in ladders})
     if topics != list(range(len(topics))):
         raise ValueError(f"series topics {topics} are not 0..{len(topics) - 1}")
-    if not any(acc == ego for (acc, _) in ladders):
+    accounts = {acc for (acc, _) in ladders}
+    if ego not in accounts:
         raise ValueError(f"ego account {ego!r} has no series")
+    missing = [alter for alter in alters if alter not in accounts]
+    if missing:
+        raise ValueError(f"alters with no series: {missing}")
     lengths = sorted({len(s.counts) for s in series})
     if len(lengths) > 1:
         raise ValueError(f"series of unequal length: {lengths} weeks")

@@ -423,6 +423,15 @@ class TestCausality:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["alters repeated: ['alt_a']"]
 
+    def test_ego_among_alters_exits_one(self, series_csv, tmp_path, caplog):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(series_csv), "--ego", "ego",
+                     "--alters", "alt_a,EGO", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["ego account 'ego' listed as an alter"]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
         ("--alpha", "-0.1", "alpha must be in (0, 1), got -0.1"),

@@ -1,10 +1,13 @@
 """Weekly binning: Monday alignment, conservation, CSV interchange."""
 
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from egoflux import series as series_module
+from egoflux.cli import main
 from egoflux.corpus import Post
 from egoflux.series import (
     TopicSeries,
@@ -351,3 +354,122 @@ class TestBinPostsMatchesPerPost:
                                  accounts=accounts)
             assert got == want
         assert isinstance(self._outcome(bin_posts, posts, labels, idx, 3), str)
+
+
+HEADER = b"week_start,account,topic,count\n"
+
+
+def _fields(series):
+    return [(s.account, s.topic, s.counts.tolist(), s.counts.dtype, s.week_index)
+            for s in series]
+
+
+def _read_outcome(read, path):
+    """Every field of the series `read` returns, or its exception type and text."""
+    try:
+        return _fields(read(path))
+    except ValueError as exc:  # UnicodeDecodeError included
+        return type(exc), str(exc)
+
+
+class TestSeriesCsvRowLoopFallback:
+    """Files the chunked reader leaves to the csv row loop, and get its exact outcome."""
+
+    CASES = {
+        "quote": HEADER + b'2020-01-06,"ego",0,3\n2020-01-13,ego,0,1\n',
+        "carriage_return": HEADER.replace(b"\n", b"\r\n") + b"2020-01-06,ego,0,3\r\n",
+        "nul_byte": HEADER + b"2020-01-06,e\0go,0,3\n",
+        "blank_line": HEADER + b"2020-01-06,ego,0,3\n\n2020-01-13,ego,0,1\n",
+        "extra_cell": HEADER + b"2020-01-06,ego,0,3\n2020-01-13,ego,0,1,x\n",
+        "short_row": HEADER + b"2020-01-06,ego,0,3\n2020-01-13,ego\n",
+        "long_cell": HEADER + b"2020-01-06," + b"a" * (series_module._CELL_BYTES + 1)
+                     + b",0,3\n",
+        "long_extra_cell": b"week_start,account,topic,count,note\n2020-01-06,ego,0,3,"
+                           + b"n" * 200 + b"\n",
+        "plus_sign": HEADER + b"2020-01-06,ego,0,+5\n",
+        "minus_sign": HEADER + b"2020-01-06,ego,0,-1\n",
+        "space_before_int": HEADER + b"2020-01-06,ego, 5,3\n",
+        "arabic_indic_digit": HEADER + "2020-01-06,ego,0,\u0665\n".encode("utf-8"),
+        "empty_int": HEADER + b"2020-01-06,ego,0,\n",
+        "nineteen_digits": HEADER + b"2020-01-06,ego,0,0000000000000000017\n",
+        "nineteen_digit_topic": HEADER + b"2020-01-06,ego,1000000000000000000,1\n",
+        "count_above_int64": HEADER + b"2020-01-06,ego,0,9223372036854775808\n",
+        "not_utf8_account": HEADER + b"2020-01-06,\xffego,0,3\n",
+        "not_utf8_extra_cell": b"week_start,account,topic,count,note\n"
+                               b"2020-01-06,ego,0,3,\xe9\n",
+        "bad_date": HEADER + b"2020-01-06,ego,0,3\n13/01/2020,ego,0,1\n",
+        "empty_account": HEADER + b"2020-01-06,ego,0,3\n2020-01-13, @ ,0,1\n",
+        "repeated_row": HEADER + b"2020-01-06,ego,0,3\n2020-01-13,ego,0,1\n"
+                        b"2020-01-06,@EGO,0,5\n",
+        "off_grid_week": HEADER + b"2020-01-06,ego,0,3\n2020-01-08,ego,0,7\n",
+        "header_only": HEADER,
+        "empty_file": b"",
+        "no_final_newline": HEADER + b"2020-01-06,ego,0,3\n2020-01-13,ego,0,1",
+        "missing_column": b"week_start,account,count\n2020-01-06,ego,3\n",
+        "byte_order_mark": b"\xef\xbb\xbf" + HEADER + b"2020-01-06,ego,0,3\n",
+    }
+
+    @pytest.mark.parametrize("chunk_bytes", [7, 1 << 18])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_row_loop_outcome(self, tmp_path, monkeypatch, case, chunk_bytes):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(self.CASES[case])
+        monkeypatch.setattr(series_module, "_CHUNK_BYTES", chunk_bytes)
+        assert series_module._read_series_chunks(path) is None
+        got = _read_outcome(read_series_csv, path)
+        assert got == _read_outcome(series_module._read_series_rows, path)
+
+
+class TestSeriesCsvChunksMatchRowLoop:
+    """Random files the chunked reader takes, read with chunks far smaller than a row."""
+
+    SPELLINGS = {"alt": ["alt", "@Alt", " ALT ", "@alt"], "ego": ["ego", "EGO"],
+                 "zed_9": ["zed_9", "@Zed_9"], "b": ["b"]}
+
+    def _random_file(self, rng, path):
+        epoch = date(2019, 12, 30) + timedelta(days=int(rng.integers(0, 3)))
+        n_weeks = int(rng.integers(1, 12))
+        rows = []
+        for account in rng.permutation(sorted(self.SPELLINGS))[:int(rng.integers(1, 5))]:
+            for topic in rng.choice([0, 1, 2, 7, 31], size=int(rng.integers(1, 4)),
+                                    replace=False).tolist():
+                weeks = np.flatnonzero(rng.random(n_weeks) < 0.7).tolist() or [0]
+                for week in weeks:
+                    spelling = rng.choice(self.SPELLINGS[account])
+                    count = str(int(rng.integers(0, 40))).zfill(int(rng.integers(1, 4)))
+                    rows.append({"week_start": (epoch + timedelta(weeks=week)).isoformat(),
+                                 "account": spelling, "topic": str(topic), "count": count,
+                                 "note": "x" * int(rng.integers(0, 3))})
+        columns = list(rng.permutation(["week_start", "account", "topic", "count", "note"]))
+        if rng.random() < 0.5:
+            columns.remove("note")
+        lines = [",".join(columns)]
+        lines += [",".join(rows[i][c] for c in columns) for i in rng.permutation(len(rows))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64, 1 << 20])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_valid_file(self, tmp_path, monkeypatch, seed, chunk_bytes):
+        path = tmp_path / "rows.csv"
+        self._random_file(np.random.default_rng(seed), path)
+        monkeypatch.setattr(series_module, "_CHUNK_BYTES", chunk_bytes)
+        got = series_module._read_series_chunks(path)
+        assert got is not None
+        assert _fields(got) == _read_outcome(series_module._read_series_rows, path)
+
+    def test_written_files_never_enter_row_loop(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"n_weeks": 40, "n_topics": 3, "seed": 5, "rho": 0.3, "noise_sd": 1.0, '
+            '"offset": 10.0, "ego": "ego", "start": "2017-01-02", '
+            '"alters": [{"handle": "a1", "couplings": []}]}', encoding="utf-8")
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "sim")]) == 0
+        paths = [Path(__file__).parent / "data" / "indented_json" / "series.csv",
+                 tmp_path / "sim" / "series.csv"]
+        want = [_read_outcome(series_module._read_series_rows, p) for p in paths]
+
+        def row_loop(path):
+            raise AssertionError(f"{path} read by the row loop")
+
+        monkeypatch.setattr(series_module, "_read_series_rows", row_loop)
+        assert [_fields(read_series_csv(p)) for p in paths] == want

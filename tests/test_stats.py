@@ -690,6 +690,14 @@ class TestCausalityScan:
         with pytest.raises(ValueError):
             causality_scan(_scan_series(), "nobody", ["alt_x"])
 
+    def test_alter_without_series_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"alters with no series: \['ghost', 'nobody'\]"):
+            causality_scan(_scan_series(), "ego", ["alt_x", "ghost", "nobody"])
+
+    def test_ego_listed_as_alter_rejected(self):
+        with pytest.raises(ValueError, match=r"ego account 'ego' listed as an alter"):
+            causality_scan(_scan_series(), "ego", ["alt_x", "ego"])
+
     def test_repeated_alters_rejected_by_name(self):
         with pytest.raises(ValueError, match=r"alters repeated: \['alt_flat', 'alt_x'\]"):
             causality_scan(_scan_series(), "ego", ["alt_x", "alt_flat", "alt_x", "alt_flat"])
