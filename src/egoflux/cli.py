@@ -177,18 +177,14 @@ def _cmd_series(args) -> int:
 
 def _cmd_causality(args) -> int:
     series = read_series_csv(args.series)
-    accounts = {s.account for s in series}
     ego = canonical_handle(args.ego)
-    if ego not in accounts:
-        raise EgofluxError(f"series file has no account {ego!r}")
+    # causality_scan refuses an ego or alter with no series, naming it.
     if args.alters:
-        names = args.alters.split(",")
-        unknown = [n for n in names if canonical_handle(n) not in accounts]
-        if unknown:
-            raise EgofluxError(f"series file has no account for --alters {unknown}")
-        alters = [canonical_handle(n) for n in names]
+        alters = [canonical_handle(name) for name in args.alters.split(",")]
+        if None in alters:
+            raise EgofluxError(f"--alters {args.alters!r} has an empty name")
     else:
-        alters = sorted(accounts - {ego})
+        alters = sorted({s.account for s in series} - {ego})
     correction = CORRECTION_BH if args.bh else CORRECTION_NONE
     matrix = causality_scan(series, ego, alters, max_lag=args.max_lag,
                             alpha=args.alpha, correction=correction,

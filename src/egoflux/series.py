@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from itertools import repeat
@@ -20,6 +21,7 @@ _CELL_BYTES = 64  # a longer cell sends the file to the row loop
 _INT_DIGITS = 18  # the most topic or count digits the chunked reader parses: 18 fit int64
 _COMMA, _NEWLINE = ord(","), ord("\n")
 _ROW_LOOP_BYTES = b'"\r\0'  # quotes and CR follow csv.reader's rules; NUL pads cell keys
+_INT_CELL = re.compile(r"-?[0-9]+")  # a topic or count cell: ASCII digits, no '+' or space
 
 
 def _utc_date(ts: datetime) -> date:
@@ -152,11 +154,11 @@ def read_series_csv(path) -> list[TopicSeries]:
 
     Accounts pass through `canonical_handle`, as every other handle does.
     Raises ValueError naming the CSV line of a short row, a cell that does not
-    parse (week_start as an ISO date, topic and count as integers), an empty
-    account, a repeated (account, topic, week_start) row (after
-    canonicalising the account), a negative count, a count above the int64
-    range, or a week_start that is not a whole number of weeks after the
-    earliest one.
+    parse (week_start as an ISO date, topic and count as ASCII `-?[0-9]+`), an
+    empty account or one holding a NUL byte, a repeated (account, topic,
+    week_start) row (after canonicalising the account), a negative count, a
+    count above the int64 range, or a week_start that is not a whole number
+    of weeks after the earliest one.
 
     A file that `write_series_csv` could have written is parsed in byte
     chunks with NumPy: UTF-8 without quotes, carriage returns or NUL bytes,
@@ -194,12 +196,14 @@ def _read_series_rows(path) -> list[TopicSeries]:
             try:
                 if cell_week not in weeks:
                     weeks[cell_week] = date.fromisoformat(cell_week)
-                topic = int(row[i_topic])
-                count = int(row[i_count])
+                topic = _int_cell(row[i_topic])
+                count = _int_cell(row[i_count])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             week = weeks[cell_week]
             if cell_account not in accounts:
+                if "\0" in cell_account:
+                    raise ValueError(f"{path}:{lineno}: NUL byte in account {cell_account!r}")
                 accounts[cell_account] = canonical_handle(cell_account)
             account = accounts[cell_account]
             if account is None:
@@ -232,6 +236,13 @@ def _read_series_rows(path) -> list[TopicSeries]:
         counts[[slot[week] for week in by_week]] = list(by_week.values())
         out.append(TopicSeries(account=account, topic=topic, counts=counts, week_index=index))
     return out
+
+
+def _int_cell(cell: str) -> int:
+    """A topic or count cell as an int; the cell must match `_INT_CELL`."""
+    if not _INT_CELL.fullmatch(cell):
+        raise ValueError(f"invalid integer {cell!r}")
+    return int(cell)
 
 
 def _read_series_chunks(path) -> list[TopicSeries] | None:

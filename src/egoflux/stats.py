@@ -8,11 +8,13 @@ series for stationarity at most once per differencing order.
 
 Each statistic has one factorisation, and the scan computes them in stacks.
 An ADF lag search is one QR of its largest design: the candidate designs
-are nested, so every candidate's RSS is read off that one factor.  Before
-its pair loop the scan ADF-tests every series a pair needs at order 0 in
-stacked blocks of ADF_BLOCK series: one QR of the block's stacked search
-designs, then one stacked QR per distinct chosen lag for the refits;
-`adf_test` is the one-series call of the same function.  A Granger test
+are nested, so every candidate's RSS is read off that one factor.  The scan
+differences its pairs in one pass (`_diff_orders`): at each order
+0..max_diff it differences the series that undecided pairs still need and
+ADF-tests them in one call, in stacked blocks of ADF_BLOCK series (one QR
+of the block's stacked search designs, then one stacked QR per distinct
+chosen lag for the refits).  `adf_test` is the one-series call of the same
+test and `make_stationary_pair` the one-pair call of the pass.  A Granger test
 factors the ego's restricted design [1, y lags] once and tests every alter
 sharing it (same topic and differencing order) against that factor, by
 residualising their x-lag blocks on it (Frisch-Waugh-Lovell) and factoring
@@ -356,56 +358,39 @@ def difference(y) -> np.ndarray:
     return np.diff(y)
 
 
-class _Ladder:
-    """One series, its differences and its ADF verdict at each order, each computed once.
+def _diff_orders(levels: np.ndarray, pairs: list[tuple[int, int]], max_diff: int,
+                 alpha: float) -> list[int | Exception]:
+    """Each pair's joint differencing order, or the error that stops it.
 
-    A verdict is True/False for stationary or not at `alpha`, or the
-    DegenerateSeriesError / InsufficientDataError / SingularDesignError the
-    ADF stage raised, which is raised again on every later request for that
-    order.  A verdict is computed when first requested unless it was
-    recorded before, as the scan records every order-0 verdict.
+    `levels` holds one series per row, all of one length, and pairs[i] is the
+    (x row, y row) of pair i.  At each order 0..max_diff the rows that the
+    undecided pairs need are differenced that many times and ADF-tested in
+    one `_adf_batch` call, so each series is tested at most once per order.
+    A pair is decided at the first order where both rows pass, or where a
+    row's test raised: x's error wins over y's.  A pair that still fails at
+    max_diff gets NonStationarizableError.
     """
-
-    def __init__(self, y, alpha: float):
-        self._alpha = alpha
-        self._levels = [np.asarray(y, dtype=float)]
-        self._verdicts: dict[int, bool | Exception] = {}
-
-    def at(self, order: int) -> np.ndarray:
-        while len(self._levels) <= order:
-            self._levels.append(difference(self._levels[-1]))
-        return self._levels[order]
-
-    def record(self, order: int, outcome: AdfResult | Exception) -> None:
-        """Keep the verdict of an ADF outcome of the series at `order`."""
-        self._verdicts[order] = (
-            outcome.is_stationary if isinstance(outcome, AdfResult) else outcome)
-
-    def stationary(self, order: int) -> bool:
-        if order not in self._verdicts:
-            try:
-                self.record(order, adf_test(self.at(order), alpha=self._alpha))
-            except (DegenerateSeriesError, InsufficientDataError, SingularDesignError) as exc:
-                self.record(order, exc)
-        verdict = self._verdicts[order]
-        if isinstance(verdict, Exception):
-            raise verdict.with_traceback(None)
-        return verdict
-
-
-def _joint_diff_order(x: _Ladder, y: _Ladder, max_diff: int) -> int:
-    """Smallest differencing order at which both series pass the ADF test."""
-    order = 0
-    while True:
-        # x is tested first, so its ADF errors take precedence over y's.
-        x_ok = x.stationary(order)
-        if y.stationary(order) and x_ok:
-            return order
-        if order >= max_diff:
-            raise NonStationarizableError(
-                f"pair still non-stationary after {max_diff} differencing passes"
-            )
-        order += 1
+    decided: list[int | Exception | None] = [None] * len(pairs)
+    undecided = list(range(len(pairs)))
+    for order in range(max_diff + 1):
+        if not undecided:
+            break
+        rows = list(dict.fromkeys(row for i in undecided for row in pairs[i]))
+        tested = dict(zip(rows, _adf_batch(np.diff(levels[rows], n=order, axis=1), alpha=alpha)))
+        failing = []
+        for i in undecided:
+            x, y = (tested[row] for row in pairs[i])
+            if isinstance(x, Exception) or isinstance(y, Exception):
+                decided[i] = x if isinstance(x, Exception) else y
+            elif x.is_stationary and y.is_stationary:
+                decided[i] = order
+            else:
+                failing.append(i)
+        undecided = failing
+    for i in undecided:
+        decided[i] = NonStationarizableError(
+            f"pair still non-stationary after {max_diff} differencing passes")
+    return decided
 
 
 def make_stationary_pair(
@@ -420,13 +405,18 @@ def make_stationary_pair(
     NonStationarizableError when either series still fails at max_diff, and
     propagates DegenerateSeriesError / InsufficientDataError /
     SingularDesignError from the ADF stage (constant, too-short or
-    rank-deficient series, such as one lone spike).
+    rank-deficient series, such as one lone spike).  This is the one-pair
+    call of the scan's differencing pass (`_diff_orders`).
     """
-    xl, yl = _Ladder(x, alpha), _Ladder(y, alpha)
-    if len(xl.at(0)) != len(yl.at(0)):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) != len(y):
         raise ValueError("series must have equal length")
-    order = _joint_diff_order(xl, yl, max_diff)
-    return xl.at(order), yl.at(order), order
+    levels = np.stack([x, y])
+    (order,) = _diff_orders(levels, [(0, 1)], max_diff, alpha)
+    if isinstance(order, Exception):
+        raise order
+    x, y = np.diff(levels, n=order, axis=1)
+    return x, y, order
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +749,10 @@ def causality_scan(
     (SHORT), or a rank-deficient ADF or Granger design (SINGULAR).  Under
     the Benjamini-Hochberg correction the matrix derives each tested pair's
     adjusted p.  Repeated alters are refused, and so are the ego listed as an
-    alter, an alter with no series at all (one missing only some topics is
-    SHORT there), series whose topics are not 0..n-1, since the matrix names
-    topics by index, and series of unequal length, since the matrix holds
-    one `n_weeks`.
+    alter, the ego or an alter with no series at all (an alter missing only
+    some topics is SHORT there), series whose topics are not 0..n-1, since
+    the matrix names topics by index, and series of unequal length, since
+    the matrix holds one `n_weeks`.
     """
     check_scan_settings(max_lag, alpha, correction, max_diff)
     repeated = sorted(a for a, n in Counter(alters).items() if n > 1)
@@ -770,12 +760,11 @@ def causality_scan(
         raise ValueError(f"alters repeated: {repeated}")
     if ego in alters:
         raise ValueError(f"ego account {ego!r} listed as an alter")
-    # One ladder per series: the ego's ADF verdicts are shared by every alter.
-    ladders = {(s.account, s.topic): _Ladder(s.counts, alpha) for s in series}
-    topics = sorted({t for (_, t) in ladders})
+    counts = {(s.account, s.topic): s.counts for s in series}
+    topics = sorted({t for (_, t) in counts})
     if topics != list(range(len(topics))):
         raise ValueError(f"series topics {topics} are not 0..{len(topics) - 1}")
-    accounts = {acc for (acc, _) in ladders}
+    accounts = {acc for (acc, _) in counts}
     if ego not in accounts:
         raise ValueError(f"ego account {ego!r} has no series")
     missing = [alter for alter in alters if alter not in accounts]
@@ -786,46 +775,34 @@ def causality_scan(
         raise ValueError(f"series of unequal length: {lengths} weeks")
     n_weeks = lengths[0]
 
-    # Every series a pair needs is ADF-tested at order 0 here, in stacked
-    # blocks; the higher orders that few pairs reach are tested when asked.
-    needed = list(dict.fromkeys(
-        ladders[key]
-        for alter in alters for topic in topics
-        if (alter, topic) in ladders and (ego, topic) in ladders
-        for key in ((alter, topic), (ego, topic))
-    ))
-    if needed:
-        outcomes = _adf_batch(np.stack([ladder.at(0) for ladder in needed]), alpha=alpha)
-        for ladder, outcome in zip(needed, outcomes):
-            ladder.record(0, outcome)
+    # One row per series a pair needs: the ego's rows are shared by every alter.
+    keys = [((alter, topic), (ego, topic)) for alter in alters for topic in topics
+            if (alter, topic) in counts and (ego, topic) in counts]
+    row = {key: i for i, key in enumerate(dict.fromkeys(key for pair in keys for key in pair))}
+    levels = np.array([counts[key] for key in row], dtype=float)
+    orders = dict(zip(keys, _diff_orders(levels, [(row[x], row[y]) for x, y in keys],
+                                         max_diff, alpha)))
 
     pairs: list[PairOutcome] = []
     # Tested pairs by (topic, diff order): each group shares the ego's series.
-    groups: dict[tuple[int, int], list[tuple[PairOutcome, np.ndarray]]] = {}
+    groups: dict[tuple[int, int], list[PairOutcome]] = {}
     for alter in alters:
         for topic in topics:
             outcome = PairOutcome(alter=alter, topic=topic)
             pairs.append(outcome)
-            x = ladders.get((alter, topic))
-            y = ladders.get((ego, topic))
-            if x is None or y is None:
+            order = orders.get(((alter, topic), (ego, topic)))
+            if order is None:
                 outcome.skip_reason = SKIP_TOO_SHORT
-                continue
-            try:
-                diff_order = _joint_diff_order(x, y, max_diff)
-            except tuple(_ADF_SKIPS) as exc:
-                outcome.skip_reason = _ADF_SKIPS[type(exc)]
-                continue
-            outcome.diff_order = diff_order
-            groups.setdefault((topic, diff_order), []).append((outcome, x.at(diff_order)))
+            elif isinstance(order, Exception):
+                outcome.skip_reason = _ADF_SKIPS[type(order)]
+            else:
+                outcome.diff_order = order
+                groups.setdefault((topic, order), []).append(outcome)
 
-    for (topic, diff_order), members in groups.items():
-        _scan_group(
-            [outcome for outcome, _ in members],
-            np.stack([xs for _, xs in members]),
-            ladders[(ego, topic)].at(diff_order),
-            max_lag,
-        )
+    for (topic, order), members in groups.items():
+        xs = levels[[row[(outcome.alter, topic)] for outcome in members]]
+        _scan_group(members, np.diff(xs, n=order, axis=1),
+                    np.diff(levels[row[(ego, topic)]], n=order), max_lag)
 
     skip_count = sum(1 for p in pairs if p.skip_reason)
     if skip_count:

@@ -401,9 +401,11 @@ class TestCausality:
         assert matrix.alters == ["alt_a", "alt_b"]
         assert len(matrix.pairs) == 4
 
-    def test_unknown_ego_exits_one(self, series_csv):
+    def test_unknown_ego_exits_one(self, series_csv, caplog):
         code = main(["causality", str(series_csv), "--ego", "nobody"])
         assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["ego account 'nobody' has no series"]
 
     def test_unknown_alters_exit_one_naming_them(self, series_csv, tmp_path, caplog):
         out = tmp_path / "matrix.json"
@@ -412,7 +414,17 @@ class TestCausality:
         assert code == 1
         assert not out.exists()
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == ["series file has no account for --alters ['ghost', 'zed']"]
+        assert errors == ["alters with no series: ['ghost', 'zed']"]
+
+    @pytest.mark.parametrize("alters", ["alt_a,,alt_b", " @ "])
+    def test_empty_alters_name_exits_one(self, series_csv, tmp_path, caplog, alters):
+        out = tmp_path / "matrix.json"
+        code = main(["causality", str(series_csv), "--ego", "ego",
+                     "--alters", alters, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"--alters {alters!r} has an empty name"]
 
     def test_repeated_alters_exit_one_naming_them(self, series_csv, tmp_path, caplog):
         out = tmp_path / "matrix.json"

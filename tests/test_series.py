@@ -262,6 +262,21 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match=r"rows\.csv:3: empty account"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("row", [
+        "2020-01-13,ego,0,+5", "2020-01-13,ego,0, 5", "2020-01-13,ego,0,٥",
+        "2020-01-13,ego,0,1_000", "2020-01-13,ego,+1,3", "2020-01-13,ego, 1,3",
+        "2020-01-13,ego,١,3", "2020-01-13,ego,1_0,3", "2020-01-13,e\0go,0,3",
+    ], ids=["count_plus", "count_space", "count_arabic_indic", "count_underscore",
+            "topic_plus", "topic_space", "topic_arabic_indic", "topic_underscore",
+            "account_nul"])
+    def test_cell_outside_the_chunk_language_rejected(self, tmp_path, row):
+        # The row loop reads these files (the chunk path does not take them),
+        # and refuses what the chunk path would refuse.
+        path = self._write_rows(tmp_path, ["2020-01-06,ego,0,3", row])
+        assert series_module._read_series_chunks(path) is None
+        with pytest.raises(ValueError, match=r"rows\.csv:3: "):
+            read_series_csv(path)
+
     def test_columns_found_by_header_name(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("count,note,topic,account,week_start\n"

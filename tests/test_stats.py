@@ -369,6 +369,13 @@ class TestDifferencing:
         with pytest.raises(ValueError):
             make_stationary_pair(np.ones(50), np.ones(60))
 
+    def test_x_error_wins_over_y_error(self):
+        alternating, flat = np.arange(60) % 2, np.full(60, 3)
+        with pytest.raises(SingularDesignError):
+            make_stationary_pair(alternating, flat)
+        with pytest.raises(DegenerateSeriesError):
+            make_stationary_pair(flat, alternating)
+
 
 def _reference_granger(x, y, lag):
     """The former two-fit Granger test: restricted and unrestricted OLS fitted apart."""
@@ -910,6 +917,20 @@ class TestScanDifferencing:
                 assert calls.count(level) <= 1, (s.topic, order)
         # Ego topic 0 is stationary at order 0: one test serves all alters.
         assert calls.count(series[0].counts.astype(float).tobytes()) == 1
+
+    def test_one_adf_batch_per_order_reached(self, monkeypatch):
+        lengths = []
+        real_adf = stats_module._adf_batch
+
+        def counting_adf(ys, *args, **kwargs):
+            lengths.append(np.shape(ys)[-1])
+            return real_adf(ys, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module, "_adf_batch", counting_adf)
+        matrix = causality_scan(_ladder_series(), "ego", LADDER_ALTERS, max_lag=3, max_diff=2)
+        assert max(p.diff_order for p in matrix.pairs if p.results) == 2
+        # Orders 0, 1 and 2 are reached: one batch each, of 150, 149 and 148 weeks.
+        assert lengths == [150, 149, 148]
 
     def test_one_restricted_factorisation_per_topic_order_and_lag(self, monkeypatch):
         calls = []
