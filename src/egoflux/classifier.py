@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,8 +40,8 @@ class LinearClassifier:
     def to_dict(self) -> dict:
         return {
             "classes": list(self.classes),
-            "weights": [[float(x) for x in row] for row in self.weights],
-            "biases": [float(x) for x in self.biases],
+            "weights": self.weights.tolist(),
+            "biases": self.biases.tolist(),
         }
 
     @classmethod
@@ -70,15 +70,7 @@ class EvalReport:
     confusion: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "precision": [float(v) for v in self.precision],
-            "recall": [float(v) for v in self.recall],
-            "f1": [float(v) for v in self.f1],
-            "support": [int(v) for v in self.support],
-            "weighted_f1": float(self.weighted_f1),
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def evaluate(pred: Mapping[str, int], truth: Mapping[str, int]) -> EvalReport:

@@ -7,7 +7,7 @@ import csv
 import json
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,7 +17,7 @@ from .corpus import Corpus, Post, canonical_handle, load_corpus, parse_timestamp
 from .errors import EgofluxError
 from .pipeline import PipelineConfig, classify_corpus, fit_topics
 from .report import ReportBundle, emit_report_bundle
-from .series import bin_posts, build_week_index, read_series_csv, write_series_rows
+from .series import bin_posts, build_week_index, int_cell, read_series_csv, write_series_rows
 from .stats import (
     CORRECTION_BH,
     CORRECTION_NONE,
@@ -34,15 +34,14 @@ logger = logging.getLogger(__name__)
 
 WIDE_START = datetime(1970, 1, 1, tzinfo=timezone.utc)
 WIDE_END = datetime(9999, 12, 28, tzinfo=timezone.utc)
+# A labels CSV: `classify` writes these columns and `series` requires them.
+LABELS_COLUMNS = ("post_id", "author", "created_at", "topic")
 
 
-@contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
+        return nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def _window(args, earliest: datetime, latest: datetime) -> tuple[datetime, datetime]:
@@ -113,7 +112,7 @@ def _cmd_classify(args) -> int:
         logger.info("%d posts had no usable features and were not labeled", skipped)
     with _open_out(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["post_id", "author", "created_at", "topic"])
+        writer.writerow(LABELS_COLUMNS)
         for post in corpus.posts:
             if post.id in labels:
                 writer.writerow([post.id, post.author,
@@ -130,9 +129,8 @@ def _cmd_series(args) -> int:
     for path in args.labeled:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            required = {"post_id", "author", "created_at", "topic"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise EgofluxError(f"{path}: need columns {sorted(required)}")
+            if reader.fieldnames is None or not set(LABELS_COLUMNS).issubset(reader.fieldnames):
+                raise EgofluxError(f"{path}: need columns {sorted(LABELS_COLUMNS)}")
             for row in reader:
                 where = f"{path}:{reader.line_num}"
                 if None in row.values():
@@ -140,7 +138,7 @@ def _cmd_series(args) -> int:
                 try:
                     post_id = record_id(row["post_id"])
                     created_at = parse_timestamp(row["created_at"])
-                    topic = int(row["topic"])
+                    topic = int_cell(row["topic"])
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
                 author = canonical_handle(row["author"])
@@ -178,6 +176,8 @@ def _cmd_series(args) -> int:
 def _cmd_causality(args) -> int:
     series = read_series_csv(args.series)
     ego = canonical_handle(args.ego)
+    if ego is None:
+        raise EgofluxError(f"--ego {args.ego!r} has an empty name")
     # causality_scan refuses an ego or alter with no series, naming it.
     if args.alters:
         alters = [canonical_handle(name) for name in args.alters.split(",")]

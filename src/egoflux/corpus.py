@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -67,22 +69,9 @@ class Corpus:
 
     def to_jsonl(self) -> str:
         """Canonical serialization; identical corpora produce identical bytes."""
-        lines = []
-        for p in self.posts:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": p.id,
-                        "author": p.author,
-                        "created_at": p.created_at.isoformat(),
-                        "text": p.text,
-                        "retweeted_author": p.retweeted_author,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
-            )
+        lines = [json.dumps({**vars(p), "created_at": p.created_at.isoformat()},
+                            sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+                 for p in self.posts]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -111,18 +100,6 @@ def record_id(value) -> str:
     if not post_id:
         raise ValueError("empty id")
     return post_id
-
-
-class _Memo(dict):
-    """fn's value per distinct argument: each argument is passed to fn once."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _post_from_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted,
@@ -227,7 +204,7 @@ def load_corpus(
     rows = _iter_csv(path) if from_csv else _iter_jsonl(path)
     result = IngestResult(corpus=Corpus(posts=(), window_start=start, window_end=end))
     # Each distinct author or retweeted_author cell is canonicalised once.
-    handle = _Memo(canonical_handle).__getitem__
+    handle = functools.cache(canonical_handle)
     seen_ids: set[str] = set()
     kept: list[Post] = []
     for lineno, row in rows:
@@ -290,15 +267,9 @@ def rank_alters(
     ego_canon = canonical_handle(ego_handle)
     excluded = frozenset(h for h in (canonical_handle(e) for e in exclude) if h)
 
-    counts: dict[str, int] = {}
-    for post in corpus.posts:
-        handle = post.retweeted_author
-        if post.author != ego_canon or handle is None:
-            continue
-        if handle == ego_canon or handle in excluded:
-            continue
-        counts[handle] = counts.get(handle, 0) + 1
-
+    skip = excluded | {None, ego_canon}
+    counts = Counter(post.retweeted_author for post in corpus.posts
+                     if post.author == ego_canon and post.retweeted_author not in skip)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:n]
     if not ranked:
         logger.warning("rank_alters: corpus has no qualifying retweets")

@@ -47,7 +47,7 @@ class TfidfModel:
         ordered = sorted(self.vocabulary.items(), key=lambda kv: kv[1])
         return {
             "vocabulary": [t for t, _ in ordered],
-            "idf": [float(v) for v in self.idf],
+            "idf": self.idf.tolist(),
         }
 
     @classmethod
@@ -282,7 +282,7 @@ class FallbackProjector:
         return EmbeddingSet(ids=ids, rows=rows)
 
     def to_dict(self) -> dict:
-        return {"components": [[float(v) for v in row] for row in self.components]}
+        return {"components": self.components.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FallbackProjector":

@@ -133,7 +133,7 @@ def bin_posts(
 def write_series_rows(series: Sequence[TopicSeries], fh: TextIO) -> None:
     """Interchange CSV: week_start, account, topic, count (all cells, zeros included)."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["week_start", "account", "topic", "count"])
+    writer.writerow(_COLUMNS)
     week_starts: dict[WeekIndex, list[str]] = {}  # each index's ISO dates, formatted once
     for s in sorted(series, key=lambda s: (s.account, s.topic)):
         index = s.week_index
@@ -196,8 +196,8 @@ def _read_series_rows(path) -> list[TopicSeries]:
             try:
                 if cell_week not in weeks:
                     weeks[cell_week] = date.fromisoformat(cell_week)
-                topic = _int_cell(row[i_topic])
-                count = _int_cell(row[i_count])
+                topic = int_cell(row[i_topic])
+                count = int_cell(row[i_count])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             week = weeks[cell_week]
@@ -238,8 +238,8 @@ def _read_series_rows(path) -> list[TopicSeries]:
     return out
 
 
-def _int_cell(cell: str) -> int:
-    """A topic or count cell as an int; the cell must match `_INT_CELL`."""
+def int_cell(cell: str) -> int:
+    """A series or labels CSV topic or count cell as an int; it must match `_INT_CELL`."""
     if not _INT_CELL.fullmatch(cell):
         raise ValueError(f"invalid integer {cell!r}")
     return int(cell)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -79,26 +79,7 @@ class SynthSpec:
                     raise ValueError(f"{alter.handle}: non-finite strength")
 
     def to_dict(self) -> dict:
-        return {
-            "n_weeks": self.n_weeks,
-            "n_topics": self.n_topics,
-            "seed": self.seed,
-            "rho": self.rho,
-            "noise_sd": self.noise_sd,
-            "offset": self.offset,
-            "ego": self.ego,
-            "start": self.start.isoformat(),
-            "alters": [
-                {
-                    "handle": a.handle,
-                    "couplings": [
-                        {"topic": c.topic, "lag": c.lag, "strength": c.strength}
-                        for c in a.couplings
-                    ],
-                }
-                for a in self.alters
-            ],
-        }
+        return {**asdict(self), "start": self.start.isoformat()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
@@ -217,14 +198,7 @@ class DetectionScore:
     precision_by_convention: bool
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "lag_accuracy": self.lag_accuracy,
-            "n_detections": self.n_detections,
-            "n_truth": self.n_truth,
-            "precision_by_convention": self.precision_by_convention,
-        }
+        return asdict(self)
 
 
 def score_detection(matrix: CausalityMatrix,

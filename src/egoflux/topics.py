@@ -17,7 +17,7 @@ reduction would, so their results are the same bits.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -337,12 +337,7 @@ class TopicSummary:
     top_words: list[tuple[str, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "topic": self.topic,
-            "label": self.label,
-            "size": self.size,
-            "top_words": [[t, float(s)] for t, s in self.top_words],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TopicSummary":

@@ -316,9 +316,11 @@ class TestSeries:
         bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego\n")
         assert self._series_error(caplog, [bad]) == f"{bad}:3: row has too few cells"
 
-    def test_non_integer_topic_names_line(self, tmp_path, caplog):
-        bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego,2020-01-07T10:00:00+00:00,x\n")
-        assert self._series_error(caplog, [bad]).startswith(f"{bad}:3: ")
+    # A topic cell is ASCII -?[0-9]+, as in the series CSV: no sign, space or other digits.
+    @pytest.mark.parametrize("cell", ["x", " +1", "+1", "\u0661"])
+    def test_non_integer_topic_names_line(self, tmp_path, caplog, cell):
+        bad = self._labels(tmp_path, self.GOOD_ROW, f"p2,ego,2020-01-07T10:00:00+00:00,{cell}\n")
+        assert self._series_error(caplog, [bad]) == f"{bad}:3: invalid integer {cell!r}"
 
     def test_bad_created_at_names_line(self, tmp_path, caplog):
         bad = self._labels(tmp_path, "p2,ego,yesterday,0\n", self.GOOD_ROW)
@@ -416,15 +418,18 @@ class TestCausality:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["alters with no series: ['ghost', 'zed']"]
 
-    @pytest.mark.parametrize("alters", ["alt_a,,alt_b", " @ "])
-    def test_empty_alters_name_exits_one(self, series_csv, tmp_path, caplog, alters):
+    @pytest.mark.parametrize("flag, value", [("--alters", "alt_a,,alt_b"), ("--alters", " @ "),
+                                             ("--ego", " @ ")],
+                             ids=["alt_a,,alt_b", " @ ", "--ego  @ "])
+    def test_empty_alters_name_exits_one(self, series_csv, tmp_path, caplog, flag, value):
         out = tmp_path / "matrix.json"
-        code = main(["causality", str(series_csv), "--ego", "ego",
-                     "--alters", alters, "--out", str(out)])
+        names = {"--ego": "ego", "--alters": "alt_a", flag: value}
+        code = main(["causality", str(series_csv), "--ego", names["--ego"],
+                     "--alters", names["--alters"], "--out", str(out)])
         assert code == 1
         assert not out.exists()
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == [f"--alters {alters!r} has an empty name"]
+        assert errors == [f"{flag} {value!r} has an empty name"]
 
     def test_repeated_alters_exit_one_naming_them(self, series_csv, tmp_path, caplog):
         out = tmp_path / "matrix.json"

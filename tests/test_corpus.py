@@ -385,6 +385,17 @@ class TestLoadJsonl:
         third.write_text(second.to_jsonl(), encoding="utf-8")
         assert out.read_bytes() == third.read_bytes()
 
+    def test_to_jsonl_text(self):
+        corpus = Corpus(posts=(make_post("p1", "ego", "2020-03-01T10:00:00", "café “quoted” ☕",
+                                         "alt_a"),
+                               make_post("p2", "alt_a", "2020-03-02T11:30:05", "")),
+                        window_start=WINDOW[0], window_end=WINDOW[1])
+        assert corpus.to_jsonl() == (
+            '{"author":"ego","created_at":"2020-03-01T10:00:00+00:00","id":"p1",'
+            '"retweeted_author":"alt_a","text":"café “quoted” ☕"}\n'
+            '{"author":"alt_a","created_at":"2020-03-02T11:30:05+00:00","id":"p2",'
+            '"retweeted_author":null,"text":""}\n')
+
 
 class TestRankAlters:
     def _corpus(self, posts):

@@ -1,6 +1,7 @@
 """Synthetic ecosystem generation and detection scoring."""
 
 from dataclasses import replace
+from datetime import date
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ class TestSpecValidation:
         spec.save_json(path)
         again = SynthSpec.load_json(path)
         assert again == spec
+
+    def test_save_json_text(self, tmp_path):
+        spec = SynthSpec(n_weeks=60, n_topics=3, seed=7, rho=0.5, noise_sd=2.0, offset=4.5,
+                         ego="me", start=date(2019, 12, 30),
+                         alters=[AlterSpec("alt_a", [Coupling(0, 2, 0.5), Coupling(2, 1, -0.25)]),
+                                 AlterSpec("alt_b")])
+        path = tmp_path / "spec.json"
+        spec.save_json(path)
+        assert path.read_text(encoding="utf-8") == (
+            '{\n  "alters": [\n    {\n      "couplings": [\n'
+            '        {\n          "lag": 2,\n          "strength": 0.5,\n          "topic": 0\n'
+            '        },\n'
+            '        {\n          "lag": 1,\n          "strength": -0.25,\n          "topic": 2\n'
+            '        }\n      ],\n      "handle": "alt_a"\n    },\n'
+            '    {\n      "couplings": [],\n      "handle": "alt_b"\n    }\n  ],\n'
+            '  "ego": "me",\n  "n_topics": 3,\n  "n_weeks": 60,\n  "noise_sd": 2.0,\n'
+            '  "offset": 4.5,\n  "rho": 0.5,\n  "seed": 7,\n  "start": "2019-12-30"\n}\n')
 
 
 class TestGenerateSeries:
@@ -245,3 +263,15 @@ class TestScoreDetection:
         matrix = hand_matrix({("a", 0): (1e-6, 2)})
         score = score_detection(matrix, [("a", 0, 2, 0.8)], alpha=0.01)
         json.dumps(score.to_dict())
+
+    def test_to_dict_json_text(self):
+        import json
+
+        matrix = hand_matrix({("a", 0): (1e-6, 2), ("a", 1): (1e-4, 5), ("b", 0): (1e-3, 1),
+                              ("b", 1): (0.7, 1)})
+        truth = [("a", 0, 2, 0.8), ("a", 1, 3, 0.7), ("c", 0, 1, 0.9)]
+        score = score_detection(matrix, truth, alpha=0.01)
+        assert json.dumps(score.to_dict()) == (
+            '{"precision": 0.6666666666666666, "recall": 0.6666666666666666, '
+            '"lag_accuracy": 0.5, "n_detections": 3, "n_truth": 3, '
+            '"precision_by_convention": false}')
