@@ -9,7 +9,7 @@ model, which the run report names by index.  Its files:
 - ``projector.json``: the fallback SVD components (absent with external
   embeddings);
 - ``topics.json``: the medoid post ids, one summary per topic (index, label,
-  size, top words) and the silhouette of each k tried;
+  size, top words) and the silhouette that ranked each k tried;
 - ``classifier.json``: the classes, weights and biases;
 - ``manifest.json``: the schema version, the parts written and the seed.
 

@@ -174,16 +174,18 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_causality(args) -> int:
-    series = read_series_csv(args.series)
+    # The name checks need no file, so they come before the read.
     ego = canonical_handle(args.ego)
     if ego is None:
         raise EgofluxError(f"--ego {args.ego!r} has an empty name")
-    # causality_scan refuses an ego or alter with no series, naming it.
+    alters = None
     if args.alters:
         alters = [canonical_handle(name) for name in args.alters.split(",")]
         if None in alters:
             raise EgofluxError(f"--alters {args.alters!r} has an empty name")
-    else:
+    series = read_series_csv(args.series)
+    # causality_scan refuses an ego or alter with no series, naming it.
+    if alters is None:
         alters = sorted({s.account for s in series} - {ego})
     correction = CORRECTION_BH if args.bh else CORRECTION_NONE
     matrix = causality_scan(series, ego, alters, max_lag=args.max_lag,

@@ -101,8 +101,8 @@ class PipelineConfig:
 class TopicFit:
     """The models fitted on the ego's posts, and the ranked alters.
 
-    The ego's labels are `clustering.assignment`; the silhouette of each k
-    tried is `bundle.silhouette_by_k`.  `embeddings` is the external set read
+    The ego's labels are `clustering.assignment`; the score that ranked each
+    k tried (`KSelection.scores`) is `bundle.silhouette_by_k`.  `embeddings` is the external set read
     for the ego's and the alters' posts, or None when the projector embeds.
     """
 

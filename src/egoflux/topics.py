@@ -2,10 +2,12 @@
 
 k-medoids is PAM's BUILD followed by the eager swap descent of FasterPAM
 (Schubert & Rousseeuw, "Fast and eager k-medoids clustering", 2021), run
-from several seeded starts.  No piece of that work is done twice: BUILD is
-greedy, so a k search builds once for its largest k and each k starts from
-a prefix of that order, and the starts of one k share each swap block's
-outcome through a table that lives for that one call.
+from several seeded starts.  A k search ranks each k by the silhouette of
+one descent from its BUILD start and runs the restarts for the chosen k
+only.  No piece of that work is done twice: BUILD is greedy, so a k search
+builds once for its largest k and each k starts from a prefix of that
+order, and the starts of one k share each swap block's outcome through a
+table that lives for that one call.
 
 The n x n distance matrix is the only quadratic object the stage holds.
 BUILD's gains, the swap descent and the silhouette scan it a block of
@@ -253,17 +255,23 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
         if cost < total - SWAP_TOL:
             medoids, total, n_swaps = cand, cost, swaps
 
+    return _clustering(dm, medoids, n_swaps)
+
+
+def _clustering(dm: DistanceMatrix, medoids: list[int], n_swaps: int) -> Clustering:
+    """The clustering `medoids` induce: each point labelled by its nearest
+    medoid (exact ties to the lower slot), each medoid by its own slot."""
+    D, n, k = dm.d, dm.n, len(medoids)
     M = np.array(medoids)
     labels = np.argmin(D[:, M], axis=1)
     labels[M] = np.arange(k)
-    total_cost = float(D[np.arange(n), M[labels]].sum())
     return Clustering(
         k=k,
         medoid_ids=tuple(dm.ids[m] for m in medoids),
         medoid_indices=tuple(int(m) for m in medoids),
         assignment={dm.ids[i]: int(labels[i]) for i in range(n)},
         labels=labels,
-        total_cost=total_cost,
+        total_cost=float(D[np.arange(n), M[labels]].sum()),
         n_swaps=n_swaps,
     )
 
@@ -298,14 +306,24 @@ def silhouette(dm: DistanceMatrix, clustering: Clustering) -> float:
 
 @dataclass
 class KSelection:
-    """The argmax-silhouette clustering plus the silhouette of each k tried."""
+    """The chosen k's clustering plus the score that ranked each k tried.
+
+    Over a range of k, `scores[k]` is the silhouette of k's single descent
+    from BUILD (see `select_k`), not of `best`; over one k it is the
+    silhouette of `best`."""
 
     best: Clustering
     scores: dict[int, float]
 
 
 def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSelection:
-    """Run kmedoids + silhouette per k; highest score wins, ties go small.
+    """Score each k, choose the highest (ties go small), then cluster it.
+
+    Each k is scored by the silhouette of one eager swap descent from its
+    BUILD start, and only the chosen k runs `kmedoids` with its restarts,
+    whose result is `best`.  The restarts decide how close `best` comes to
+    the minimum cost; ranking the k values needs only one descent each.  A
+    range of one k has nothing to rank: it scores `best` itself.
 
     BUILD runs once, for k_max: every kmedoids call draws the same priority
     first, so each k's BUILD start is a prefix of that order.
@@ -315,16 +333,19 @@ def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSel
     if k_min < 2 or k_max > dm.n - 1:
         raise ValueError(f"k range [{k_min}, {k_max}] outside [2, {dm.n - 1}]")
     build = _build_init(dm.d, k_max, np.random.default_rng(seed).permutation(dm.n))
+    if k_min == k_max:
+        best = kmedoids(dm, k_min, seed=seed, build=build)
+        return KSelection(best=best, scores={k_min: silhouette(dm, best)})
     scores: dict[int, float] = {}
-    best: Clustering | None = None
+    chosen = k_min
     for k in range(k_min, k_max + 1):
-        clustering = kmedoids(dm, k, seed=seed, build=build)
-        scores[k] = silhouette(dm, clustering)
-        logger.info("k=%d silhouette=%.4f cost=%.4f", k, scores[k], clustering.total_cost)
+        medoids, cost, n_swaps = _swap_descent(dm.d, build[:k])
+        scores[k] = silhouette(dm, _clustering(dm, medoids, n_swaps))
+        logger.info("k=%d silhouette=%.4f cost=%.4f", k, scores[k], cost)
         # Strictly greater: ties keep the smaller k.
-        if best is None or scores[k] > scores[best.k]:
-            best = clustering
-    return KSelection(best=best, scores=scores)
+        if scores[k] > scores[chosen]:
+            chosen = k
+    return KSelection(best=kmedoids(dm, chosen, seed=seed, build=build), scores=scores)
 
 
 @dataclass

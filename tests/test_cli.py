@@ -418,13 +418,16 @@ class TestCausality:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["alters with no series: ['ghost', 'zed']"]
 
-    @pytest.mark.parametrize("flag, value", [("--alters", "alt_a,,alt_b"), ("--alters", " @ "),
-                                             ("--ego", " @ ")],
-                             ids=["alt_a,,alt_b", " @ ", "--ego  @ "])
-    def test_empty_alters_name_exits_one(self, series_csv, tmp_path, caplog, flag, value):
+    @pytest.mark.parametrize("flag, value, missing",
+                             [("--alters", "alt_a,,alt_b", False), ("--alters", " @ ", False),
+                              ("--ego", " @ ", False), ("--ego", " @ ", True)],
+                             ids=["alt_a,,alt_b", " @ ", "--ego  @ ", "--ego  @  no file"])
+    def test_empty_alters_name_exits_one(self, series_csv, tmp_path, caplog, flag, value,
+                                         missing):
         out = tmp_path / "matrix.json"
+        path = tmp_path / "absent.csv" if missing else series_csv
         names = {"--ego": "ego", "--alters": "alt_a", flag: value}
-        code = main(["causality", str(series_csv), "--ego", names["--ego"],
+        code = main(["causality", str(path), "--ego", names["--ego"],
                      "--alters", names["--alters"], "--out", str(out)])
         assert code == 1
         assert not out.exists()

@@ -1,0 +1,18 @@
+"""tools/compare_artifacts.py names the key paths where two JSON artifacts differ."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from compare_artifacts import differing_keys  # noqa: E402
+
+
+def test_differing_keys_name_leaf_paths():
+    base = {"k": 3, "silhouette_by_k": {"2": 0.5, "5": 0.25}, "medoid_ids": ["a", "b"]}
+    change = {"k": 3, "silhouette_by_k": {"2": 0.5, "5": 0.26}, "medoid_ids": ["a", "c", "d"],
+              "extra": None}
+    assert differing_keys(base, change) == ["extra", "medoid_ids.1", "medoid_ids.2",
+                                            "silhouette_by_k.5"]
+    assert differing_keys(base, base) == []
+    assert differing_keys([1], {"0": 1}) == ["(root)"]

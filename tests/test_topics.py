@@ -377,6 +377,11 @@ def reference_kmedoids(dm, k, seed):
         cand, cost, swaps = reference_swap_descent(D, init)
         if cost < total - SWAP_TOL:
             medoids, total, n_swaps = cand, cost, swaps
+    return reference_clustering(dm, medoids, n_swaps)
+
+
+def reference_clustering(dm, medoids, n_swaps):
+    n, D, k = dm.n, dm.d, len(medoids)
     M = np.array(medoids)
     labels = np.argmin(D[:, M], axis=1)
     labels[M] = np.arange(k)
@@ -400,11 +405,26 @@ def assert_same_clustering(got, want):
     assert got.n_swaps == want.n_swaps
 
 
+def reference_scores(dm, k_min, k_max, seed):
+    """Each k's silhouette: of one descent from BUILD over a range, of the
+    restarted clustering over a single k."""
+    if k_min == k_max:
+        return {k_min: reference_silhouette(dm, reference_kmedoids(dm, k_min, seed))}
+    priority = np.random.default_rng(seed).permutation(dm.n)
+    scores = {}
+    for k in range(k_min, k_max + 1):
+        medoids, _, n_swaps = reference_swap_descent(
+            dm.d, reference_build_init(dm.d, k, priority))
+        scores[k] = reference_silhouette(dm, reference_clustering(dm, medoids, n_swaps))
+    return scores
+
+
 def assert_select_k_matches_reference(dm, k_min, k_max, seed):
     sel = select_k(dm, k_min, k_max, seed=seed)
-    ref = {k: reference_kmedoids(dm, k, seed) for k in range(k_min, k_max + 1)}
-    assert sel.scores == {k: reference_silhouette(dm, c) for k, c in ref.items()}
-    assert_same_clustering(sel.best, ref[sel.best.k])
+    scores = reference_scores(dm, k_min, k_max, seed)
+    assert sel.scores == scores
+    chosen = max(sorted(scores), key=lambda k: (scores[k], -k))
+    assert_same_clustering(sel.best, reference_kmedoids(dm, chosen, seed))
 
 
 @pytest.fixture(scope="module")
@@ -662,6 +682,33 @@ class TestSelectK:
         dm = two_cloud_dm(np.random.default_rng(11))
         with pytest.raises(ValueError):
             select_k(dm, 5, 4)
+
+    @pytest.fixture
+    def kmedoids_calls(self, monkeypatch):
+        """The k of each call select_k makes through topics.kmedoids."""
+        calls = []
+
+        def counting(dm, k, seed=42, build=None):
+            calls.append(k)
+            return kmedoids(dm, k, seed=seed, build=build)
+
+        monkeypatch.setattr(topics, "kmedoids", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_range_restarts_only_the_chosen_k(self, kmedoids_calls, seed):
+        dm = blob_dm(seed, 90)
+        sel = select_k(dm, 2, 6, seed=seed)
+        assert kmedoids_calls == [sel.best.k]
+        assert set(sel.scores) == {2, 3, 4, 5, 6}
+        assert_same_clustering(sel.best, kmedoids(dm, sel.best.k, seed=seed))
+
+    def test_single_k_scores_its_clustering(self, kmedoids_calls):
+        dm = blob_dm(5, 90)
+        sel = select_k(dm, 4, 4, seed=5)
+        assert kmedoids_calls == [4]
+        assert sel.scores == {4: silhouette(dm, sel.best)}
+        assert_same_clustering(sel.best, kmedoids(dm, 4, seed=5))
 
 
 class TestSummarizeTopics:

@@ -9,7 +9,9 @@ input is generated once, by this tree's ``perfbench/workloads.generate``, and
 ``perfbench/job.py`` of each tree (REV's, then this working tree's; the order
 alternates from seed to seed) runs it in a fresh interpreter with one BLAS
 thread.  The script prints every artifact as identical or differing, and each
-job's ``run_s`` and ``ru_maxrss``; it exits 1 if any artifact differs.
+job's ``run_s`` and ``ru_maxrss``; it exits 1 if any artifact differs.  Under
+a differing ``.json`` artifact it lists the key paths whose values differ,
+dot-joined, with list items by index (for example ``silhouette_by_k.5``).
 
 Nothing here imports numpy, and every job is a child of this small process:
 on Linux a child's ``ru_maxrss`` starts at the RSS of the process that forked
@@ -81,6 +83,23 @@ def digests(out: Path) -> dict[str, str]:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+_ABSENT = object()  # the side of a key or list item that one document lacks
+
+
+def differing_keys(base, change, path: str = "") -> list[str]:
+    """Dot-joined paths of the values that differ between two parsed JSON
+    documents; a key or item present on one side only counts as differing."""
+    if isinstance(base, list) and isinstance(change, list):
+        base, change = dict(enumerate(base)), dict(enumerate(change))
+    if not (isinstance(base, dict) and isinstance(change, dict)):
+        return [] if base == change else [path or "(root)"]
+    found = []
+    for key in sorted(set(base) | set(change)):
+        found += differing_keys(base.get(key, _ABSENT), change.get(key, _ABSENT),
+                                f"{path}.{key}" if path else str(key))
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -109,6 +128,12 @@ def main(argv: list[str] | None = None) -> int:
                 same = found["base"].get(name) == found["change"].get(name)
                 differing += not same
                 print(f"  {'identical' if same else 'DIFFERENT':<9}  {name}")
+                if not same and name.endswith(".json") and name in found["base"] \
+                        and name in found["change"]:
+                    docs = [json.loads((work / f"{side}{seed}" / name).read_text(encoding="utf-8"))
+                            for side in ("base", "change")]
+                    for key in differing_keys(*docs):
+                        print(f"      {key}")
     print(f"{differing} artifact(s) differ from {args.base}")
     return 1 if differing else 0
 
