@@ -154,10 +154,17 @@ def _cmd_series(args) -> int:
     week_index = build_week_index(_window(args, min(p.created_at for p in posts),
                                           max(p.created_at for p in posts)))
     n_topics = args.n_topics if args.n_topics is not None else max(labels.values()) + 1
+    # Without --n-topics the labels must fill 0..max, so a stray large topic
+    # cannot size the output.
+    used = set(labels.values())
+    first_gap = min(set(range(len(used) + 1)) - used)
     for post in posts:
         where = seen_at[post.id]
         if not 0 <= labels[post.id] < n_topics:
             raise ValueError(f"{where}: topic {labels[post.id]} outside 0..{n_topics - 1}")
+        if args.n_topics is None and labels[post.id] > first_gap:
+            raise ValueError(f"{where}: topic {labels[post.id]} leaves topic {first_gap} "
+                             "with no labeled post; give --n-topics to allow empty topics")
         try:
             week_index.bin_of(post.created_at)
         except ValueError as exc:

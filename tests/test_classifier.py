@@ -189,6 +189,19 @@ class TestSerialization:
                 classes=[0],
                 )
 
+    @pytest.mark.parametrize("weights, biases, classes, message", [
+        (np.zeros(3), np.zeros(3), [0, 1, 2], r"weights have shape \(3,\)"),
+        (np.zeros((3, 2)), np.zeros(3), [0, 1, 2, 3], r"weights have shape \(3, 2\)"),
+        (np.zeros((3, 2)), np.zeros(4), [0, 1, 2], r"biases have shape \(4,\)"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), [0, 1, 2], r"biases have shape \(3, 1\)"),
+        (np.zeros((3, 2)), np.zeros(3), [0, 1, 1], "classes repeat"),
+    ], ids=["1-d weights", "fewer rows than classes", "more biases than classes",
+            "2-d biases", "repeated class"])
+    def test_from_dict_rejects_inconsistent_parts(self, weights, biases, classes, message):
+        d = {"classes": classes, "weights": weights.tolist(), "biases": biases.tolist()}
+        with pytest.raises(ValueError, match=message):
+            LinearClassifier.from_dict(d)
+
 
 def reference_train(emb, labels, seed):
     """The per-sample Pegasos loop (200 epochs, shuffled order) that full-batch
@@ -330,3 +343,75 @@ class TestBlockPredict:
     def test_empty_ids(self):
         clf, emb = self._random_case()
         assert predict(clf, emb, []) == {}
+
+
+OBJECTIVE_TOLERANCE = 1.05  # fixed before the comparison below was first run
+
+
+def plain_train(emb, labels, train_ids):
+    """The loop the projected, averaged one replaced: 1,000 plain full-batch
+    Pegasos steps, last iterate, on the given training ids."""
+    classes = sorted(set(labels.values()))
+    X = np.stack([emb.vectors[pid] for pid in train_ids])
+    y = np.array([labels[pid] for pid in train_ids])
+    Y = np.where(y[:, None] == np.array(classes)[None, :], 1.0, -1.0)
+    n_train = len(train_ids)
+    lam = 1.0 / (C * n_train)
+    W = np.zeros((len(classes), X.shape[1]))
+    b = np.zeros(len(classes))
+    for t in range(1, 1001):
+        eta = 1.0 / (lam * t)
+        hit_y = Y * (Y * (X @ W.T + b) < 1.0)
+        W *= 1.0 - eta * lam
+        W += (eta / n_train) * (hit_y.T @ X)
+        b += (eta / n_train) * hit_y.sum(axis=0)
+    return LinearClassifier(weights=W, biases=b, classes=classes)
+
+
+def train_ids_of(labels, seed):
+    ids_by_class = {}
+    for pid in sorted(labels):
+        ids_by_class.setdefault(labels[pid], []).append(pid)
+    return _stratified_split(ids_by_class, VAL_FRACTION, np.random.default_rng(seed))[0]
+
+
+def overlapping_blobs(seed):
+    """Three classes in 8 dims whose blobs overlap, so the hinge loss stays > 0."""
+    rng = np.random.default_rng(seed)
+    return blob_data(rng, rng.normal(0.0, 1.0, size=(3, 8)).tolist(), per_class=60,
+                     spread=0.8)
+
+
+@pytest.fixture(params=["fixture", "blobs-51", "blobs-52"])
+def trained_case(request, fixture_case):
+    """(train's classifier, embeddings, labels, training ids) on each problem."""
+    if request.param == "fixture":
+        case = fixture_case
+        return case.fit.bundle.classifier, case.emb, case.labels, case.train_ids
+    emb, labels = overlapping_blobs(int(request.param.split("-")[1]))
+    clf, _ = train(emb, labels)
+    return clf, emb, labels, train_ids_of(labels, clf_mod.DEFAULT_SEED)
+
+
+class TestProjectedAveragedAgainstPlain:
+    def test_objective_no_worse_than_plain_loop_per_class(self, trained_case):
+        clf, emb, labels, train_ids = trained_case
+        new_obj = pegasos_objective(clf, emb, labels, train_ids)
+        plain_obj = pegasos_objective(plain_train(emb, labels, train_ids), emb, labels,
+                                      train_ids)
+        assert len(new_obj) >= 2
+        assert np.all(new_obj <= OBJECTIVE_TOLERANCE * plain_obj), (new_obj, plain_obj)
+
+    def test_weights_inside_pegasos_ball(self, trained_case):
+        clf, _, _, train_ids = trained_case
+        radius = 1.0 / math.sqrt(1.0 / (C * len(train_ids)))
+        assert np.all(np.linalg.norm(clf.weights, axis=1) <= radius)
+
+    def test_projection_holds_after_two_steps(self, monkeypatch):
+        # The plain second iterate lies far outside the ball (|w| ~ n_train/2).
+        monkeypatch.setattr(clf_mod, "ITERATIONS", 2)
+        emb, labels = overlapping_blobs(53)
+        clf, _ = train(emb, labels)
+        radius = math.sqrt(C * len(train_ids_of(labels, clf_mod.DEFAULT_SEED)))
+        norms = np.linalg.norm(clf.weights, axis=1)
+        assert np.all(norms <= radius * (1 + 1e-12)) and norms.max() > 0.5 * radius

@@ -349,6 +349,19 @@ class TestSeries:
         bad = self._labels(tmp_path, self.GOOD_ROW, f"p2,ego,2020-01-07T10:00:00+00:00,{topic}\n")
         assert self._series_error(caplog, [bad], *options) == f"{bad}:3: topic {topic} outside {span}"
 
+    def test_topic_past_an_unlabeled_topic_names_line(self, tmp_path, caplog):
+        bad = self._labels(tmp_path, self.GOOD_ROW, "p2,alt,2020-01-07T10:00:00+00:00,200000\n",
+                           "p3,ego,2020-01-08T10:00:00+00:00,1\n")
+        assert self._series_error(caplog, [bad]) == (
+            f"{bad}:3: topic 200000 leaves topic 2 with no labeled post; "
+            "give --n-topics to allow empty topics")
+
+    def test_n_topics_allows_unlabeled_topics(self, tmp_path):
+        labels = self._labels(tmp_path, self.GOOD_ROW, "p2,ego,2020-01-07T10:00:00+00:00,2\n")
+        out = tmp_path / "series.csv"
+        assert main(["series", str(labels), "--n-topics", "3", "--out", str(out)]) == 0
+        assert [s.topic for s in read_series_csv(out)] == [0, 1, 2]
+
     def test_created_at_outside_window_names_line(self, tmp_path, caplog):
         bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego,2020-01-13T10:00:00+00:00,0\n")
         message = self._series_error(caplog, [bad], "--start", "2020-01-13T00:00:00+00:00",

@@ -1,11 +1,12 @@
-"""tools/compare_artifacts.py names the key paths where two JSON artifacts differ."""
+"""tools/compare_artifacts.py names the key paths where two JSON artifacts differ
+and counts the rows where two CSV artifacts differ."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from compare_artifacts import differing_keys  # noqa: E402
+from compare_artifacts import differing_keys, differing_rows  # noqa: E402
 
 
 def test_differing_keys_name_leaf_paths():
@@ -16,3 +17,12 @@ def test_differing_keys_name_leaf_paths():
                                             "silhouette_by_k.5"]
     assert differing_keys(base, base) == []
     assert differing_keys([1], {"0": 1}) == ["(root)"]
+
+
+def test_differing_rows_count_rows_after_the_header():
+    base = "post_id,topic\np1,0\np2,1\np3,2\n"
+    assert differing_rows(base, base) == (0, 3)
+    assert differing_rows(base, "post_id,topic\np1,0\np2,2\np3,2\n") == (1, 3)
+    assert differing_rows(base, "post_id,topic\np1,0\np2,1\n") == (1, 3)
+    assert differing_rows(base, 'post_id,topic\n"p1",0\np2,1\np3,2\np4,0\n') == (1, 4)
+    assert differing_rows("id,topic\n", "id,topic\n") == (0, 0)

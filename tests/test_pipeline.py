@@ -468,7 +468,8 @@ def stacked_distances(emb, ids):
 
 
 def stacked_train(emb, labels, seed):
-    """Full-batch Pegasos over rows stacked one training id at a time."""
+    """Projected, averaged full-batch Pegasos over rows stacked one training id
+    at a time."""
     ids_by_class = {}
     for pid in sorted(labels):
         ids_by_class.setdefault(labels[pid], []).append(pid)
@@ -480,15 +481,24 @@ def stacked_train(emb, labels, seed):
     Y = np.where(y[:, None] == np.array(classes)[None, :], 1.0, -1.0)
     n_train = len(train_ids)
     lam = 1.0 / (clf_mod.C * n_train)
-    W = np.zeros((len(classes), X.shape[1]))
+    radius = 1.0 / np.sqrt(lam)
+    XT = np.ascontiguousarray(X.T)
+    ones = np.ones(n_train)
+    Wt = np.zeros((X.shape[1], len(classes)))
     b = np.zeros(len(classes))
+    Wt_sum, b_sum = np.zeros_like(Wt), np.zeros_like(b)
     for t in range(1, clf_mod.ITERATIONS + 1):
         eta = 1.0 / (lam * t)
-        hit_y = Y * (Y * (X @ W.T + b) < 1.0)
-        W *= 1.0 - eta * lam
-        W += (eta / n_train) * (hit_y.T @ X)
-        b += (eta / n_train) * hit_y.sum(axis=0)
-    return W, b
+        hit_y = Y * (Y * (X @ Wt + b) < 1.0)
+        Wt *= 1.0 - eta * lam
+        Wt += (eta / n_train) * (XT @ hit_y)
+        b += (eta / n_train) * (ones @ hit_y)
+        Wt *= radius / np.maximum(np.sqrt((Wt * Wt).sum(axis=0)), radius)
+        if t > clf_mod.ITERATIONS // 2:
+            Wt_sum += Wt
+            b_sum += b
+    n_avg = clf_mod.ITERATIONS - clf_mod.ITERATIONS // 2
+    return np.ascontiguousarray(Wt_sum.T) / n_avg, b_sum / n_avg
 
 
 def stacked_predict(clf, emb):
