@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classifier import LinearClassifier
+from .errors import read_json
 from .features import FallbackProjector, TfidfModel
 from .textpipe import PhrasePipeline
 from .topics import TopicSummary
@@ -45,16 +46,6 @@ def _write_json(path: Path, payload: dict) -> None:
         json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-
-
-def _read_json(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("not a JSON object")
-    except ValueError as exc:  # as are json.JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"{path}: {exc}") from None
-    return data
 
 
 @dataclass
@@ -108,27 +99,38 @@ class ModelBundle:
 
     @classmethod
     def load(cls, in_dir) -> "ModelBundle":
-        """Read a bundle; its projector is read only when the manifest lists it."""
+        """Read a bundle; a fault names its file, and the projector is read only if listed.
+
+        The projector needs a row per vocabulary term, the classifier its width."""
         src = Path(in_dir)
-        manifest = _read_json(src / MANIFEST_JSON)
-        if manifest.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{src}: bundle schema {manifest.get('schema_version')} != {SCHEMA_VERSION}"
-            )
-        try:
-            topics = _read_json(src / TOPICS_JSON)
-            return cls(
-                phrases=PhrasePipeline.from_dict(_read_json(src / PHRASES_JSON)),
-                tfidf=TfidfModel.from_dict(_read_json(src / TFIDF_JSON)),
-                medoid_ids=list(topics["medoid_ids"]),
-                summaries=[TopicSummary.from_dict(s) for s in topics["summaries"]],
-                classifier=LinearClassifier.from_dict(_read_json(src / CLASSIFIER_JSON)),
-                projector=(FallbackProjector.from_dict(_read_json(src / PROJECTOR_JSON))
-                           if PROJECTOR_JSON in manifest["parts"] else None),
-                seed=int(manifest["seed"]),
-                silhouette_by_k={int(k): float(v) for k, v in topics["silhouette_by_k"].items()},
-            )
-        except KeyError as exc:
-            raise ValueError(f"{src}: missing field {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"{src}: malformed entry: {exc}") from None
+
+        def manifest_of(d: dict) -> tuple[bool, int]:
+            if d.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError(f"bundle schema {d.get('schema_version')} != {SCHEMA_VERSION}")
+            return PROJECTOR_JSON in d["parts"], int(d["seed"])
+
+        def topics_of(d: dict) -> dict:
+            return {"medoid_ids": list(d["medoid_ids"]),
+                    "summaries": [TopicSummary.from_dict(s) for s in d["summaries"]],
+                    "silhouette_by_k": {int(k): float(v) for k, v in d["silhouette_by_k"].items()}}
+
+        def projector_of(d: dict) -> FallbackProjector:
+            fitted = FallbackProjector.from_dict(d)
+            if fitted.components.ndim != 2 or len(fitted.components) != tfidf.dim:
+                raise ValueError(f"projector components have shape {fitted.components.shape}, "
+                                 f"need one row per vocabulary term ({tfidf.dim})")
+            return fitted
+
+        def classifier_of(d: dict) -> LinearClassifier:
+            classifier = LinearClassifier.from_dict(d)
+            if projector is not None and classifier.dim != projector.dim:
+                raise ValueError(f"classifier weights have shape {classifier.weights.shape}, "
+                                 f"need the projector's width ({projector.dim})")
+            return classifier
+
+        has_projector, seed = read_json(src / MANIFEST_JSON, manifest_of)
+        tfidf = read_json(src / TFIDF_JSON, TfidfModel.from_dict)
+        projector = read_json(src / PROJECTOR_JSON, projector_of) if has_projector else None
+        return cls(phrases=read_json(src / PHRASES_JSON, PhrasePipeline.from_dict), tfidf=tfidf,
+                   classifier=read_json(src / CLASSIFIER_JSON, classifier_of),
+                   projector=projector, seed=seed, **read_json(src / TOPICS_JSON, topics_of))

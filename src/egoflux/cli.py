@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bundle import ModelBundle
 from .corpus import Corpus, Post, canonical_handle, load_corpus, parse_timestamp, record_id
-from .errors import EgofluxError
+from .errors import EgofluxError, open_text, read_json
 from .pipeline import PipelineConfig, classify_corpus, fit_topics
 from .report import ReportBundle, emit_report_bundle
 from .series import bin_posts, build_week_index, int_cell, read_series_csv, write_series_rows
@@ -127,7 +127,7 @@ def _cmd_series(args) -> int:
     labels: dict[str, int] = {}
     seen_at: dict[str, str] = {}  # post_id -> "<path>:<line>" of its first row
     for path in args.labeled:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not set(LABELS_COLUMNS).issubset(reader.fieldnames):
                 raise EgofluxError(f"{path}: need columns {sorted(LABELS_COLUMNS)}")
@@ -230,7 +230,7 @@ def _read_groups(path: str | None) -> dict[str, str] | None:
     if not path:
         return None
     grouping: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, EgofluxError, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         handle_col = "handle" if "handle" in fields else "alter"
@@ -246,22 +246,17 @@ def _read_groups(path: str | None) -> dict[str, str] | None:
     return grouping
 
 
+def _report_of(data: dict) -> ReportBundle:
+    """The run report, or the bare causality matrix, that `data` holds."""
+    if "config" in data and "matrix" in data:
+        return ReportBundle.from_dict(data)
+    if "pairs" in data:
+        return ReportBundle(matrix=CausalityMatrix.from_dict(data))
+    raise ValueError("neither a causality matrix nor a run report")
+
+
 def _cmd_report(args) -> int:
-    source = args.matrix
-    try:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-        if isinstance(data, dict) and "config" in data and "matrix" in data:
-            bundle = ReportBundle.from_dict(data)
-        elif isinstance(data, dict) and "pairs" in data:
-            bundle = ReportBundle(matrix=CausalityMatrix.from_dict(data))
-        else:
-            raise EgofluxError(f"{source}: neither a causality matrix nor a run report")
-    except KeyError as exc:
-        raise EgofluxError(f"{source}: missing field {exc}") from exc
-    except TypeError as exc:
-        raise EgofluxError(f"{source}: malformed entry: {exc}") from exc
-    except ValueError as exc:
-        raise EgofluxError(f"{source}: {exc}") from exc
+    bundle = read_json(args.matrix, _report_of)
     grouping = _read_groups(args.groups)
     if grouping is not None:
         bundle.grouping = grouping

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -141,7 +141,7 @@ def _iter_csv(path: Path):
     # Read as csv.DictReader would: blank lines are skipped, a short row's
     # missing fields are None, extra fields are ignored, and of a repeated
     # header name the last column wins.  Each row yields its CSV_COLUMNS cells.
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not set(CSV_COLUMNS).issubset(header):
@@ -163,7 +163,7 @@ def _iter_csv(path: Path):
 def _iter_jsonl(path: Path):
     # Unparseable lines yield a None record so the caller can apply the same
     # lenient/strict policy it uses for bad field values.
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -185,6 +185,7 @@ def load_corpus(
 
     Lenient mode (default) skips malformed rows and duplicate ids
     (keep-first), counting each drop; strict mode fails on the first one.
+    A byte that is not UTF-8 is a fault of the file, refused in both modes.
     Window bounds are inclusive.  An empty result is allowed but flagged.
     """
     path = Path(path)

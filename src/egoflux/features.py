@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import record_id
-from .errors import EmbeddingFormatError
+from .errors import EmbeddingFormatError, open_text
 from .textpipe import TokenDoc, as_token_docs, kept_offsets
 
 DEFAULT_MIN_DF = 2
@@ -38,6 +38,11 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.idf.shape != (self.dim,):
+            raise ValueError(f"tfidf idf has shape {self.idf.shape}, "
+                             f"need one value per vocabulary term ({self.dim})")
 
     @property
     def dim(self) -> int:
@@ -182,7 +187,7 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
         vectors[post_id] = vec
 
     if path.suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open_text(path, EmbeddingFormatError, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header or header[0] != "id":
@@ -195,7 +200,7 @@ def load_embeddings(path, ids: Iterable[str] | None = None) -> EmbeddingSet:
                 except ValueError as exc:
                     raise EmbeddingFormatError(f"{path}:{reader.line_num}: {exc}") from None
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, EmbeddingFormatError) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Post, canonical_handle
+from .errors import open_text
 
 _COUNT_MAX = np.iinfo(int).max  # the largest count a TopicSeries can hold (int64)
 _COLUMNS = ("week_start", "account", "topic", "count")  # a series CSV's required columns
@@ -178,7 +179,7 @@ def _read_series_rows(path) -> list[TopicSeries]:
     weeks: dict[str, date] = {}  # each distinct week_start cell, parsed once
     accounts: dict[str, str | None] = {}  # each distinct account cell, canonicalised once
     week_lines: dict[date, int] = {}  # first CSV line of each week_start
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         column = {name: i for i, name in enumerate(header)}

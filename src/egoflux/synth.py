@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import canonical_handle
+from .errors import read_json
 from .series import TopicSeries, WeekIndex
 from .stats import CausalityMatrix
 
@@ -114,16 +115,8 @@ class SynthSpec:
 
     @classmethod
     def load_json(cls, path) -> "SynthSpec":
-        """Read a spec file; one that is not a spec object is a ValueError naming the file."""
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(d, dict):
-                raise TypeError("spec is not a JSON object")
-            return cls.from_dict(d)
-        except KeyError as exc:
-            raise ValueError(f"{path}: spec has no key {exc}") from None
-        except (TypeError, AttributeError, ValueError) as exc:  # AttributeError: a non-str handle
-            raise ValueError(f"{path}: {exc}") from None
+        """Read a spec file; a fault in it is a ValueError naming the file."""
+        return read_json(path, cls.from_dict)
 
 
 @dataclass

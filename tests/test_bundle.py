@@ -172,7 +172,7 @@ class TestMalformedParts:
         out = minimal_bundle().save(tmp_path / "bundle")
         written = json.loads((out / name).read_text(encoding="utf-8"))
         (out / name).write_text(json.dumps({**written, key: value}), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bundle: malformed entry: "):
+        with pytest.raises(ValueError, match=re.escape(f"{out / name}: malformed entry: ")):
             ModelBundle.load(out)
 
 
@@ -200,6 +200,47 @@ class TestMalformedParts:
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{out / MANIFEST_JSON}: not a JSON object"]
+
+
+class TestFaultNamesItsFile:
+    """Any fault in a part is one ValueError naming that part's file, and
+    `egoflux classify` exits 1 on it with one ERROR line that starts with the path."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        (CLASSIFIER_JSON, lambda d: d["classes"].append(max(d["classes"]) + 1),
+         "need one row per class"),
+        (PHRASES_JSON, lambda d: d["stages"][0].append(["a", "b", "c"]),
+         "too many values to unpack (expected 2)"),
+        (TOPICS_JSON, lambda d: d["summaries"][0].update(size="x"),
+         "invalid literal for int() with base 10: 'x'"),
+        (MANIFEST_JSON, lambda d: d.update(seed="x"),
+         "invalid literal for int() with base 10: 'x'"),
+        (TOPICS_JSON, lambda d: d["silhouette_by_k"].update({"2": 10 ** 400}),
+         "malformed entry: int too large to convert to float"),
+        (TFIDF_JSON, lambda d: d["idf"].pop(), "need one value per vocabulary term"),
+        (PROJECTOR_JSON, lambda d: d["components"].pop(),
+         "need one row per vocabulary term"),
+        (CLASSIFIER_JSON, lambda d: [row.pop() for row in d["weights"]],
+         "need the projector's width"),
+    ], ids=["fourth_class", "three_token_pair", "size_not_int", "seed_not_int",
+            "silhouette_past_float_range", "idf_short_of_vocabulary", "projector_short_of_vocabulary",
+            "classifier_narrower_than_projector"])
+    def test_classify_names_the_part(self, pipeline_result, two_topic_corpus, tmp_path,
+                                     caplog, name, edit, message):
+        out = pipeline_result.bundle.save(tmp_path / "bundle")
+        written = json.loads((out / name).read_text(encoding="utf-8"))
+        edit(written)
+        (out / name).write_text(json.dumps(written), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)) as raised:
+            ModelBundle.load(out)
+        assert str(raised.value).startswith(f"{out / name}: ")
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text(two_topic_corpus.to_jsonl(), encoding="utf-8")
+        code = main(["classify", str(posts), "--model", str(out),
+                     "--out", str(tmp_path / "labels.csv")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [str(raised.value)]
 
 
 class TestEveryWrittenKeyIsRead:

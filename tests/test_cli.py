@@ -291,6 +291,15 @@ class TestSeries:
         assert out.read_bytes() == series_csv.read_bytes()
         assert len(writes) == 2
 
+    def test_labels_not_utf8_named(self, tmp_path, caplog):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes("post_id,author,created_at,topic\n"
+                           "p1,caf\u00e9,2020-01-06T00:00:00+00:00,0\n".encode("latin-1"))
+        assert main(["series", str(labels)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{labels}: 'utf-8' codec can't decode byte 0xe9")
+
     def test_bad_columns_exit_one(self, tmp_path):
         bad = tmp_path / "labels.csv"
         bad.write_text("post_id,author\np1,ego\n", encoding="utf-8")
@@ -628,12 +637,12 @@ class TestSimulate:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ([1], "spec is not a JSON object"),
-        ({"n_topics": 2, "seed": 9}, "spec has no key 'n_weeks'"),
+        ([1], "not a JSON object"),
+        ({"n_topics": 2, "seed": 9}, "missing field 'n_weeks'"),
         ({"n_weeks": 30, "n_topics": 2, "seed": 9, "alters": [{"couplings": []}]},
-         "spec has no key 'handle'"),
+         "missing field 'handle'"),
         ({"n_weeks": 30, "n_topics": 2, "seed": 9, "alters": ["a1"]},
-         "string indices must be integers, not 'str'"),
+         "malformed entry: string indices must be integers, not 'str'"),
     ], ids=["not_an_object", "no_n_weeks", "alter_without_handle", "alter_not_an_object"])
     def test_unreadable_spec_named_and_exits_one(self, tmp_path, caplog, spec, message):
         path = tmp_path / "spec.json"
@@ -725,6 +734,28 @@ class TestReport:
         assert (out / "matrix.csv").read_bytes() == \
             (ws / "report_grouped" / "matrix.csv").read_bytes()
 
+    def test_groups_not_utf8_named(self, matrix_json, tmp_path, caplog):
+        groups = tmp_path / "groups.csv"
+        groups.write_bytes("handle,group\nalt_b,caf\u00e9\n".encode("latin-1"))
+        code = main(["report", "--matrix", str(matrix_json),
+                     "--groups", str(groups), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{groups}: 'utf-8' codec can't decode byte 0xe9")
+        with pytest.raises(EgofluxError):
+            cli._read_groups(str(groups))
+
+    def test_run_report_with_a_list_matrix_exits_one(self, tmp_path, caplog, capsys):
+        path = tmp_path / "run_report.json"
+        path.write_text('{"schema_version": 4, "config": {}, "matrix": []}', encoding="utf-8")
+        code = main(["report", "--matrix", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{path}: malformed entry: 'list' object has no attribute 'get'"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_empty_groups_handle_exits_one(self, matrix_json, tmp_path, caplog):
         groups = tmp_path / "groups.csv"
         groups.write_text("handle,group\nalt_b,close\n@,far\n", encoding="utf-8")
@@ -784,7 +815,7 @@ class TestReport:
 
     @pytest.mark.parametrize("text, message", [
         ("{}", "neither a causality matrix nor a run report"),
-        ("[1, 2]", "neither a causality matrix nor a run report"),
+        ("[1, 2]", "not a JSON object"),
         ('{"schema_version": 1, "config": {}, "matrix": {}}', "run report schema 1 != 4"),
         ('{"schema_version": 2, "config": {}, "matrix": {}}', "run report schema 2 != 4"),
         ('{"schema_version": 3, "config": {}, "matrix": {}}', "run report schema 3 != 4"),

@@ -348,6 +348,27 @@ class TestFieldTypes:
             load_corpus(path, format="jsonl", window=WINDOW, strict=True)
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a fault of the file, so even lenient mode
+    refuses it, naming the file."""
+
+    ROWS = {
+        "csv": "id,author,created_at,text,retweeted_author\n"
+               "a,x,2020-03-01T10:00:00Z,caf\u00e9,\n",
+        "jsonl": '{"id": "a", "author": "x", "created_at": "2020-03-01T10:00:00Z", '
+                 '"text": "caf\u00e9"}\n',
+    }
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_latin1_byte_named(self, tmp_path, fmt, strict):
+        path = tmp_path / f"posts.{fmt}"
+        path.write_bytes(self.ROWS[fmt].encode("latin-1"))
+        with pytest.raises(CorpusFormatError) as raised:
+            load_corpus(path, format=fmt, window=WINDOW, strict=strict)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
+
+
 class TestLoadJsonl:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "posts.jsonl"

@@ -191,6 +191,17 @@ class TestEmbeddingIO:
         assert loaded.dim == 2
         np.testing.assert_allclose(loaded.vectors["p1"], [1.0, 0.0])
 
+    @pytest.mark.parametrize("name, text", [
+        ("emb.csv", "id,v0\ncaf\u00e9,1.0\n"),
+        ("emb.jsonl", '{"id": "caf\u00e9", "v": [1.0]}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_not_utf8_named(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(EmbeddingFormatError) as raised:
+            load_embeddings(path)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
+
     def test_dim_mismatch_names_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text(

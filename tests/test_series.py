@@ -141,6 +141,14 @@ class TestSeriesCsv:
             TopicSeries("alt", 0, np.array([1, 1, 1]), idx),
         ]
 
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes("week_start,account,topic,count\n2020-01-06,caf\u00e9,0,3\n"
+                         .encode("latin-1"))
+        with pytest.raises(ValueError) as raised:
+            read_series_csv(path)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "series.csv"
         original = self._series()
@@ -433,6 +441,32 @@ class TestSeriesCsvRowLoopFallback:
         assert series_module._read_series_chunks(path) is None
         got = _read_outcome(read_series_csv, path)
         assert got == _read_outcome(series_module._read_series_rows, path)
+
+
+class TestChunkReaderDeclinesValidFile:
+    """Valid files that fail one of the chunk reader's size or shape checks:
+    it returns None and the row loop reads the series."""
+
+    CASES = {
+        # a header cell longer than _CELL_BYTES
+        "long_header_cell": b"week_start,account,topic,count," + b"n" * 65 + b"\n"
+                            b"2020-01-06,ego,0,3,x\n2020-01-13,ego,0,1,y\n",
+        # a final line with no newline, longer than 4 cells of _CELL_BYTES + 1
+        "long_unterminated_line": HEADER + b"2020-01-06,ego,0,3\n2020-01-13,ego,0,"
+                                  + b"0" * 300 + b"1",
+        # 5 and 7 cells under a 4-column header: 12 separators, three rows' worth
+        "ragged_rows_that_add_up": HEADER + b"2020-01-06,ego,0,3,x\n"
+                                   b"2020-01-13,ego,0,1,x,y,z\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_row_loop_reads_it(self, tmp_path, case):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(self.CASES[case])
+        assert series_module._read_series_chunks(path) is None
+        got = read_series_csv(path)
+        assert [s.counts.tolist() for s in got] == [[3, 1]]
+        assert _fields(got) == _read_outcome(series_module._read_series_rows, path)
 
 
 class TestSeriesCsvChunksMatchRowLoop:

@@ -44,6 +44,7 @@ from egoflux.stats import (
     make_stationary_pair,
     ols,
 )
+from egoflux.synth import AlterSpec, Coupling, SynthSpec, generate_series
 
 from conftest import without_key, written_keys
 
@@ -643,6 +644,25 @@ class TestCausalityScan:
         assert matrix.significant(hit)
         miss = matrix.pair("alt_x", 1)
         assert not matrix.significant(miss)
+
+    def test_lags_stop_at_the_first_one_too_short(self, monkeypatch):
+        # Lag L needs 3L + 10 weeks, so 30 weeks test lags 1-6 of max_lag 8;
+        # lag 7 is refused and lag 8 is never tried.
+        spec = SynthSpec(n_weeks=30, n_topics=1, seed=3, alters=[
+            AlterSpec(handle="a1", couplings=[Coupling(topic=0, lag=1, strength=0.8)])])
+        tried = []
+        real = stats_module._granger_batch
+
+        def recording(xs, y, lag):
+            tried.append(lag)
+            return real(xs, y, lag)
+
+        monkeypatch.setattr(stats_module, "_granger_batch", recording)
+        outcome = causality_scan(generate_series(spec).series, "ego", ["a1"],
+                                 max_lag=8).pair("a1", 0)
+        assert outcome.diff_order == 0 and outcome.skip_reason is None
+        assert [r.lag for r in outcome.results] == [1, 2, 3, 4, 5, 6]
+        assert tried == [1, 2, 3, 4, 5, 6, 7]
 
     def test_skip_codes(self):
         matrix = causality_scan(

@@ -10,10 +10,12 @@ input is generated once, by this tree's ``perfbench/workloads.generate``, and
 alternates from seed to seed) runs it in a fresh interpreter with one BLAS
 thread.  The script prints every artifact as identical or differing, and each
 job's ``run_s`` and ``ru_maxrss``; it exits 1 if any artifact differs.  Under
-a differing ``.json`` artifact it lists the key paths whose values differ,
-dot-joined, with list items by index (for example ``silhouette_by_k.5``),
-and under a differing ``.csv`` artifact how many rows after the header differ
-(for example ``labels.csv: 2 of 42,433 rows differ``).
+a differing ``.json`` artifact it prints each pattern of the key paths whose
+values differ once, dot-joined with list items as ``*``, followed by how many
+differing values it covers (for example ``weights.*.*  192`` or
+``silhouette_by_k.5  1``), and under a differing ``.csv`` artifact how many
+rows after the header differ (for example ``labels.csv: 2 of 42,433 rows
+differ``).
 
 Nothing here imports numpy, and every job is a child of this small process:
 on Linux a child's ``ru_maxrss`` starts at the RSS of the process that forked
@@ -30,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,18 +92,25 @@ def digests(out: Path) -> dict[str, str]:
 _ABSENT = object()  # the side of a key or list item that one document lacks
 
 
-def differing_keys(base, change, path: str = "") -> list[str]:
+def differing_keys(base, change, path: str = "", item=str) -> list[str]:
     """Dot-joined paths of the values that differ between two parsed JSON
-    documents; a key or item present on one side only counts as differing."""
+    documents, list items named `item(index)`; a key or item present on one
+    side only counts as differing."""
+    name = str
     if isinstance(base, list) and isinstance(change, list):
-        base, change = dict(enumerate(base)), dict(enumerate(change))
+        base, change, name = dict(enumerate(base)), dict(enumerate(change)), item
     if not (isinstance(base, dict) and isinstance(change, dict)):
         return [] if base == change else [path or "(root)"]
     found = []
     for key in sorted(set(base) | set(change)):
         found += differing_keys(base.get(key, _ABSENT), change.get(key, _ABSENT),
-                                f"{path}.{key}" if path else str(key))
+                                f"{path}.{name(key)}" if path else name(key), item)
     return found
+
+
+def differing_patterns(base, change) -> Counter:
+    """How many values differ under each differing key path with list items as `*`."""
+    return Counter(differing_keys(base, change, item=lambda _: "*"))
 
 
 def differing_rows(base: str, change: str) -> tuple[int, int]:
@@ -146,8 +156,8 @@ def main(argv: list[str] | None = None) -> int:
                 texts = [(work / f"{side}{seed}" / name).read_text(encoding="utf-8")
                          for side in ("base", "change")]
                 if name.endswith(".json"):
-                    for key in differing_keys(*map(json.loads, texts)):
-                        print(f"      {key}")
+                    for pattern, count in differing_patterns(*map(json.loads, texts)).items():
+                        print(f"      {pattern}  {count:,}")
                 else:
                     n_diff, n_rows = differing_rows(*texts)
                     print(f"      {name}: {n_diff:,} of {n_rows:,} rows differ")
