@@ -42,7 +42,7 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     """One timestamped authored item; retweeted_author set when it retweets someone."""
 
@@ -69,7 +69,9 @@ class Corpus:
 
     def to_jsonl(self) -> str:
         """Canonical serialization; identical corpora produce identical bytes."""
-        lines = [json.dumps({**vars(p), "created_at": p.created_at.isoformat()},
+        lines = [json.dumps({"id": p.id, "author": p.author,
+                             "created_at": p.created_at.isoformat(), "text": p.text,
+                             "retweeted_author": p.retweeted_author},
                             sort_keys=True, ensure_ascii=False, separators=(",", ":"))
                  for p in self.posts]
         return "\n".join(lines) + ("\n" if lines else "")
@@ -125,8 +127,7 @@ def _post_from_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted,
     text = raw_text or ""
     if author is None:
         raise ValueError("empty author")
-    return Post(id=post_id, author=author, created_at=created_at, text=text,
-                retweeted_author=handle(raw_retweeted))
+    return Post(post_id, author, created_at, text, handle(raw_retweeted or None))
 
 
 def _record_cells(record: dict | None) -> tuple:
@@ -155,9 +156,8 @@ def _iter_csv(path: Path):
                 continue
             if len(row) < width:
                 row += [None] * (width - len(row))
-            raw_id, author, created, text, retweeted = pick(row)
             # line_num: the file line a row ends on, blank lines counted
-            yield reader.line_num, (raw_id, author, created, text, retweeted or None)
+            yield reader.line_num, pick(row)
 
 
 def _iter_jsonl(path: Path):

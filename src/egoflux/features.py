@@ -115,14 +115,17 @@ def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matr
     )
     A.sum_duplicates()
     A.data *= model.idf[A.indices]
-    # Row by row with sqrt(row . row), which is what np.linalg.norm computes
-    # for a 1-D float row: its BLAS dot rounds differently from a vectorized
-    # sum of squares, and the last bit moves alter labels.
-    data = A.data
-    for start, stop in zip(A.indptr[:-1].tolist(), A.indptr[1:].tolist()):
-        if stop > start:
-            row = data[start:stop]
-            row /= math.sqrt(row.dot(row))
+    # Each row's sum of squares is one BLAS dot, as np.linalg.norm takes it
+    # for a 1-D float row: a vectorized sum of squares rounds differently, and
+    # the last bit moves alter labels.  Rows of one length are stacked, and
+    # matmul takes each (1, L) @ (L, 1) slice as one dot.
+    lengths = np.diff(A.indptr)
+    sumsq = np.zeros(len(lengths))
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        X = A.data[A.indptr[rows, None] + np.arange(length)]
+        sumsq[rows] = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    A.data /= np.repeat(np.sqrt(sumsq), lengths)
     return A
 
 

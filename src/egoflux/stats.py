@@ -679,20 +679,28 @@ class CausalityMatrix:
 
 
 def _check_pair_grid(alters: list[str], n_topics: int, pairs: list[PairOutcome]) -> None:
-    """Refuse pairs that are not alters x 0..n_topics-1, each once, naming the first bad pair."""
-    grid = [(alter, topic) for alter in alters for topic in range(n_topics)]
-    allowed, seen = set(grid), set()
-    if len(allowed) < len(grid):
+    """Refuse pairs that are not alters x 0..n_topics-1, each once, naming the first bad pair.
+
+    The counts are compared first, so the cost never grows with the
+    `n_topics` a file claims; with equal counts, pairs that are each on the
+    grid and distinct fill it."""
+    if type(n_topics) is not int:  # type(): a JSON 2.0 or true is no count
+        raise TypeError(f"n_topics {n_topics!r} is not an integer")
+    if len(set(alters)) < len(alters):
         raise ValueError(f"alters {alters} repeat a handle")
+    if len(pairs) != len(alters) * n_topics:
+        raise ValueError(f"{len(pairs)} pairs for {len(alters)} alters x {n_topics} topics, "
+                         f"need {len(alters) * n_topics}")
+    allowed, seen = set(alters), set()
     for pair in ((p.alter, p.topic) for p in pairs):
-        if type(pair[1]) is not int or pair not in allowed:  # type(): a JSON 1.0 is no index
+        alter, topic = pair
+        # type(): a JSON 1.0 is no index
+        if alter not in allowed or type(topic) is not int or not 0 <= topic < n_topics:
             raise ValueError(f"pair {pair} is not an alter of {alters} and a topic "
                              f"in 0..{n_topics - 1}")
         if pair in seen:
             raise ValueError(f"pair {pair} appears twice")
         seen.add(pair)
-    if len(seen) < len(grid):
-        raise ValueError(f"pair {next(pair for pair in grid if pair not in seen)} is missing")
 
 
 def _scan_group(outcomes: list[PairOutcome], xs: np.ndarray, y: np.ndarray, max_lag: int) -> None:

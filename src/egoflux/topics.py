@@ -6,8 +6,9 @@ from several seeded starts.  A k search ranks each k by the silhouette of
 one descent from its BUILD start and runs the restarts for the chosen k
 only.  No piece of that work is done twice: BUILD is greedy, so a k search
 builds once for its largest k and each k starts from a prefix of that
-order, and the starts of one k share each swap block's outcome through a
-table that lives for that one call.
+order; the chosen k's restarts begin from the descent that scored it; and
+the starts of one k share each swap block's outcome through a table that
+lives for that one k.
 
 The n x n distance matrix is the only quadratic object the stage holds.
 BUILD's gains, the swap descent and the silhouette scan it a block of
@@ -220,7 +221,8 @@ RESTARTS = 8
 
 
 def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
-             build: Sequence[int] | None = None) -> Clustering:
+             build: Sequence[int] | None = None, *, _searched: tuple | None = None
+             ) -> Clustering:
     """k-medoids with deterministic restarts: BUILD plus seeded random starts,
     each refined by the eager swap descent; the cheapest result wins.
 
@@ -235,7 +237,10 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
     over at least k medoids (`select_k` builds once for its largest k);
     BUILD is greedy, so its first k entries are BUILD for k.  The starts
     share one table of swap-block outcomes (see `_swap_descent`), which
-    lives for this call only.
+    lives for this call only.  `_searched` is `select_k`'s own hand-over:
+    the `_swap_descent` result from BUILD's first k medoids and the table
+    that descent filled, so the BUILD start is not descended again (and
+    `build` is not read).
     """
     n = dm.n
     if not 2 <= k < n:
@@ -244,11 +249,13 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
     rng = np.random.default_rng(seed)
     # Drawn even when `build` is given: the restart sets come after it.
     priority = rng.permutation(n)
-    if build is None:
-        build = _build_init(D, k, priority)
-
-    table: dict = {}
-    medoids, total, n_swaps = _swap_descent(D, build[:k], table)
+    if _searched is None:
+        if build is None:
+            build = _build_init(D, k, priority)
+        table: dict = {}
+        medoids, total, n_swaps = _swap_descent(D, build[:k], table)
+    else:
+        (medoids, total, n_swaps), table = _searched
     for _ in range(RESTARTS - 1):
         init = [int(i) for i in rng.choice(n, size=k, replace=False)]
         cand, cost, swaps = _swap_descent(D, init, table)
@@ -326,7 +333,9 @@ def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSel
     range of one k has nothing to rank: it scores `best` itself.
 
     BUILD runs once, for k_max: every kmedoids call draws the same priority
-    first, so each k's BUILD start is a prefix of that order.
+    first, so each k's BUILD start is a prefix of that order.  The chosen
+    k's descent and its table are handed to `kmedoids`, whose restarts go
+    on from them.
     """
     if k_min > k_max:
         raise ValueError(f"empty k range [{k_min}, {k_max}]")
@@ -339,13 +348,16 @@ def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSel
     scores: dict[int, float] = {}
     chosen = k_min
     for k in range(k_min, k_max + 1):
-        medoids, cost, n_swaps = _swap_descent(dm.d, build[:k])
+        table: dict = {}
+        descent = _swap_descent(dm.d, build[:k], table)
+        medoids, cost, n_swaps = descent
         scores[k] = silhouette(dm, _clustering(dm, medoids, n_swaps))
         logger.info("k=%d silhouette=%.4f cost=%.4f", k, scores[k], cost)
         # Strictly greater: ties keep the smaller k.
-        if scores[k] > scores[chosen]:
-            chosen = k
-    return KSelection(best=kmedoids(dm, chosen, seed=seed, build=build), scores=scores)
+        if k == k_min or scores[k] > scores[chosen]:
+            chosen, searched = k, (descent, table)
+    return KSelection(best=kmedoids(dm, chosen, seed=seed, _searched=searched),
+                      scores=scores)
 
 
 @dataclass

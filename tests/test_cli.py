@@ -838,16 +838,17 @@ class TestReport:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda pairs: pairs.pop(), "pair ('a2', 1) is missing"),
+        (lambda pairs: pairs.pop(), "3 pairs for 2 alters x 2 topics, need 4"),
         (lambda pairs: pairs[0].update(alter="zz"),
          "pair ('zz', 0) is not an alter of ['a1', 'a2'] and a topic in 0..1"),
         (lambda pairs: pairs[1].update(topic=2),
          "pair ('a1', 2) is not an alter of ['a1', 'a2'] and a topic in 0..1"),
         (lambda pairs: pairs[1].update(topic=1.0),
          "pair ('a1', 1.0) is not an alter of ['a1', 'a2'] and a topic in 0..1"),
-        (lambda pairs: pairs.append(dict(pairs[0])), "pair ('a1', 0) appears twice"),
+        (lambda pairs: pairs.append(dict(pairs[0])), "5 pairs for 2 alters x 2 topics, need 4"),
+        (lambda pairs: pairs[1].update(topic=0), "pair ('a1', 0) appears twice"),
     ], ids=["missing_pair", "unknown_alter", "topic_out_of_range", "float_topic",
-            "repeated_pair"])
+            "repeated_pair", "pair_in_place_of_another"])
     @pytest.mark.parametrize("name", ["matrix.json", "run_report.json"])
     def test_pairs_off_the_alter_topic_grid_exit_one(self, tmp_path, caplog, edit, message,
                                                      name):
@@ -860,6 +861,16 @@ class TestReport:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{path}: {message}"]
         assert not (tmp_path / "r").exists()
+
+    def test_claimed_grid_past_the_pairs_exits_one(self, tmp_path, caplog):
+        data = json.loads((INDENTED / "matrix.json").read_text(encoding="utf-8"))
+        data["n_topics"] = 1_000_000
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["report", "--matrix", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{path}: 4 pairs for 2 alters x 1000000 topics, need 2000000"]
 
     def test_bad_groups_columns_exit_one(self, ws, matrix_json, tmp_path):
         groups = tmp_path / "groups.csv"

@@ -1,13 +1,17 @@
 """Ingestion: parsing, window filtering, dedup, canonical output, alter ranking."""
 
+import dataclasses
 import json
+import pickle
 from datetime import datetime, timezone
 
 import pytest
 
 from egoflux import corpus as corpus_mod
 from egoflux.corpus import (
+    CSV_COLUMNS,
     Corpus,
+    Post,
     canonical_handle,
     load_corpus,
     parse_timestamp,
@@ -416,6 +420,41 @@ class TestLoadJsonl:
             '"retweeted_author":"alt_a","text":"café “quoted” ☕"}\n'
             '{"author":"alt_a","created_at":"2020-03-02T11:30:05+00:00","id":"p2",'
             '"retweeted_author":null,"text":""}\n')
+
+
+    def test_to_jsonl_writes_every_field(self):
+        post = make_post("p1", "ego", "2020-03-01T10:00:00", "hi", "alt_a")
+        corpus = Corpus(posts=(post,), window_start=WINDOW[0], window_end=WINDOW[1])
+        assert set(json.loads(corpus.to_jsonl())) == {f.name for f in dataclasses.fields(Post)}
+
+
+class TestPost:
+    """A Post is a frozen, slotted value: no per-instance dict, no assignment."""
+
+    POST = make_post("p1", "ego", "2020-03-01T10:00:00", "hi", "alt_a")
+
+    def test_assigning_a_field_raises(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.POST.text = "changed"
+        assert self.POST.text == "hi"
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(self.POST, "__dict__")
+        assert Post.__slots__ == tuple(f.name for f in dataclasses.fields(Post))
+
+    def test_pickle_round_trip(self):
+        again = pickle.loads(pickle.dumps(self.POST))
+        assert again == self.POST and again is not self.POST
+        assert again.created_at.tzinfo is timezone.utc
+
+    def test_replace_round_trip(self):
+        moved = dataclasses.replace(self.POST, retweeted_author=None)
+        assert moved.retweeted_author is None and moved.id == "p1"
+        assert dataclasses.replace(moved, retweeted_author="alt_a") == self.POST
+
+    def test_positional_fields_in_csv_column_order(self):
+        assert [f.name for f in dataclasses.fields(Post)] == CSV_COLUMNS
+        assert Post("p1", "ego", self.POST.created_at, "hi", "alt_a") == self.POST
 
 
 class TestRankAlters:

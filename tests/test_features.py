@@ -153,10 +153,18 @@ class TestTransformTfidf:
 
         ego = [TokenDoc(f"e{i}", draw(words[:200], 1, 80)) for i in range(300)]
         model = fit_tfidf(ego, min_df=2)
-        docs = (ego + [TokenDoc(f"a{i}", draw(words, 0, 120)) for i in range(300)]
+        # Rows of every length 1..128 too, each length's own group of the
+        # batched norm; tokens repeat, so the counts differ within a row.
+        vocab = sorted(model.vocabulary)
+        sized = []
+        for n in range(1, 129):
+            distinct = rng.choice(vocab, size=n, replace=False).tolist()
+            sized.append(TokenDoc(f"n{n}", distinct + draw(distinct, 0, n + 1)))
+        docs = (ego + [TokenDoc(f"a{i}", draw(words, 0, 120)) for i in range(300)] + sized
                 + [TokenDoc(f"o{i}", draw(words[200:], 1, 10)) for i in range(20)]
                 + [TokenDoc(f"z{i}", []) for i in range(20)])
         A = tfidf_matrix(model, docs)
+        assert set(np.diff(A.indptr).tolist()) >= set(range(1, 129))
         rows = [_reference_transform(model, doc) for doc in docs]
         assert np.array_equal(A.indptr, np.cumsum([0] + [len(ix) for ix, _ in rows]))
         assert np.array_equal(A.indices, np.concatenate([ix for ix, _ in rows]))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from datetime import date
@@ -47,6 +48,8 @@ from egoflux.stats import (
 from egoflux.synth import AlterSpec, Coupling, SynthSpec, generate_series
 
 from conftest import without_key, written_keys
+
+INDENTED = Path(__file__).resolve().parent / "data" / "indented_json"
 
 
 class TestOls:
@@ -803,6 +806,27 @@ class TestCausalityScan:
         d = causality_scan(_scan_series(), "ego", ["alt_x"], max_lag=4).to_dict()
         d["alters"] = ["alt_x", "alt_x"]
         with pytest.raises(ValueError, match=re.escape("alters ['alt_x', 'alt_x'] repeat")):
+            CausalityMatrix.from_dict(d)
+
+    def test_claimed_grid_refused_before_it_is_built(self):
+        d = json.loads((INDENTED / "matrix.json").read_text(encoding="utf-8"))
+        d["n_topics"] = 1_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "4 pairs for 2 alters x 1000000 topics, need 2000000")):
+                CausalityMatrix.from_dict(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The grid itself would hold two million tuples (about 300 MB).
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("n_topics", [2.0, True, "2"])
+    def test_n_topics_not_an_integer_rejected(self, n_topics):
+        d = json.loads((INDENTED / "matrix.json").read_text(encoding="utf-8"))
+        d["n_topics"] = n_topics
+        with pytest.raises(TypeError, match=re.escape(f"n_topics {n_topics!r} is not an integer")):
             CausalityMatrix.from_dict(d)
 
     def test_every_written_key_is_read(self):

@@ -494,6 +494,27 @@ class TestSharedWork:
         select_k(dm_from_points(np.random.default_rng(10).normal(size=(20, 2))), 2, 6)
         assert calls == [6]
 
+    def test_select_k_descends_each_start_once(self, monkeypatch):
+        k, dm = LARGE[4]
+        build = _build_init(dm.d, 6, np.random.default_rng(k).permutation(dm.n))
+        runs = []
+
+        def recording(D, medoids, table=None):
+            runs.append((list(medoids), table))
+            return _swap_descent(D, medoids, table)
+
+        monkeypatch.setattr(topics, "_swap_descent", recording)
+        sel = select_k(dm, 2, 6, seed=k)
+        starts = [init for init, _ in runs]
+        # One descent per k from its BUILD start, then the chosen k's restarts
+        # only, which share the table of the descent that scored that k.
+        assert starts[:5] == [build[:j] for j in range(2, 7)]
+        assert len(runs) == 5 + RESTARTS - 1
+        assert build[:sel.best.k] not in starts[5:]
+        scored = runs[sel.best.k - 2][1]
+        assert all(table is scored for _, table in runs[5:])
+        assert_same_clustering(sel.best, reference_kmedoids(dm, sel.best.k, k))
+
     def test_starts_share_block_outcomes(self, monkeypatch):
         k, dm = LARGE[4]
         runs = []
@@ -688,9 +709,9 @@ class TestSelectK:
         """The k of each call select_k makes through topics.kmedoids."""
         calls = []
 
-        def counting(dm, k, seed=42, build=None):
+        def counting(dm, k, *args, **kwargs):
             calls.append(k)
-            return kmedoids(dm, k, seed=seed, build=build)
+            return kmedoids(dm, k, *args, **kwargs)
 
         monkeypatch.setattr(topics, "kmedoids", counting)
         return calls
