@@ -53,25 +53,6 @@ class Post:
     retweeted_author: str | None = None
 
 
-# The frozen __init__ sets each field through object.__setattr__; the loader
-# builds one Post per row, and setting the slots through their descriptors
-# takes about half as long.
-_SET_ID, _SET_AUTHOR, _SET_CREATED_AT, _SET_TEXT, _SET_RETWEETED_AUTHOR = (
-    Post.__dict__[name].__set__ for name in Post.__slots__)
-
-
-def _new_post(post_id: str, author: str, created_at: datetime, text: str,
-              retweeted_author: str | None) -> Post:
-    """Post(post_id, author, ...), built the loader's faster way."""
-    post = object.__new__(Post)
-    _SET_ID(post, post_id)
-    _SET_AUTHOR(post, author)
-    _SET_CREATED_AT(post, created_at)
-    _SET_TEXT(post, text)
-    _SET_RETWEETED_AUTHOR(post, retweeted_author)
-    return post
-
-
 @dataclass(frozen=True)
 class Corpus:
     """Window-filtered posts, sorted ascending by (created_at, id)."""
@@ -123,9 +104,11 @@ def record_id(value) -> str:
     return post_id
 
 
-def _check_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted) -> None:
-    """Refuse a row with a missing id, author or created_at, or with a cell
-    other than the id that is not a string, naming the first such cell."""
+def _post_from_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted,
+                     handle) -> Post:
+    """The post a row's cells hold, its id by `record_id`, its handles by
+    `handle` and its other fields strings; a bad row raises TypeError or
+    ValueError."""
     # A JSON null, or a cell a short CSV row lacks, is missing, not the text "None".
     if raw_id is None or raw_author is None or raw_created is None:
         raise ValueError("missing " + ", ".join(
@@ -138,6 +121,13 @@ def _check_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted) -> No
             ("author", raw_author), ("created_at", raw_created), ("text", raw_text),
             ("retweeted_author", raw_retweeted)) if not isinstance(cell, (str, type(None))))
         raise TypeError(f"{name} {cell!r} is not a string")
+    post_id = record_id(raw_id)
+    author = handle(raw_author)
+    created_at = parse_timestamp(raw_created)
+    text = raw_text or ""
+    if author is None:
+        raise ValueError("empty author")
+    return Post(post_id, author, created_at, text, handle(raw_retweeted or None))
 
 
 def _record_cells(record: dict | None) -> tuple:
@@ -218,18 +208,9 @@ def load_corpus(
     handle = functools.cache(canonical_handle)
     seen_ids: set[str] = set()
     kept: list[Post] = []
-    for lineno, cells in rows:
-        # A post's id by `record_id`, its handles by `handle`, its other
-        # fields strings; a bad row raises KeyError, TypeError or ValueError.
+    for lineno, row in rows:
         try:
-            raw_id, raw_author, raw_created, raw_text, raw_retweeted = (
-                cells if from_csv else _record_cells(cells))
-            _check_cells(raw_id, raw_author, raw_created, raw_text, raw_retweeted)
-            post_id = record_id(raw_id)
-            author = handle(raw_author)
-            created_at = parse_timestamp(raw_created)
-            if author is None:
-                raise ValueError("empty author")
+            post = _post_from_cells(*(row if from_csv else _record_cells(row)), handle)
         except (KeyError, TypeError, ValueError) as exc:
             error = CorpusFormatError(f"{path}:{lineno}: {exc}")
             if strict:
@@ -237,17 +218,16 @@ def load_corpus(
             result.dropped_malformed += 1
             logger.debug("skipping malformed row: %s", error)
             continue
-        if post_id in seen_ids:
+        if post.id in seen_ids:
             if strict:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate id {post_id!r}")
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate id {post.id!r}")
             result.dropped_duplicate += 1
             continue
-        seen_ids.add(post_id)
-        if not start <= created_at <= end:
+        seen_ids.add(post.id)
+        if not start <= post.created_at <= end:
             result.dropped_out_of_window += 1
             continue
-        kept.append(_new_post(post_id, author, created_at, raw_text or "",
-                              handle(raw_retweeted or None)))
+        kept.append(post)
 
     posts = tuple(sorted(kept, key=operator.attrgetter("created_at", "id")))
     result.corpus = Corpus(posts=posts, window_start=start, window_end=end)

@@ -118,13 +118,16 @@ def tfidf_matrix(model: TfidfModel, docs: Sequence[TokenDoc]) -> sparse.csr_matr
     # Each row's sum of squares is one BLAS dot, as np.linalg.norm takes it
     # for a 1-D float row: a vectorized sum of squares rounds differently, and
     # the last bit moves alter labels.  Rows of one length are stacked, and
-    # matmul takes each (1, L) @ (L, 1) slice as one dot.
+    # matmul takes each (1, L) @ (L, 1) slice as one dot.  One sort finds
+    # every length's rows.
     lengths = np.diff(A.indptr)
+    order = np.argsort(lengths, kind="stable")
+    sizes, firsts = np.unique(lengths[order], return_index=True)
     sumsq = np.zeros(len(lengths))
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        rows = np.flatnonzero(lengths == length)
-        X = A.data[A.indptr[rows, None] + np.arange(length)]
-        sumsq[rows] = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    for length, rows in zip(sizes.tolist(), np.split(order, firsts[1:])):
+        if length:
+            X = A.data[A.indptr[rows, None] + np.arange(length)]
+            sumsq[rows] = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
     A.data /= np.repeat(np.sqrt(sumsq), lengths)
     return A
 

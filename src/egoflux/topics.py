@@ -220,9 +220,8 @@ def _swap_descent(D: np.ndarray, medoids: list[int],
 RESTARTS = 8
 
 
-def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
-             build: Sequence[int] | None = None, *, _searched: tuple | None = None
-             ) -> Clustering:
+def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42, *,
+             _searched: tuple | None = None) -> Clustering:
     """k-medoids with deterministic restarts: BUILD plus seeded random starts,
     each refined by the eager swap descent; the cheapest result wins.
 
@@ -233,29 +232,25 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 42,
     BUILD's exact cost tie-breaks, nothing else.  `n_swaps` counts the
     swaps of the winning start.
 
-    `build`, when given, is BUILD's medoid order for this `dm` and `seed`
-    over at least k medoids (`select_k` builds once for its largest k);
-    BUILD is greedy, so its first k entries are BUILD for k.  The starts
-    share one table of swap-block outcomes (see `_swap_descent`), which
-    lives for this call only.  `_searched` is `select_k`'s own hand-over:
-    the `_swap_descent` result from BUILD's first k medoids and the table
-    that descent filled, so the BUILD start is not descended again (and
-    `build` is not read).
+    The starts share one table of swap-block outcomes (see
+    `_swap_descent`), which lives for this call only.  `_searched` is
+    `select_k`'s own hand-over: the `_swap_descent` result from BUILD's
+    first k medoids for this `dm` and `seed`, and the table that descent
+    filled, so BUILD is neither run nor descended again.
     """
     n = dm.n
     if not 2 <= k < n:
         raise ValueError(f"k={k} out of range [2, {n - 1}]")
     D = dm.d
     rng = np.random.default_rng(seed)
-    # Drawn even when `build` is given: the restart sets come after it.
+    # Drawn even when `_searched` is given: the restart sets come after it.
     priority = rng.permutation(n)
     if _searched is None:
-        if build is None:
-            build = _build_init(D, k, priority)
         table: dict = {}
-        medoids, total, n_swaps = _swap_descent(D, build[:k], table)
+        first = _swap_descent(D, _build_init(D, k, priority), table)
     else:
-        (medoids, total, n_swaps), table = _searched
+        first, table = _searched
+    medoids, total, n_swaps = first
     for _ in range(RESTARTS - 1):
         init = [int(i) for i in rng.choice(n, size=k, replace=False)]
         cand, cost, swaps = _swap_descent(D, init, table)
@@ -341,10 +336,10 @@ def select_k(dm: DistanceMatrix, k_min: int, k_max: int, seed: int = 42) -> KSel
         raise ValueError(f"empty k range [{k_min}, {k_max}]")
     if k_min < 2 or k_max > dm.n - 1:
         raise ValueError(f"k range [{k_min}, {k_max}] outside [2, {dm.n - 1}]")
-    build = _build_init(dm.d, k_max, np.random.default_rng(seed).permutation(dm.n))
     if k_min == k_max:
-        best = kmedoids(dm, k_min, seed=seed, build=build)
+        best = kmedoids(dm, k_min, seed=seed)
         return KSelection(best=best, scores={k_min: silhouette(dm, best)})
+    build = _build_init(dm.d, k_max, np.random.default_rng(seed).permutation(dm.n))
     scores: dict[int, float] = {}
     chosen = k_min
     for k in range(k_min, k_max + 1):

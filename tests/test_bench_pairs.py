@@ -1,6 +1,6 @@
 """tools/bench_pairs.py summarizes alternated (base, change) run_s pairs and
-decides the claim rule: wins in 9 of 10 pairs, and a median gap wider than
-the base's quartile spread."""
+decides the claim rule: at least 10 pairs, wins in 9 of every 10, and a
+median gap wider than the base's quartile spread."""
 
 import sys
 from pathlib import Path
@@ -49,6 +49,14 @@ def test_a_loss_is_counted():
     assert (summary.wins, summary.ties, summary.losses) == (9, 0, 1)
     assert summary.holds
     assert not summarize([(0.5, 0.4), (0.5, 0.6)]).holds
+
+
+def test_fewer_than_ten_pairs_do_not_hold():
+    # Every pair won by a wide margin, but one pair, or nine, is too few.
+    assert not summarize([(0.9, 0.5)]).holds
+    nine = summarize([(b, b - 0.2) for b in BASE[:9]])
+    assert nine.wins == 9 and not nine.holds
+    assert summarize([(b, b - 0.2) for b in BASE + BASE]).holds
 
 
 def test_no_pairs_refused():

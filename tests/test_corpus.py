@@ -456,24 +456,6 @@ class TestPost:
         assert [f.name for f in dataclasses.fields(Post)] == CSV_COLUMNS
         assert Post("p1", "ego", self.POST.created_at, "hi", "alt_a") == self.POST
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_loaded_post_is_a_post_like_any_other(self, tmp_path, fmt):
-        # The loader sets the slots itself, bypassing __init__.
-        path = tmp_path / f"c.{fmt}"
-        if fmt == "csv":
-            write_csv(path, ["p1,@Ego,2020-03-01T10:00:00Z,hi,Alt_A\n"])
-        else:
-            write_jsonl(path, [{"id": "p1", "author": "@Ego", "created_at":
-                                "2020-03-01T10:00:00Z", "text": "hi",
-                                "retweeted_author": "Alt_A"}])
-        (loaded,) = load_corpus(path, fmt, WINDOW).corpus.posts
-        assert type(loaded) is Post and not hasattr(loaded, "__dict__")
-        assert loaded == self.POST and hash(loaded) == hash(self.POST)
-        assert repr(loaded) == repr(self.POST)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            loaded.text = "changed"
-        assert pickle.loads(pickle.dumps(loaded)) == loaded
-
 
 class TestRankAlters:
     def _corpus(self, posts):

@@ -13,8 +13,8 @@ so a drift in machine speed falls on both sides.  T is ``run_seconds`` of
 
 The script prints each pair's ``run_s`` (with ``setup_s``, ``peak_rss_mb``
 and ``recall``), each side's median and quartiles, the change's wins, ties and
-losses, and whether the claim rule holds: the change is faster in at least
-9 of every 10 pairs, and its median is below REV's by more than the spread
+losses, and whether the claim rule holds: over at least 10 pairs, the
+change is faster in at least 9 of every 10, and its median is below REV's by more than the spread
 between REV's quartiles.  Quartiles interpolate linearly between the
 sorted runs, as ``numpy.percentile`` does.  It exits 1 if a run fails.
 """
@@ -31,6 +31,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from compare_artifacts import ROOT, unpack
+
+
+# The claim rule needs at least this many pairs.
+MIN_PAIRS = 10
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,9 @@ def summarize(pairs: list[tuple[float, float]]) -> Summary:
     ties = sum(change == base for base, change in pairs)
     base = quartiles([b for b, _ in pairs])
     change = quartiles([c for _, c in pairs])
-    # At least 9 wins in every 10 pairs, ties counting for neither side.
-    holds = 10 * wins >= 9 * len(pairs) and base[1] - change[1] > base[2] - base[0]
+    # At least 10 pairs and 9 wins in every 10, ties counting for neither side.
+    holds = (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
+             and base[1] - change[1] > base[2] - base[0])
     return Summary(base=base, change=change, wins=wins, ties=ties,
                    losses=len(pairs) - wins - ties, holds=holds)
 
