@@ -125,9 +125,8 @@ def _stratified_split(ids_by_class: dict[int, list[str]], val_fraction: float,
     for c in sorted(ids_by_class):
         ids = sorted(ids_by_class[c])
         perm = rng.permutation(len(ids))
+        # train refuses a one-member class, so at least one id stays to train on.
         n_val = max(1, int(round(len(ids) * val_fraction)))
-        if n_val >= len(ids):
-            n_val = len(ids) - 1
         held = set(perm[:n_val])
         for i, pid in enumerate(ids):
             (val_ids if i in held else train_ids).append(pid)

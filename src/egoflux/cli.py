@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bundle import ModelBundle
 from .corpus import Corpus, Post, canonical_handle, load_corpus, parse_timestamp, record_id
-from .errors import EgofluxError, open_text, read_json
+from .errors import EgofluxError, csv_rows, open_text, read_json
 from .pipeline import PipelineConfig, classify_corpus, fit_topics
 from .report import ReportBundle, emit_report_bundle
 from .series import bin_posts, build_week_index, int_cell, read_series_csv, write_series_rows
@@ -42,6 +42,17 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
     return open(path, "w", newline="", encoding="utf-8")
+
+
+def _handles(flag: str, value) -> list[str] | None:
+    """The canonical handles of a comma-separated flag value, or None for an
+    absent or empty one; an empty name in the list is refused."""
+    if not value:
+        return None
+    names = [canonical_handle(name) for name in value.split(",")]
+    if None in names:
+        raise EgofluxError(f"{flag} {value!r} has an empty name")
+    return names
 
 
 def _window(args, earliest: datetime, latest: datetime) -> tuple[datetime, datetime]:
@@ -78,7 +89,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_topics(args) -> int:
-    given = vars(args)
+    given = {**vars(args), "exclude": tuple(_handles("--exclude", args.exclude) or ())}
     # Built first: its settings are refused before the corpus is read.
     config = PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig)
                                if f.name in given})
@@ -127,28 +138,25 @@ def _cmd_series(args) -> int:
     labels: dict[str, int] = {}
     seen_at: dict[str, str] = {}  # post_id -> "<path>:<line>" of its first row
     for path in args.labeled:
-        with open_text(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(LABELS_COLUMNS).issubset(reader.fieldnames):
-                raise EgofluxError(f"{path}: need columns {sorted(LABELS_COLUMNS)}")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if None in row.values():
-                    raise ValueError(f"{where}: row has too few cells")
-                try:
-                    post_id = record_id(row["post_id"])
-                    created_at = parse_timestamp(row["created_at"])
-                    topic = int_cell(row["topic"])
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                author = canonical_handle(row["author"])
-                if author is None:
-                    raise ValueError(f"{where}: empty author")
-                if post_id in seen_at:
-                    raise ValueError(f"{where}: post_id {post_id!r} repeats {seen_at[post_id]}")
-                labels[post_id] = topic
-                seen_at[post_id] = where
-                posts.append(Post(id=post_id, author=author, created_at=created_at, text=""))
+        for lineno, row in csv_rows(path, LABELS_COLUMNS):
+            where = f"{path}:{lineno}"
+            if None in row:
+                raise ValueError(f"{where}: row has too few cells")
+            cell_id, cell_author, cell_created, cell_topic = row
+            try:
+                post_id = record_id(cell_id)
+                created_at = parse_timestamp(cell_created)
+                topic = int_cell(cell_topic)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            author = canonical_handle(cell_author)
+            if author is None:
+                raise ValueError(f"{where}: empty author")
+            if post_id in seen_at:
+                raise ValueError(f"{where}: post_id {post_id!r} repeats {seen_at[post_id]}")
+            labels[post_id] = topic
+            seen_at[post_id] = where
+            posts.append(Post(id=post_id, author=author, created_at=created_at, text=""))
     if not posts:
         raise EgofluxError("no labeled posts given")
     week_index = build_week_index(_window(args, min(p.created_at for p in posts),
@@ -169,11 +177,7 @@ def _cmd_series(args) -> int:
             week_index.bin_of(post.created_at)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    accounts = None
-    if args.accounts:
-        accounts = [canonical_handle(name) for name in args.accounts.split(",")]
-        if None in accounts:
-            raise EgofluxError(f"--accounts {args.accounts!r} has an empty name")
+    accounts = _handles("--accounts", args.accounts)
     series = bin_posts(posts, labels, week_index, n_topics, accounts=accounts)
     with _open_out(args.out) as fh:
         write_series_rows(series, fh)
@@ -185,11 +189,7 @@ def _cmd_causality(args) -> int:
     ego = canonical_handle(args.ego)
     if ego is None:
         raise EgofluxError(f"--ego {args.ego!r} has an empty name")
-    alters = None
-    if args.alters:
-        alters = [canonical_handle(name) for name in args.alters.split(",")]
-        if None in alters:
-            raise EgofluxError(f"--alters {args.alters!r} has an empty name")
+    alters = _handles("--alters", args.alters)
     series = read_series_csv(args.series)
     # causality_scan refuses an ego or alter with no series, naming it.
     if alters is None:
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", dest="phrase_threshold", type=float, metavar="THRESHOLD",
                    help="phrase detector score threshold")
     p.add_argument("--n-alters", type=int)
-    p.add_argument("--exclude", type=lambda s: tuple(s.split(",")),
+    p.add_argument("--exclude",
                    help="comma-separated handles to exclude from ranking")
     p.add_argument("--out", required=True, help="bundle output directory")
     p.set_defaults(func=_cmd_topics, **{f.name: f.default for f in fields(PipelineConfig)

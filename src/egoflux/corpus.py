@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import logging
@@ -13,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusFormatError, open_text
+from .errors import CorpusFormatError, csv_rows, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -138,28 +137,6 @@ def _record_cells(record: dict | None) -> tuple:
             record.get("retweeted_author"))
 
 
-def _iter_csv(path: Path):
-    # Read as csv.DictReader would: blank lines are skipped, a short row's
-    # missing fields are None, extra fields are ignored, and of a repeated
-    # header name the last column wins.  Each row yields its CSV_COLUMNS cells.
-    with open_text(path, CorpusFormatError, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(CSV_COLUMNS).issubset(header):
-            raise CorpusFormatError(f"{path}: CSV header must contain {CSV_COLUMNS}")
-        column = {name: i for i, name in enumerate(header)}
-        picks = [column[name] for name in CSV_COLUMNS]
-        width = max(picks) + 1
-        pick = operator.itemgetter(*picks)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            # line_num: the file line a row ends on, blank lines counted
-            yield reader.line_num, pick(row)
-
-
 def _iter_jsonl(path: Path):
     # Unparseable lines yield a None record so the caller can apply the same
     # lenient/strict policy it uses for bad field values.
@@ -202,7 +179,7 @@ def load_corpus(
         raise CorpusFormatError(f"{path}: no such file")
 
     from_csv = format == "csv"
-    rows = _iter_csv(path) if from_csv else _iter_jsonl(path)
+    rows = csv_rows(path, CSV_COLUMNS, CorpusFormatError) if from_csv else _iter_jsonl(path)
     result = IngestResult(corpus=Corpus(posts=(), window_start=start, window_end=end))
     # Each distinct author or retweeted_author cell is canonicalised once.
     handle = functools.cache(canonical_handle)

@@ -1,6 +1,8 @@
 """Exception types shared across the egoflux package, and readers that name a faulty file."""
 
+import csv
 import json
+import operator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -60,3 +62,30 @@ def open_text(path, error: type[Exception] = ValueError, newline: str | None = N
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: {exc}") from None
+
+
+def csv_rows(path, columns, error: type[Exception] = ValueError):
+    """Yield `(line, cells)` for each row of the CSV file `path`: its cells of
+    `columns` (two or more), in that order, and the file line the row ends on.
+
+    Rows are read as csv.DictReader would: blank rows are skipped, a cell past
+    the end of a short row is None, extra columns are ignored, and of a
+    repeated header name the last column wins.  Bytes that do not decode, and
+    a header that lacks one of `columns`, raise `error` naming the path.
+    """
+    with open_text(path, error, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(columns).issubset(header):
+            raise error(f"{path}: CSV header must contain {list(columns)}")
+        column = {name: i for i, name in enumerate(header)}
+        picks = [column[name] for name in columns]
+        width = max(picks) + 1
+        pick = operator.itemgetter(*picks)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            # line_num: the file line a row ends on, blank lines counted
+            yield reader.line_num, pick(row)

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Post, canonical_handle
-from .errors import open_text
+from .errors import csv_rows
 
 _COUNT_MAX = np.iinfo(int).max  # the largest count a TopicSeries can hold (int64)
 _COLUMNS = ("week_start", "account", "topic", "count")  # a series CSV's required columns
@@ -87,7 +87,10 @@ def _refuse_post(post: Post, labels: Mapping[str, int], week_index: WeekIndex,
         raise ValueError(f"post {post.id!r} has no topic label") from None
     if not 0 <= topic < n_topics:
         raise ValueError(f"label {topic} for post {post.id!r} outside 0..{n_topics - 1}")
-    week_index.bin_of(post.created_at)
+    try:
+        week_index.bin_of(post.created_at)
+    except ValueError as exc:
+        raise ValueError(f"post {post.id!r}: {exc}") from None
 
 
 def bin_posts(
@@ -166,7 +169,7 @@ def read_series_csv(path) -> list[TopicSeries]:
     a final newline, every row as many cells as the header, no cell longer
     than `_CELL_BYTES`, topic and count of 1-18 ASCII digits, and every row
     valid.  Any other file (quoted or CRLF ones, blank lines, ragged rows, a
-    bad cell, a header-only file) is read by the `csv.reader` row loop,
+    bad cell, a header-only file) is read by the `errors.csv_rows` row loop,
     which gives the same series and is the only source of error messages.
     """
     series = _read_series_chunks(path)
@@ -174,51 +177,40 @@ def read_series_csv(path) -> list[TopicSeries]:
 
 
 def _read_series_rows(path) -> list[TopicSeries]:
-    """read_series_csv as a `csv.reader` loop: the general path and the error reporter."""
+    """read_series_csv as an `errors.csv_rows` loop: the general path and the error reporter."""
     cells: dict[tuple[str, int], dict[date, int]] = {}
     weeks: dict[str, date] = {}  # each distinct week_start cell, parsed once
     accounts: dict[str, str | None] = {}  # each distinct account cell, canonicalised once
     week_lines: dict[date, int] = {}  # first CSV line of each week_start
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        column = {name: i for i, name in enumerate(header)}
-        if not set(_COLUMNS).issubset(column):
-            raise ValueError(f"{path}: series CSV must have columns {sorted(_COLUMNS)}")
-        i_week, i_account, i_topic, i_count = (column[name] for name in _COLUMNS)
-        width = max(i_week, i_account, i_topic, i_count) + 1
-        for row in reader:
-            if not row:
-                continue  # a blank line is skipped
-            lineno = reader.line_num
-            if len(row) < width:
-                raise ValueError(f"{path}:{lineno}: row has too few cells")
-            cell_week, cell_account = row[i_week], row[i_account]
-            try:
-                if cell_week not in weeks:
-                    weeks[cell_week] = date.fromisoformat(cell_week)
-                topic = int_cell(row[i_topic])
-                count = int_cell(row[i_count])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            week = weeks[cell_week]
-            if cell_account not in accounts:
-                if "\0" in cell_account:
-                    raise ValueError(f"{path}:{lineno}: NUL byte in account {cell_account!r}")
-                accounts[cell_account] = canonical_handle(cell_account)
-            account = accounts[cell_account]
-            if account is None:
-                raise ValueError(f"{path}:{lineno}: empty account")
-            if count < 0:
-                raise ValueError(f"{path}:{lineno}: negative count {count}")
-            if count > _COUNT_MAX:
-                raise ValueError(f"{path}:{lineno}: count {count} out of range")
-            key = (account, topic)
-            by_week = cells.setdefault(key, {})
-            if week in by_week:
-                raise ValueError(f"{path}:{lineno}: repeated row for {key} in week {week}")
-            by_week[week] = count
-            week_lines.setdefault(week, lineno)
+    for lineno, row in csv_rows(path, _COLUMNS):
+        if None in row:
+            raise ValueError(f"{path}:{lineno}: row has too few cells")
+        cell_week, cell_account, cell_topic, cell_count = row
+        try:
+            if cell_week not in weeks:
+                weeks[cell_week] = date.fromisoformat(cell_week)
+            topic = int_cell(cell_topic)
+            count = int_cell(cell_count)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        week = weeks[cell_week]
+        if cell_account not in accounts:
+            if "\0" in cell_account:
+                raise ValueError(f"{path}:{lineno}: NUL byte in account {cell_account!r}")
+            accounts[cell_account] = canonical_handle(cell_account)
+        account = accounts[cell_account]
+        if account is None:
+            raise ValueError(f"{path}:{lineno}: empty account")
+        if count < 0:
+            raise ValueError(f"{path}:{lineno}: negative count {count}")
+        if count > _COUNT_MAX:
+            raise ValueError(f"{path}:{lineno}: count {count} out of range")
+        key = (account, topic)
+        by_week = cells.setdefault(key, {})
+        if week in by_week:
+            raise ValueError(f"{path}:{lineno}: repeated row for {key} in week {week}")
+        by_week[week] = count
+        week_lines.setdefault(week, lineno)
     if not week_lines:
         raise ValueError(f"{path}: series CSV is empty")
 

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py summarizes alternated (base, change) run_s pairs and
 decides the claim rule: at least 10 pairs, wins in 9 of every 10, and a
-median gap wider than the base's quartile spread."""
+median gap wider than the base's quartile spread.  It also gives each
+end-to-end metric a verdict against its bound."""
 
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import quartiles, summarize  # noqa: E402
+from bench_pairs import UNRESOLVED, WITHIN, WORSE, quartiles, summarize, verdict  # noqa: E402
 
 BASE = [0.80, 0.82, 0.84, 0.86, 0.88, 0.90, 0.92, 0.94, 0.96, 0.98]
 
@@ -62,3 +63,35 @@ def test_fewer_than_ten_pairs_do_not_hold():
 def test_no_pairs_refused():
     with pytest.raises(ValueError, match="no pairs"):
         summarize([])
+
+
+# BASE: median 0.89, quartiles [0.845, 0.935]; a spread of 0.09, 10.1% of the median.
+def test_worse_beyond_the_bound_lower_is_better():
+    # A median of 0.89 * 1.25 = 1.1125 is the edge of a 25% bound.
+    assert verdict(BASE, [b + 0.25 for b in BASE], "lower", 0.25) == WORSE
+    assert verdict(BASE, [b + 0.2 for b in BASE], "lower", 0.25) == WITHIN
+
+
+def test_worse_beyond_the_bound_higher_is_better():
+    # Rates with median 100 lose 30% or 20% against a 25% bound; a gain is never worse.
+    rates = [90.0, 95.0, 100.0, 105.0, 110.0]
+    assert verdict(rates, [r - 30 for r in rates], "higher", 0.25) == WORSE
+    assert verdict(rates, [r - 20 for r in rates], "higher", 0.25) == WITHIN
+    assert verdict(rates, [r + 50 for r in rates], "higher", 0.25) == WITHIN
+    # Read as lower-is-better, the same gain is worse.
+    assert verdict(rates, [r + 50 for r in rates], "lower", 0.25) == WORSE
+
+
+def test_unresolved_when_the_base_spread_exceeds_the_bound():
+    # A 10.1% spread against a 5% bound: unresolved unless every change run beats every base run.
+    assert verdict(BASE, BASE, "lower", 0.05) == UNRESOLVED
+    assert verdict(BASE, [0.79] * 10, "lower", 0.05) == WITHIN
+    assert verdict(BASE, [0.80] * 10, "lower", 0.05) == UNRESOLVED  # ties the fastest base run
+    assert verdict(BASE, [0.99] * 10, "higher", 0.05) == WITHIN
+    # Inside a 25% bound the same spread resolves.
+    assert verdict(BASE, BASE, "lower", 0.25) == WITHIN
+
+
+def test_a_constant_metric_within_a_zero_spread():
+    assert verdict([1.0] * 5, [1.0] * 5, "higher", 0.025) == WITHIN
+    assert verdict([1.0] * 5, [0.9] * 5, "higher", 0.025) == WORSE

@@ -195,8 +195,9 @@ class TestSerialization:
         (np.zeros((3, 2)), np.zeros(4), [0, 1, 2], r"biases have shape \(4,\)"),
         (np.zeros((3, 2)), np.zeros((3, 1)), [0, 1, 2], r"biases have shape \(3, 1\)"),
         (np.zeros((3, 2)), np.zeros(3), [0, 1, 1], "classes repeat"),
+        (np.full((3, 2), np.nan), np.zeros(3), [0, 1, 2], "weights contain NaN/Inf"),
     ], ids=["1-d weights", "fewer rows than classes", "more biases than classes",
-            "2-d biases", "repeated class"])
+            "2-d biases", "repeated class", "NaN weights"])
     def test_from_dict_rejects_inconsistent_parts(self, weights, biases, classes, message):
         d = {"classes": classes, "weights": weights.tolist(), "biases": biases.tolist()}
         with pytest.raises(ValueError, match=message):

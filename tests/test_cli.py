@@ -234,6 +234,11 @@ class TestTopics:
             embeddings_path="emb.jsonl", embed_dim=8, min_df=1, phrase_min_count=4,
             phrase_threshold=2.5, n_alters=2, exclude=("a", "b"))
 
+    def test_exclude_names_canonicalised_and_empty_value_means_none(self, monkeypatch,
+                                                                     corpus_jsonl):
+        assert self._config(monkeypatch, corpus_jsonl, "--exclude", " @A,b").exclude == ("a", "b")
+        assert self._config(monkeypatch, corpus_jsonl, "--exclude", "").exclude == ()
+
 
 class TestClassify:
     def test_labels_every_post(self, labels_csv, two_topic_corpus):
@@ -320,6 +325,9 @@ class TestSeries:
         path = tmp_path / name
         path.write_text(self.LABELS_HEADER + "".join(rows), encoding="utf-8")
         return path
+
+    def test_header_only_labels_exit_one(self, tmp_path, caplog):
+        assert self._series_error(caplog, [self._labels(tmp_path)]) == "no labeled posts given"
 
     def test_short_row_exits_one_naming_line(self, tmp_path, caplog):
         bad = self._labels(tmp_path, self.GOOD_ROW, "p2,ego\n")
@@ -440,17 +448,23 @@ class TestCausality:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["alters with no series: ['ghost', 'zed']"]
 
+    # `topics --exclude` parses its list as `causality --alters` does.
     @pytest.mark.parametrize("flag, value, missing",
                              [("--alters", "alt_a,,alt_b", False), ("--alters", " @ ", False),
-                              ("--ego", " @ ", False), ("--ego", " @ ", True)],
-                             ids=["alt_a,,alt_b", " @ ", "--ego  @ ", "--ego  @  no file"])
+                              ("--ego", " @ ", False), ("--ego", " @ ", True),
+                              ("--exclude", "a,,b", True)],
+                             ids=["alt_a,,alt_b", " @ ", "--ego  @ ", "--ego  @  no file",
+                                  "--exclude a,,b no file"])
     def test_empty_alters_name_exits_one(self, series_csv, tmp_path, caplog, flag, value,
                                          missing):
         out = tmp_path / "matrix.json"
         path = tmp_path / "absent.csv" if missing else series_csv
         names = {"--ego": "ego", "--alters": "alt_a", flag: value}
-        code = main(["causality", str(path), "--ego", names["--ego"],
-                     "--alters", names["--alters"], "--out", str(out)])
+        if flag == "--exclude":
+            argv = ["topics", str(path), "--ego", "ego", "--exclude", value]
+        else:
+            argv = ["causality", str(path), "--ego", names["--ego"], "--alters", names["--alters"]]
+        code = main([*argv, "--out", str(out)])
         assert code == 1
         assert not out.exists()
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

@@ -88,6 +88,11 @@ class TestLoadCsv:
         result = load_corpus(path, format="csv", window=WINDOW)
         assert [p.id for p in result.corpus.posts] == ["a", "b"]
         assert result.dropped_out_of_window == 2
+        # Naive bounds are read as UTC.
+        naive = tuple(bound.replace(tzinfo=None) for bound in WINDOW)
+        assert load_corpus(path, format="csv", window=naive) == result
+        with pytest.raises(ValueError, match="window start must not be after end"):
+            load_corpus(path, format="csv", window=WINDOW[::-1])
 
     def test_duplicate_ids_keep_first(self, tmp_path):
         path = tmp_path / "posts.csv"

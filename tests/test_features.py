@@ -276,10 +276,11 @@ class TestEmbeddingIO:
          r"emb\.jsonl:2: duplicate id '7'"),
         (['{"id": "p1", "v": [1.0]}', '{"id": "p2", "v": [1.0, 2.0]}'],
          r"emb\.jsonl:2: id 'p2' has dim 2, expected 1"),
+        ([""], r"emb\.jsonl: file contains no vectors"),
     ], ids=["null_id", "bool_id", "float_id", "blank_id", "bool_components",
             "string_component", "nested_component", "v_not_list", "long_v_cut", "empty_v",
             "repeated_id",
-            "repeated_integer_id", "dim_mismatch"])
+            "repeated_integer_id", "dim_mismatch", "no_vectors"])
     def test_jsonl_refusal_names_line(self, tmp_path, lines, message):
         path = tmp_path / "emb.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -43,6 +43,9 @@ class TestWeekIndex:
         idx = build_week_index(window("2020-01-06T00:00:00", "2020-01-20T00:00:00"))
         assert idx.n_weeks == 3
         assert idx.week_start(2) == date(2020, 1, 20)
+        for week in (-1, 3):
+            with pytest.raises(IndexError):
+                idx.week_start(week)
 
     def test_sunday_and_monday_straddle(self):
         idx = build_week_index(window("2020-01-06T00:00:00", "2020-01-31T00:00:00"))
@@ -117,6 +120,13 @@ class TestBinPosts:
         with pytest.raises(ValueError, match="b"):
             bin_posts(self._posts(), labels, idx, n_topics=2)
 
+    def test_post_outside_span_rejected(self):
+        idx = build_week_index(window("2020-01-06T00:00:00", "2020-01-12T23:59:59"))
+        labels = {"a": 0, "b": 0, "c": 0, "d": 0}
+        with pytest.raises(ValueError, match=r"^post 'c': timestamp 2020-01-14T10:00:00\+00:00 "
+                                             r"outside week index span$"):
+            bin_posts(self._posts(), labels, idx, n_topics=1)
+
     def test_forced_accounts_all_zero(self):
         idx = build_week_index(window("2020-01-06T00:00:00", "2020-01-19T23:59:59"))
         series = bin_posts([], {}, idx, n_topics=2, accounts=["ghost"])
@@ -179,7 +189,8 @@ class TestSeriesCsv:
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("week_start,account\n2020-01-06,ego\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bad\.csv: series CSV must have columns"):
+        with pytest.raises(ValueError, match=r"bad\.csv: CSV header must contain "
+                                             r"\['week_start', 'account', 'topic', 'count'\]$"):
             read_series_csv(path)
 
     def test_empty_rejected(self, tmp_path):
@@ -318,7 +329,10 @@ def _reference_bin_posts(posts, labels, week_index, n_topics, accounts=None):
             raise ValueError(f"post {post.id!r} has no topic label") from None
         if not 0 <= topic < n_topics:
             raise ValueError(f"label {topic} for post {post.id!r} outside 0..{n_topics - 1}")
-        week = week_index.bin_of(post.created_at)
+        try:
+            week = week_index.bin_of(post.created_at)
+        except ValueError as exc:
+            raise ValueError(f"post {post.id!r}: {exc}") from None
         grid = grids.setdefault(post.author, np.zeros((n_topics, week_index.n_weeks), dtype=int))
         grid[topic, week] += 1
     return [(a, t, grids[a][t].tolist()) for a in sorted(grids) for t in range(n_topics)]

@@ -87,6 +87,10 @@ class TestOls:
         with pytest.raises(InsufficientDataError):
             ols(np.ones(3), np.eye(3))
 
+    def test_y_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"y has shape \(4,\), expected \(3,\)"):
+            ols(np.ones(4), np.eye(3))
+
     def test_one_dimensional_design_promoted(self):
         fit = ols(np.array([2.0, 4.0, 6.0]), np.array([1.0, 2.0, 3.0]))
         assert fit.coefficients[0] == pytest.approx(2.0)
@@ -168,6 +172,13 @@ class TestAdf:
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
             adf_test(np.arange(10.0))
+
+    def test_bad_arguments_rejected(self):
+        walk = np.cumsum(np.random.default_rng(3).standard_normal(50))
+        with pytest.raises(ValueError, match="y must be one-dimensional"):
+            adf_test(walk.reshape(5, 10))
+        with pytest.raises(ValueError, match="max_lag must be nonnegative"):
+            adf_test(walk, max_lag=-1)
 
     def test_max_lag_zero_forces_no_lags(self):
         rng = np.random.default_rng(22)
@@ -647,6 +658,8 @@ class TestCausalityScan:
         assert matrix.significant(hit)
         miss = matrix.pair("alt_x", 1)
         assert not matrix.significant(miss)
+        with pytest.raises(KeyError):
+            matrix.pair("alt_x", 2)
 
     def test_lags_stop_at_the_first_one_too_short(self, monkeypatch):
         # Lag L needs 3L + 10 weeks, so 30 weeks test lags 1-6 of max_lag 8;

@@ -673,6 +673,9 @@ class TestSilhouette:
         clustering = manual_clustering(dm, [0, 0], [0])
         with pytest.raises(ValueError):
             silhouette(dm, clustering)
+        empty = manual_clustering(dm, [0, 0], [0, 1])
+        with pytest.raises(ValueError, match="silhouette needs every cluster nonempty"):
+            silhouette(dm, empty)
 
 
 class TestSelectK:

@@ -1,4 +1,4 @@
-"""Compare a change's benchmark ``run_s`` with a git revision's, in alternated pairs.
+"""Compare a change's end-to-end benchmark metrics with a git revision's, in alternated pairs.
 
 Usage (from the repository root):
 
@@ -12,11 +12,14 @@ so a drift in machine speed falls on both sides.  T is ``run_seconds`` of
 ``BENCHMARK.json``.
 
 The script prints each pair's ``run_s`` (with ``setup_s``, ``peak_rss_mb``
-and ``recall``), each side's median and quartiles, the change's wins, ties and
-losses, and whether the claim rule holds: over at least 10 pairs, the
-change is faster in at least 9 of every 10, and its median is below REV's by more than the spread
-between REV's quartiles.  Quartiles interpolate linearly between the
-sorted runs, as ``numpy.percentile`` does.  It exits 1 if a run fails.
+and ``recall``).  Then, for every ``end_to_end`` metric of ``BENCHMARK.json``,
+it prints each side's median and quartiles and one verdict (see `verdict`):
+worse beyond its bound, unresolved, or within bound.  Last come the change's
+``run_s`` wins, ties and losses, and whether the claim rule holds: over at
+least 10 pairs, the change is faster in at least 9 of every 10, and its
+median is below REV's by more than the spread between REV's quartiles.
+Quartiles interpolate linearly between the sorted runs, as
+``numpy.percentile`` does.  It exits 1 if a run fails.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from compare_artifacts import ROOT, unpack
 
 # The claim rule needs at least this many pairs.
 MIN_PAIRS = 10
+WORSE, UNRESOLVED, WITHIN = "worse beyond its bound", "unresolved", "within bound"
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,24 @@ def summarize(pairs: list[tuple[float, float]]) -> Summary:
                    losses=len(pairs) - wins - ties, holds=holds)
 
 
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """One end-to-end metric's verdict from each side's runs.
+
+    WORSE when the change's median is worse than REV's by more than `bound`
+    times REV's median; otherwise UNRESOLVED when REV's quartile spread is
+    wider than that and not every change run beats every REV run; otherwise
+    WITHIN.  `better` is "lower" or "higher".
+    """
+    sign = {"lower": 1, "higher": -1}[better]  # sign * value: lower is better
+    q1, median, q3 = quartiles(base)
+    allowed = bound * median
+    if sign * (quartiles(change)[1] - median) > allowed:
+        return WORSE
+    if q3 - q1 > allowed and max(sign * c for c in change) >= min(sign * b for b in base):
+        return UNRESOLVED
+    return WITHIN
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run from `tree`; its end-to-end metric values."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
@@ -95,9 +117,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
 
-    pairs = []
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"base": unpack(args.base, Path(tmp)), "change": ROOT}
         print(f"{args.workload} seed {args.seed}, {seconds} s per run, base {args.base}")
@@ -105,16 +128,23 @@ def main(argv: list[str] | None = None) -> int:
             order = ["base", "change"] if n % 2 == 0 else ["change", "base"]
             found = {side: run_bench(trees[side], args.workload, args.seed, seconds)
                      for side in order}
-            pairs.append((found["base"]["run_s"], found["change"]["run_s"]))
+            for side in order:
+                runs[side].append(found[side])
             shown = "  ".join(f"{metric} {found['base'][metric]:{form}} / "
                               f"{found['change'][metric]:{form}}" for metric, form in
                               (("run_s", ".3f"), ("setup_s", ".3f"), ("peak_rss_mb", ".1f"),
                                ("recall", ".3f")))
             print(f"  pair {n + 1:2d} ({order[0]} first)  {shown}", flush=True)
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        values = {side: [run[name] for run in runs[side]] for side in runs}
+        shown = "  ".join(f"{side} {median:.4g} [{q1:.4g}, {q3:.4g}]" for side, (q1, median, q3)
+                          in zip(values, map(quartiles, values.values())))
+        outcome = verdict(values["base"], values["change"], metric["better"], metric["bound"])
+        print(f"{name:<12} median [quartiles]  {shown}  "
+              f"({metric['better']} is better, bound {metric['bound']:.1%}): {outcome}")
+    pairs = [(b["run_s"], c["run_s"]) for b, c in zip(runs["base"], runs["change"])]
     summary = summarize(pairs)
-    for side in ("base", "change"):
-        q1, median, q3 = getattr(summary, side)
-        print(f"{side:<6} run_s median {median:.3f} [{q1:.3f}, {q3:.3f}]")
     print(f"change lower in {summary.wins} of {len(pairs)} pairs "
           f"({summary.ties} tied, {summary.losses} higher); "
           f"claim rule {'holds' if summary.holds else 'does not hold'}")
